@@ -28,10 +28,10 @@ rank, kernel, or subspace comparison verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .exactla import (
     LinearAlgebraError,
@@ -52,6 +52,7 @@ from .lattice import (
     all_multidegrees,
     canonical_path,
     classify_steps,
+    directed_edges,
     PathClass,
 )
 
@@ -141,10 +142,6 @@ class SectionSpace:
         if vec_matmul(coords, self.basis) != raw:
             raise LinearAlgebraError("raw vector is not a glued section")
         return coords
-
-    def section(self, coords: Sequence) -> tuple[Vector, Vector, Vector]:
-        """Polynomial coefficient triple of the section with given coordinates."""
-        return self.split(vec_matmul(coords, self.basis))
 
 
 @lru_cache(maxsize=None)
@@ -287,14 +284,8 @@ class SheafSkeleton:
     def multidegrees(self) -> tuple[Multidegree, ...]:
         return all_multidegrees(self.d)
 
-    def directed_edges(self) -> list[Edge]:
-        out = []
-        for md in self.multidegrees:
-            for direction in Direction:
-                target = md.step(direction)
-                if target is not None:
-                    out.append(Edge(md, target, direction))
-        return out
+    def directed_edges(self) -> tuple[Edge, ...]:
+        return directed_edges(self.d)
 
 
 @lru_cache(maxsize=None)
@@ -302,14 +293,9 @@ def skeleton(chain: ChainCurve) -> SheafSkeleton:
     """Full ambient bundle of the chain at its degree."""
     grid = all_multidegrees(chain.d)
     ambient = {md: h0_basis(chain, md).dim for md in grid}
-    maps: dict[tuple[Multidegree, Multidegree], Matrix] = {}
-    vanishing: dict[Multidegree, dict[int, Subspace]] = {}
-    for md in grid:
-        vanishing[md] = {q: vanishing_subspace(chain, md, (q,)) for q in (1, 2, 3)}
-        for direction in Direction:
-            target = md.step(direction)
-            if target is not None:
-                maps[(md, target)] = twist_matrix(chain, Edge(md, target, direction))
+    maps = {(e.source, e.target): twist_matrix(chain, e) for e in directed_edges(chain.d)}
+    vanishing = {md: {q: vanishing_subspace(chain, md, (q,)) for q in (1, 2, 3)}
+                 for md in grid}
     return SheafSkeleton(chain.d, ambient, maps, vanishing)
 
 

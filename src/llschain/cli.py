@@ -6,6 +6,11 @@ certificate), ``laws`` (ambient law suite and identity suite), ``grid``
 (ASCII triangle).  Exit status 0 means every requested check passed, 1 a
 mathematical check failed, 2 the input was malformed or unreadable.
 
+``certify`` validates dimensions and linking before deciding simplicity
+and stops with exit 1 on any violation; ``analyze``, ``grid`` and ``laws``
+on an instance validate first too, and stop with exit 1 before their
+reports when a space is missing or has the wrong dimension.
+
 All numeric output is exact (rational strings); reports are emitted with
 sorted keys so identical inputs give byte-identical files.
 """
@@ -96,11 +101,25 @@ def _derived_cert_path(out: str) -> str:
     return str(path.with_suffix(".cert.json")) if path.suffix else out + ".cert.json"
 
 
+def _violation_lines(report: lls_core.ValidationReport) -> list[str]:
+    return [f"  {v.kind} at {v.location}: {v.message}" for v in report.violations]
+
+
+def _wrong_dimension(report: lls_core.ValidationReport) -> bool:
+    return any(v.kind == "dimension" for v in report.violations)
+
+
+def _refuse(args, validation: lls_core.ValidationReport) -> int:
+    """Report a validation failure that stops a command."""
+    _emit(args, {"validation": validation.to_json()},
+          ["invalid"] + _violation_lines(validation))
+    return 1
+
+
 def _cmd_validate(args) -> int:
     inst = lls_core.load_instance(args.instance)
     report = lls_core.validate(inst)
-    lines = ["valid" if report.ok else "invalid"]
-    lines += [f"  {v.kind} at {v.location}: {v.message}" for v in report.violations]
+    lines = ["valid" if report.ok else "invalid"] + _violation_lines(report)
     _emit(args, report.to_json(), lines)
     return 0 if report.ok else 1
 
@@ -108,6 +127,8 @@ def _cmd_validate(args) -> int:
 def _cmd_analyze(args) -> int:
     inst = lls_core.load_instance(args.instance)
     validation = lls_core.validate(inst)
+    if _wrong_dimension(validation):
+        return _refuse(args, validation)
     grid = lls_core.codim_report(inst)
     exact_report = lls_core.exactness(inst)
     identities = lls_core.identity_suite(inst)
@@ -124,7 +145,7 @@ def _cmd_analyze(args) -> int:
              f"distributive everywhere: {grid.all_distributive}  "
              f"simple by criterion: {grid.simple_by_criterion}"]
     lines += [f"  inexact edge {e.edge.source}->{e.edge.target}" for e in failing]
-    lines += [f"  {v.kind} at {v.location}: {v.message}" for v in validation.violations]
+    lines += _violation_lines(validation)
     bad = identities.by_status("fail")
     lines += [f"  identity failure {c.identity} at {c.location}: {c.detail}" for c in bad]
     _emit(args, data, lines)
@@ -135,6 +156,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_certify(args) -> int:
     inst = lls_core.load_instance(args.instance)
+    validation = lls_core.validate(inst, ambient_laws=False)
+    if not validation.ok:
+        return _refuse(args, validation)
     verdict = simple_basis.is_simple(inst)
     data = {"verdict": verdict.to_json()}
     if verdict.simple:
@@ -153,6 +177,9 @@ def _cmd_laws(args) -> int:
         raise InstanceFormatError("laws", "give an instance file or --d")
     if args.instance is not None:
         inst = lls_core.load_instance(args.instance)
+        validation = lls_core.validate(inst, ambient_laws=False)
+        if _wrong_dimension(validation):
+            return _refuse(args, validation)
         law_report = verify_sheaf_laws(lls_core.skeleton_of(inst))
         identities = lls_core.identity_suite(inst)
         data = {"laws": law_report.to_json(), "identities": identities.to_json()}
@@ -176,6 +203,9 @@ def _cmd_laws(args) -> int:
 
 def _cmd_grid(args) -> int:
     inst = lls_core.load_instance(args.instance)
+    validation = lls_core.validate(inst, ambient_laws=False)
+    if _wrong_dimension(validation):
+        return _refuse(args, validation)
     grid = lls_core.codim_report(inst)
     _emit(args, grid.to_json(), [render_grid(grid)])
     return 0
@@ -238,6 +268,9 @@ def main(argv=None) -> int:
         return 2
     except generator.GenerationError as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
+        return 1
+    except simple_basis.ConstructionError as exc:
+        print(f"construction failed: {exc}", file=sys.stderr)
         return 1
 
 

@@ -116,11 +116,6 @@ class Matrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.entries[i * self.cols + j]
-                            for j in range(self.cols) for i in range(self.rows)))
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
@@ -152,10 +147,6 @@ class Matrix:
 
     def to_strings(self) -> list[list[str]]:
         return [[format_rational(e) for e in self.row(k)] for k in range(self.rows)]
-
-    @staticmethod
-    def from_strings(rows: Sequence[Sequence[str]], cols: int | None = None) -> "Matrix":
-        return Matrix.from_rows([[parse_rational(e) for e in r] for r in rows], cols=cols)
 
 
 def vec_matmul(v: Sequence, m: Matrix) -> Vector:
@@ -317,10 +308,6 @@ class Subspace:
 
     def to_strings(self) -> list[list[str]]:
         return self.basis.to_strings()
-
-    @staticmethod
-    def from_strings(rows: Sequence[Sequence[str]], ambient_dim: int) -> "Subspace":
-        return Subspace.span([[parse_rational(e) for e in r] for r in rows], ambient_dim)
 
 
 def kernel(matrix: Matrix) -> Subspace:

@@ -10,15 +10,16 @@ elimination keeps entry growth tame at this scale.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Mapping
 
 from . import chain_model, lls_core, simple_basis
 from .chain_model import ChainCurve
-from .exactla import Matrix, Subspace, Vector, complement_in, vec_matmul
-from .lattice import Direction, Edge, Multidegree, all_multidegrees
-from .lls_core import LlsInstance, edge_constraint, exactness, from_chain, validate
+from .exactla import Matrix, Subspace, Vector, complement_in, kernel, preimage
+from .lattice import Multidegree, all_multidegrees, edge_between
+from .lls_core import LlsInstance, exactness, exactness_at, from_chain, validate
 
 __all__ = [
     "GenSpec",
@@ -87,6 +88,37 @@ def _random_subspace(rng: random.Random, ambient: int, dim: int, bound: int,
     raise GenerationError("could not draw a random subspace of the requested dimension")
 
 
+def _linking_freedom(maps: Mapping[tuple[Multidegree, Multidegree], Matrix],
+                     md: Multidegree, ambient: int, rp1: int,
+                     assigned: Mapping[Multidegree, Subspace],
+                     ) -> tuple[Subspace, Subspace] | None:
+    """Bounds ``(lower, upper)`` on a space at ``md`` linked to its assigned
+    neighbours: it must contain the sum of their images and map into each
+    of them.  ``None`` when no ``rp1``-dimensional space fits between."""
+    lower = Subspace.zero(ambient)
+    upper = Subspace.full(ambient)
+    for _, n in md.neighbours():
+        if n in assigned:
+            lower = lower + assigned[n].apply(maps[(n, md)])
+            upper = upper & preimage(maps[(md, n)], assigned[n])
+    if lower.dim > rp1 or upper.dim < rp1 or not lower <= upper:
+        return None
+    return lower, upper
+
+
+def _draw_in_freedom(rng: random.Random, lower: Subspace, free: list[Vector],
+                     needed: int, bound: int) -> Subspace:
+    """Span of ``lower`` and ``needed`` random integer combinations of the
+    ``free`` vectors, coefficients in ``[-bound, bound]``."""
+    ambient = lower.ambient_dim
+    extra = []
+    for _ in range(needed):
+        coeffs = [Fraction(rng.randint(-bound, bound)) for _ in free]
+        extra.append(tuple(sum(c * row[k] for c, row in zip(coeffs, free))
+                           for k in range(ambient)))
+    return Subspace.span(list(lower.basis.row_list()) + extra, ambient)
+
+
 @dataclass(frozen=True)
 class GenResult:
     instance: LlsInstance
@@ -110,6 +142,7 @@ def gen_simple(spec: GenSpec) -> GenResult:
     chain = ChainCurve(spec.d)
     grid = all_multidegrees(spec.d)
     rp1 = spec.r + 1
+    walk = partial(chain_model.canonical_matrix, chain)
     for attempt in range(1, spec.retry_limit + 1):
         m = rng.randint(1, rp1)
         support = sorted(rng.sample(range(len(grid)), m))
@@ -131,10 +164,7 @@ def gen_simple(spec: GenSpec) -> GenResult:
         support_mds = tuple(grid[idx] for idx in support)
         spaces: dict[Multidegree, Subspace] = {}
         for md in grid:
-            pushes = []
-            for support_md in support_mds:
-                matrix = chain_model.canonical_matrix(chain, support_md, md)
-                pushes.extend(vec_matmul(s, matrix) for s in sections[support_md])
+            pushes = simple_basis.push_along_walks(walk, sections, support_mds, md)
             span = Subspace.span(pushes, spec.d + 1)
             if span.dim != rp1:
                 ok = False
@@ -186,62 +216,33 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
     rp1 = spec.r + 1
     expansions = 0
 
-    def assigned_neighbours(md: Multidegree, assigned: dict) -> list[Multidegree]:
-        return [t for _, t in md.neighbours() if t in assigned]
-
-    def ambient_vanishing(md: Multidegree, comps: Sequence[int]) -> Subspace:
-        out = skel.vanishing[md][comps[0]]
-        for q in comps[1:]:
-            out = out & skel.vanishing[md][q]
-        return out
-
-    def edge_exact(source_md, source_space, target_md, target_space) -> bool:
-        edge = next(Edge(source_md, t, dirn) for dirn, t in source_md.neighbours()
-                    if t == target_md)
-        pushed = source_space.apply(skel.maps[(source_md, target_md)])
-        q = edge.direction.component
-        if edge.direction.is_toward:
-            constraint = target_space & skel.vanishing[target_md][q]
-        else:
-            others = tuple(p for p in (1, 2, 3) if p != q)
-            constraint = target_space & ambient_vanishing(target_md, others)
-        return pushed == constraint
-
     def candidates(md: Multidegree, assigned: dict) -> list[Subspace]:
-        ambient = spec.d + 1
-        lower = Subspace.zero(ambient)
-        upper = Subspace.full(ambient)
-        for n in assigned_neighbours(md, assigned):
-            lower = lower + assigned[n].apply(skel.maps[(n, md)])
-            upper = upper & _preimage(skel.maps[(md, n)], assigned[n])
-        if lower.dim > rp1 or upper.dim < rp1 or not lower <= upper:
+        freedom = _linking_freedom(skel.maps, md, spec.d + 1, rp1, assigned)
+        if freedom is None:
             return []
-        found: list[Subspace] = []
-        seen = set()
+        lower, upper = freedom
         if lower.dim == rp1:
             trial = [lower]
         else:
             free = complement_in(lower, upper)
             needed = rp1 - lower.dim
             trial = []
+            seen = set()
             for _ in range(spec.max_candidates * 6):
                 if len(trial) >= spec.max_candidates:
                     break
-                extra = []
-                for _ in range(needed):
-                    coeffs = [Fraction(rng.randint(-spec.entry_bound, spec.entry_bound))
-                              for _ in free]
-                    vec = tuple(sum(c * row[k] for c, row in zip(coeffs, free))
-                                for k in range(ambient))
-                    extra.append(vec)
-                candidate = Subspace.span(list(lower.basis.row_list()) + extra, ambient)
+                candidate = _draw_in_freedom(rng, lower, free, needed, spec.entry_bound)
                 if candidate.dim == rp1 and candidate.basis not in seen:
                     seen.add(candidate.basis)
                     trial.append(candidate)
+        neighbours = [n for _, n in md.neighbours() if n in assigned]
+        found: list[Subspace] = []
         for candidate in trial:
-            if all(edge_exact(md, candidate, n, assigned[n])
-                   and edge_exact(n, assigned[n], md, candidate)
-                   for n in assigned_neighbours(md, assigned)):
+            probe = LlsInstance(spec.d, spec.r, skel.ambient_dim, skel.maps,
+                                skel.vanishing, {**assigned, md: candidate})
+            if all(exactness_at(probe, edge_between(md, n)).exact
+                   and exactness_at(probe, edge_between(n, md)).exact
+                   for n in neighbours):
                 found.append(candidate)
         return found
 
@@ -278,11 +279,6 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
             else "exact-nondistributive")
     return SearchResult(instance, expansions, report.all_distributive,
                         report.codim_sum, note)
-
-
-def _preimage(matrix: Matrix, target: Subspace) -> Subspace:
-    from .exactla import preimage
-    return preimage(matrix, target)
 
 
 @dataclass(frozen=True)
@@ -347,27 +343,16 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
 
     # break-exactness, phase 1: perturb one node inside its linking freedom.
     for md in grid:
-        lower = Subspace.zero(inst.ambient_dim[md])
-        upper = Subspace.full(inst.ambient_dim[md])
-        for _, n in md.neighbours():
-            lower = lower + inst.space(n).apply(inst.maps[(n, md)])
-            upper = upper & _preimage(inst.maps[(md, n)], inst.space(n))
-        if lower.dim > rp1 or upper.dim < rp1 or not lower <= upper:
+        freedom = _linking_freedom(inst.maps, md, inst.ambient_dim[md], rp1, inst.spaces)
+        if freedom is None or freedom[0].dim == freedom[1].dim:
             continue
-        if upper.dim == lower.dim:
-            continue
+        lower, upper = freedom
         free = complement_in(lower, upper)
         needed = rp1 - lower.dim
         if needed <= 0:
             continue
         for _ in range(200):
-            extra = []
-            for _ in range(needed):
-                coeffs = [Fraction(rng.randint(-9, 9)) for _ in free]
-                extra.append(tuple(sum(c * row[k] for c, row in zip(coeffs, free))
-                                   for k in range(inst.ambient_dim[md])))
-            candidate = Subspace.span(list(lower.basis.row_list()) + extra,
-                                      inst.ambient_dim[md])
+            candidate = _draw_in_freedom(rng, lower, free, needed, 9)
             if candidate.dim != rp1 or candidate == inst.space(md):
                 continue
             out = with_space(md, candidate)
@@ -390,8 +375,6 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
     # edge: bury the source in the kernel of the edge map and soak the
     # target in the vanishing subspace defining the edge constraint.
     # Generic linked draws come out exact; this bias is what breaks it.
-    from .exactla import kernel
-
     for a in grid:
         for direction, b in a.neighbours():
             q = direction.component
@@ -427,14 +410,10 @@ def _biased_linked_draw(inst: LlsInstance,
     rp1 = inst.r + 1
     for md in inst.multidegrees:
         ambient = inst.ambient_dim[md]
-        lower = Subspace.zero(ambient)
-        upper = Subspace.full(ambient)
-        for _, n in md.neighbours():
-            if n in assigned:
-                lower = lower + assigned[n].apply(inst.maps[(n, md)])
-                upper = upper & _preimage(inst.maps[(md, n)], assigned[n])
-        if lower.dim > rp1 or upper.dim < rp1 or not lower <= upper:
+        freedom = _linking_freedom(inst.maps, md, ambient, rp1, assigned)
+        if freedom is None:
             return None
+        lower, upper = freedom
         preferred = ()
         if md in bias:
             preferred = (bias[md] & upper).basis.row_list()

@@ -43,6 +43,7 @@ __all__ = [
     "multidegree",
     "Edge",
     "edge_between",
+    "directed_edges",
     "Path",
     "PathError",
     "PathClass",
@@ -84,13 +85,6 @@ class Direction(enum.Enum):
     @property
     def inverse(self) -> "Direction":
         return _INVERSE[self]
-
-    @staticmethod
-    def from_label(label: str) -> "Direction":
-        for direction in Direction:
-            if direction.label == label:
-                return direction
-        raise ValueError(f"unknown direction label {label!r}")
 
 
 _INVERSE = {
@@ -185,6 +179,14 @@ def edge_between(source: Multidegree, target: Multidegree) -> Edge:
         if source.step(direction) == target:
             return Edge(source, target, direction)
     raise PathError(f"{source} and {target} are not adjacent")
+
+
+@lru_cache(maxsize=None)
+def directed_edges(d: int) -> tuple[Edge, ...]:
+    """Every directed lattice edge of total degree ``d``: sources in grid
+    order, then steps in :class:`Direction` order."""
+    return tuple(Edge(md, target, direction)
+                 for md in all_multidegrees(d) for direction, target in md.neighbours())
 
 
 class PathError(ValueError):

@@ -6,6 +6,14 @@ edge, the ambient single-component vanishing subspaces, and a chosen
 ``(r+1)``-dimensional subspace.  The ambient data is backend agnostic: it
 may come from :mod:`llschain.chain_model` or be loaded from a file.
 
+Everything the checks derive from that data lives in one per-instance
+analysis table, ``LlsInstance.table``: the subspaces ``V ∩ Van_S``, each
+node's sums and distributivity verdict (:class:`NodeRow`), each edge's
+pushed image and exactness record, and the canonical-walk matrices.  An
+entry is computed the first time any report reads it and kept for every
+later read, so the reports share their work and a check that reads little
+computes little.
+
 The validators here cover everything short of basis constructions:
 linking, per-edge exactness, the dimension bookkeeping of the grid report,
 the distributivity test, and the suite of conditional dimension identities
@@ -14,11 +22,10 @@ relating neighbouring multidegrees.
 
 from __future__ import annotations
 
+import functools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from . import chain_model
 from .chain_model import ChainCurve, LawReport, SheafSkeleton, verify_sheaf_laws
@@ -37,6 +44,7 @@ from .lattice import (
     Multidegree,
     all_multidegrees,
     canonical_path,
+    directed_edges,
 )
 
 __all__ = [
@@ -50,6 +58,7 @@ __all__ = [
     "vanishing_sum",
     "EdgeExactness",
     "ExactnessReport",
+    "exactness_at",
     "exactness",
     "distributive_at",
     "GridCell",
@@ -71,35 +80,32 @@ __all__ = [
 ]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("LSL_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(n, 1)
-
-
-def _pmap(fn: Callable, items: Iterable) -> list:
-    """Map preserving input order; parallel when LSL_THREADS allows it."""
-    items = list(items)
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _other_components(q: int) -> tuple[int, int]:
     return tuple(p for p in (1, 2, 3) if p != q)
+
+
+def _tabled(compute):
+    """Make ``compute(inst, *args)`` an entry of the instance's analysis
+    table: computed on the first call with these arguments, then kept."""
+    @functools.wraps(compute)
+    def read(inst: "LlsInstance", *args):
+        key = (compute.__name__, *args)
+        value = inst.table.get(key)
+        if value is None:
+            value = inst.table[key] = compute(inst, *args)
+        return value
+    return read
 
 
 @dataclass(eq=False)
 class LlsInstance:
     """One series: ambient data plus the chosen subspaces.
 
-    Treat instances as immutable once built; all operations are pure and
-    the caches only memoise derived subspaces.
+    Nothing modifies the input fields after construction.  ``table`` maps
+    ``(filler, *arguments)`` to the value a :func:`_tabled` function
+    computed from them on first read.  To change a space, build a new
+    instance: editing ``spaces`` in place would leave the table describing
+    the old series.
     """
 
     d: int
@@ -109,21 +115,14 @@ class LlsInstance:
     vanishing: Mapping[Multidegree, Mapping[int, Subspace]]
     spaces: Mapping[Multidegree, Subspace]
     provenance: dict | None = None
-    _van_cache: dict = field(default_factory=dict, repr=False)
-    _canon_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def multidegrees(self) -> tuple[Multidegree, ...]:
         return all_multidegrees(self.d)
 
-    def directed_edges(self) -> list[Edge]:
-        out = []
-        for md in self.multidegrees:
-            for direction in Direction:
-                target = md.step(direction)
-                if target is not None:
-                    out.append(Edge(md, target, direction))
-        return out
+    @functools.cached_property
+    def table(self) -> dict:
+        return {}
 
     def space(self, md: Multidegree) -> Subspace:
         try:
@@ -206,14 +205,14 @@ def validate(inst: LlsInstance, ambient_laws: bool = True) -> ValidationReport:
             violations.append(Violation(
                 "dimension", f"{md}", None,
                 f"dim {space.dim} instead of r+1 = {expected}"))
-    for edge in inst.directed_edges():
+    for edge in directed_edges(inst.d):
         src = inst.spaces.get(edge.source)
         tgt = inst.spaces.get(edge.target)
         if src is None or tgt is None:
             continue
         if src.ambient_dim != inst.ambient_dim[edge.source]:
             continue
-        pushed = src.apply(inst.maps[(edge.source, edge.target)])
+        pushed = _pushed(inst, edge)
         if not pushed <= tgt:
             witness = next(row for row in pushed.basis.row_list() if row not in tgt)
             violations.append(Violation(
@@ -229,37 +228,82 @@ def validate(inst: LlsInstance, ambient_laws: bool = True) -> ValidationReport:
 
 def vanishing_in_v(inst: LlsInstance, md: Multidegree,
                    components: Sequence[int]) -> Subspace:
-    """Sections of the chosen subspace vanishing on the listed components."""
+    """Sections of the chosen subspace vanishing on the listed components.
+
+    Several components intersect the single-component entries, which are
+    no larger than the chosen space."""
     comps = tuple(sorted(set(components)))
     if not comps:
         raise ValueError("components must be nonempty")
-    key = (md, comps)
-    cached = inst._van_cache.get(key)
-    if cached is not None:
-        return cached
-    out = inst.space(md)
-    for q in comps:
-        out = out & inst.vanishing[md][q]
-    inst._van_cache[key] = out
-    return out
+    return _vanishing(inst, md, comps)
+
+
+@_tabled
+def _vanishing(inst: LlsInstance, md: Multidegree, comps: tuple[int, ...]) -> Subspace:
+    if len(comps) == 1:
+        return inst.space(md) & inst.vanishing[md][comps[0]]
+    return _vanishing(inst, md, comps[:-1]) & _vanishing(inst, md, comps[-1:])
+
+
+_PAIRS = ((1, 2), (1, 3), (2, 3))
+
+
+@dataclass(frozen=True, slots=True)
+class NodeRow:
+    """Sums and the distributivity test at one node, ``V_q = V ∩ Van_q``.
+
+    ``pairwise`` holds the dimensions of ``V_b + V_c`` for the pairs in
+    ``_PAIRS`` order.  For ``a = 1, 2, 3`` with ``b, c`` the other two,
+    ``spread[a-1]`` is the dimension of ``V_a ∩ (V_b + V_c)`` and
+    ``meet[a-1]`` that of ``V_a ∩ V_b + V_a ∩ V_c``.
+    """
+
+    triple: Subspace
+    pairwise: tuple[int, int, int]
+    spread: tuple[int, int, int]
+    meet: tuple[int, int, int]
+    distributive: bool
+
+    def sum_dim(self, comps: tuple[int, ...]) -> int:
+        """Dimension of the sum of ``V_q`` over two or all three ``q``."""
+        return self.triple.dim if len(comps) == 3 else self.pairwise[_PAIRS.index(comps)]
+
+
+@_tabled
+def _node_row(inst: LlsInstance, md: Multidegree) -> NodeRow:
+    """The node's table row.  Distributivity: each vanishing subspace must
+    distribute over the other two; the three permuted statements are
+    equivalent for any triple of subspaces, so all are evaluated and must
+    agree."""
+    v = {q: vanishing_in_v(inst, md, (q,)) for q in (1, 2, 3)}
+    sums = {(b, c): v[b] + v[c] for b, c in _PAIRS}
+    spread, meet, verdicts = [], [], []
+    for a, b, c in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
+        lhs = v[a] & sums[(b, c)]
+        rhs = vanishing_in_v(inst, md, (a, b)) + vanishing_in_v(inst, md, (a, c))
+        spread.append(lhs.dim)
+        meet.append(rhs.dim)
+        verdicts.append(lhs == rhs)
+    assert verdicts[0] == verdicts[1] == verdicts[2], \
+        "distributivity must be symmetric in the three subspaces"
+    return NodeRow(sums[(1, 2)] + v[3], tuple(sums[p].dim for p in _PAIRS),
+                   tuple(spread), tuple(meet), verdicts[0])
 
 
 def vanishing_sum(inst: LlsInstance, md: Multidegree,
                   components: Sequence[int] = (1, 2, 3)) -> Subspace:
-    """Sum of the single-component vanishing subspaces of the chosen space."""
+    """Sum of the single-component vanishing subspaces of the chosen space;
+    the sum of all three is the one kept in the node's table row."""
     comps = tuple(components)
-    key = (md, "sum", comps)
-    cached = inst._van_cache.get(key)
-    if cached is not None:
-        return cached
+    if sorted(comps) == [1, 2, 3]:
+        return _node_row(inst, md).triple
     out = Subspace.zero(inst.space(md).ambient_dim)
     for q in comps:
         out = out + vanishing_in_v(inst, md, (q,))
-    inst._van_cache[key] = out
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeExactness:
     edge: Edge
     image: Subspace
@@ -302,30 +346,28 @@ def edge_constraint(inst: LlsInstance, edge: Edge) -> Subspace:
     return vanishing_in_v(inst, edge.target, _other_components(q))
 
 
+@_tabled
+def _pushed(inst: LlsInstance, edge: Edge) -> Subspace:
+    """Image of the source's chosen space along the edge."""
+    return inst.space(edge.source).apply(inst.maps[(edge.source, edge.target)])
+
+
+@_tabled
+def exactness_at(inst: LlsInstance, edge: Edge) -> EdgeExactness:
+    """Image-versus-constraint comparison along one edge."""
+    pushed = _pushed(inst, edge)
+    constraint = edge_constraint(inst, edge)
+    return EdgeExactness(edge, pushed, constraint, pushed == constraint)
+
+
 def exactness(inst: LlsInstance) -> ExactnessReport:
     """Per-edge image-versus-constraint comparison (vacuous at degree 0)."""
-    def check(edge: Edge) -> EdgeExactness:
-        pushed = inst.space(edge.source).apply(inst.maps[(edge.source, edge.target)])
-        constraint = edge_constraint(inst, edge)
-        return EdgeExactness(edge, pushed, constraint, pushed == constraint)
-    return ExactnessReport(tuple(_pmap(check, inst.directed_edges())))
+    return ExactnessReport(tuple(exactness_at(inst, e) for e in directed_edges(inst.d)))
 
 
 def distributive_at(inst: LlsInstance, md: Multidegree) -> bool:
-    """Whether each vanishing subspace distributes over the other two.
-
-    The three permuted statements are equivalent for any triple of
-    subspaces, so they are all evaluated and must agree.
-    """
-    v = {q: vanishing_in_v(inst, md, (q,)) for q in (1, 2, 3)}
-    verdicts = []
-    for a, b, c in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
-        lhs = v[a] & (v[b] + v[c])
-        rhs = (v[a] & v[b]) + (v[a] & v[c])
-        verdicts.append(lhs == rhs)
-    assert verdicts[0] == verdicts[1] == verdicts[2], \
-        "distributivity must be symmetric in the three subspaces"
-    return verdicts[0]
+    """Whether each vanishing subspace distributes over the other two."""
+    return _node_row(inst, md).distributive
 
 
 @dataclass(frozen=True)
@@ -366,9 +408,6 @@ class GridReport:
     inequality_holds: bool
     equivalence_consistent: bool
 
-    def cell(self, md: Multidegree) -> GridCell:
-        return next(c for c in self.cells if c.multidegree == md)
-
     def codims(self) -> list[int]:
         return [c.codim for c in self.cells]
 
@@ -396,15 +435,15 @@ def codim_report(inst: LlsInstance) -> GridReport:
     is the dimension-count characterisation (exact and sum equal to
     ``r+1``), decided without constructing a basis.
     """
-    def cell(md: Multidegree) -> GridCell:
-        v = {q: vanishing_in_v(inst, md, (q,)) for q in (1, 2, 3)}
-        pairwise = ((v[1] + v[2]).dim, (v[1] + v[3]).dim, (v[2] + v[3]).dim)
-        triple = vanishing_sum(inst, md).dim
-        return GridCell(md, inst.space(md).dim,
-                        (v[1].dim, v[2].dim, v[3].dim), pairwise, triple,
-                        inst.r + 1 - triple, distributive_at(inst, md))
-
-    cells = tuple(_pmap(cell, inst.multidegrees))
+    cells = []
+    for md in inst.multidegrees:
+        row = _node_row(inst, md)
+        cells.append(GridCell(
+            md, inst.space(md).dim,
+            tuple(vanishing_in_v(inst, md, (q,)).dim for q in (1, 2, 3)),
+            row.pairwise, row.triple.dim, inst.r + 1 - row.triple.dim,
+            distributive_at(inst, md)))
+    cells = tuple(cells)
     codim_sum = sum(c.codim for c in cells)
     exact = exactness(inst).exact
     all_distributive = all(c.distributive for c in cells)
@@ -416,16 +455,12 @@ def codim_report(inst: LlsInstance) -> GridReport:
     )
 
 
+@_tabled
 def canonical_matrix(inst: LlsInstance, start: Multidegree, end: Multidegree) -> Matrix:
     """Composite matrix of the canonical walk in this instance's maps."""
-    key = (start, end)
-    cached = inst._canon_cache.get(key)
-    if cached is not None:
-        return cached
     out = Matrix.identity(inst.ambient_dim[start])
     for edge in canonical_path(start, end).edges():
         out = out @ inst.maps[(edge.source, edge.target)]
-    inst._canon_cache[key] = out
     return out
 
 
@@ -464,9 +499,10 @@ def identity_suite(inst: LlsInstance) -> IdentitySuiteReport:
     """Evaluate the conditional dimension identities at every applicable
     multidegree pair.
 
-    Each identity assumes exactness of one specific edge (its hypothesis);
-    when the hypothesis fails, the check is reported ``hypothesis-not-met``
-    rather than failed.  The catalogue, per node ``(i, j, l)``:
+    Each identity assumes exactness of one specific edge (its hypothesis,
+    read from that edge's record in the analysis table); when the
+    hypothesis fails, the check is reported ``hypothesis-not-met`` rather
+    than failed.  The catalogue, per node ``(i, j, l)``:
 
     * ``dim-gap-*``: the codimension of a pairwise vanishing sum equals a
       dimension gap at the companion node (diagonal, horizontal, vertical
@@ -485,11 +521,14 @@ def identity_suite(inst: LlsInstance) -> IdentitySuiteReport:
     checks: list[IdentityCheck] = []
     rp1 = inst.r + 1
 
-    def dim_v(md: Multidegree, comps: tuple[int, ...]) -> int:
-        return vanishing_in_v(inst, md, comps).dim
+    def dim_v(md: Multidegree, q: int) -> int:
+        return vanishing_in_v(inst, md, (q,)).dim
 
     def dim_sum(md: Multidegree, parts: tuple[int, ...]) -> int:
-        return vanishing_sum(inst, md, parts).dim
+        return _node_row(inst, md).sum_dim(parts)
+
+    def exact(source: Multidegree, target: Multidegree, direction: Direction) -> bool:
+        return exactness_at(inst, Edge(source, target, direction)).exact
 
     def emit(identity: str, location: str, ok: bool, detail: str) -> None:
         checks.append(IdentityCheck(identity, location, "pass" if ok else "fail", detail))
@@ -502,64 +541,53 @@ def identity_suite(inst: LlsInstance) -> IdentitySuiteReport:
         diag = md.up_right()
         if diag is not None:
             loc = f"{diag}->{md}"
-            pushed = inst.space(diag).apply(inst.maps[(diag, md)])
-            if pushed != vanishing_in_v(inst, md, (2,)):
+            if not exact(diag, md, Direction.TOWARD_X2):
                 skip("dim-gap-diagonal", loc, "diagonal edge into the node is not exact")
             else:
                 lhs = rp1 - dim_sum(diag, (1, 3))
-                rhs = dim_v(md, (2,)) - (vanishing_in_v(inst, md, (1, 2))
-                                         + vanishing_in_v(inst, md, (2, 3))).dim
+                rhs = dim_v(md, 2) - _node_row(inst, md).meet[1]
                 emit("dim-gap-diagonal", loc, lhs == rhs, f"{lhs} == {rhs}")
 
         # Horizontal companion (toward-X1 edge from md into its right).
         right = md.right()
         if right is not None:
             loc = f"{md}->{right}"
-            pushed = inst.space(md).apply(inst.maps[(md, right)])
-            hyp = pushed == vanishing_in_v(inst, right, (1,))
             names = ("dim-gap-horizontal", "quotient-splitting-horizontal",
                      "distributivity-dim-test-horizontal")
-            if not hyp:
+            if not exact(md, right, Direction.TOWARD_X1):
                 for name in names:
                     skip(name, loc, "horizontal edge out of the node is not exact")
             else:
+                row = _node_row(inst, right)
                 lhs = rp1 - dim_sum(md, (2, 3))
-                rhs = dim_v(right, (1,)) - (vanishing_in_v(inst, right, (1, 2))
-                                            + vanishing_in_v(inst, right, (1, 3))).dim
+                rhs = dim_v(right, 1) - row.meet[0]
                 emit("dim-gap-horizontal", loc, lhs == rhs, f"{lhs} == {rhs}")
 
-                lhs_q = rp1 - dim_sum(md, (2, 3))
                 part1 = dim_sum(right, (1, 2, 3)) - dim_sum(right, (2, 3))
-                defect_num = (vanishing_in_v(inst, right, (1,))
-                              & vanishing_sum(inst, right, (2, 3))).dim
-                defect_den = (vanishing_in_v(inst, right, (1, 2))
-                              + vanishing_in_v(inst, right, (1, 3))).dim
-                emit("quotient-splitting-horizontal", loc,
-                     lhs_q == part1 + (defect_num - defect_den),
-                     f"{lhs_q} == {part1} + {defect_num - defect_den}")
+                defect = row.spread[0] - row.meet[0]
+                emit("quotient-splitting-horizontal", loc, lhs == part1 + defect,
+                     f"{lhs} == {part1} + {defect}")
 
                 gap_closed = (dim_sum(md, (2, 3)) - dim_sum(right, (2, 3))
                               == rp1 - dim_sum(right, (1, 2, 3)))
-                emit("distributivity-dim-test-horizontal", loc,
-                     distributive_at(inst, right) == gap_closed,
-                     f"distributive={distributive_at(inst, right)} gap_closed={gap_closed}")
+                distributive = distributive_at(inst, right)
+                emit("distributivity-dim-test-horizontal", loc, distributive == gap_closed,
+                     f"distributive={distributive} gap_closed={gap_closed}")
 
         # Vertical companion (toward-X3 edge from down into md).
         down = md.down()
         if down is not None:
             loc = f"{down}->{md}"
-            pushed = inst.space(down).apply(inst.maps[(down, md)])
-            hyp = pushed == vanishing_in_v(inst, md, (3,))
             names = ("dim-gap-vertical", "pushed-complement-decomposition",
                      "vanishing-dim-step", "quotient-splitting-vertical",
                      "distributivity-dim-test-vertical")
-            if not hyp:
+            if not exact(down, md, Direction.TOWARD_X3):
                 for name in names:
                     skip(name, loc, "vertical edge into the node is not exact")
             else:
+                row = _node_row(inst, md)
                 lhs = rp1 - dim_sum(down, (1, 2))
-                rhs = dim_v(md, (3,)) - (vanishing_in_v(inst, md, (1, 3))
-                                         + vanishing_in_v(inst, md, (2, 3))).dim
+                rhs = dim_v(md, 3) - row.meet[2]
                 emit("dim-gap-vertical", loc, lhs == rhs, f"{lhs} == {rhs}")
 
                 v2_below = vanishing_in_v(inst, down, (2,))
@@ -574,25 +602,20 @@ def identity_suite(inst: LlsInstance) -> IdentitySuiteReport:
                 emit("pushed-complement-decomposition", loc, ok,
                      f"{len(vectors)} complement vectors push to an independent complement")
 
-                lhs_s = dim_v(down, (2,)) - dim_v(md, (2,))
+                lhs_s = dim_v(down, 2) - dim_v(md, 2)
                 rhs_s = rp1 - dim_sum(md, (2, 3))
                 emit("vanishing-dim-step", loc, lhs_s == rhs_s, f"{lhs_s} == {rhs_s}")
 
-                lhs_q = rp1 - dim_sum(down, (1, 2))
                 part1 = dim_sum(md, (1, 2, 3)) - dim_sum(md, (1, 2))
-                defect_num = (vanishing_in_v(inst, md, (3,))
-                              & vanishing_sum(inst, md, (1, 2))).dim
-                defect_den = (vanishing_in_v(inst, md, (1, 3))
-                              + vanishing_in_v(inst, md, (2, 3))).dim
-                emit("quotient-splitting-vertical", loc,
-                     lhs_q == part1 + (defect_num - defect_den),
-                     f"{lhs_q} == {part1} + {defect_num - defect_den}")
+                defect = row.spread[2] - row.meet[2]
+                emit("quotient-splitting-vertical", loc, lhs == part1 + defect,
+                     f"{lhs} == {part1} + {defect}")
 
                 gap_closed = (dim_sum(down, (1, 2)) - dim_sum(md, (1, 2))
                               == rp1 - dim_sum(md, (1, 2, 3)))
-                emit("distributivity-dim-test-vertical", loc,
-                     distributive_at(inst, md) == gap_closed,
-                     f"distributive={distributive_at(inst, md)} gap_closed={gap_closed}")
+                distributive = distributive_at(inst, md)
+                emit("distributivity-dim-test-vertical", loc, distributive == gap_closed,
+                     f"distributive={distributive} gap_closed={gap_closed}")
 
     return IdentitySuiteReport(tuple(checks))
 
@@ -643,14 +666,6 @@ def _parse_md_triple(value, d: int, where: str) -> Multidegree:
     return Multidegree(i, j, l)
 
 
-def _rows_to_json(m: Matrix) -> list[list[str]]:
-    return m.to_strings()
-
-
-def _subspace_rows(sub: Subspace) -> list[list[str]]:
-    return sub.to_strings()
-
-
 def _parse_rows(value, where: str) -> list[list]:
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise InstanceFormatError(where, "expected a list of rows")
@@ -676,23 +691,16 @@ def instance_to_json(inst: LlsInstance) -> dict:
         "r": inst.r,
         "multidegrees": [md.to_json() for md in grid],
         "ambient_dim": {_md_key(md): inst.ambient_dim[md] for md in grid},
-        "maps": [],
+        "maps": [{"from": e.source.to_json(), "to": e.target.to_json(),
+                  "matrix": inst.maps[(e.source, e.target)].to_strings()}
+                 for e in directed_edges(inst.d)],
         "vanishing": {
-            _md_key(md): {f"X{q}": _subspace_rows(inst.vanishing[md][q]) for q in (1, 2, 3)}
+            _md_key(md): {f"X{q}": inst.vanishing[md][q].to_strings() for q in (1, 2, 3)}
             for md in grid
         },
-        "V": {_md_key(md): _subspace_rows(inst.spaces[md])
+        "V": {_md_key(md): inst.spaces[md].to_strings()
               for md in grid if md in inst.spaces},
     }
-    for md in grid:
-        for direction in Direction:
-            target = md.step(direction)
-            if target is not None:
-                data["maps"].append({
-                    "from": md.to_json(),
-                    "to": target.to_json(),
-                    "matrix": _rows_to_json(inst.maps[(md, target)]),
-                })
     if inst.provenance:
         data["provenance"] = inst.provenance
     return data
@@ -743,11 +751,9 @@ def _parse_common(data: dict, need_r: bool):
         if (src, tgt) in maps:
             raise InstanceFormatError(where, "duplicate edge")
         maps[(src, tgt)] = Matrix.from_rows(rows, cols=ambient[tgt])
-    for md in grid:
-        for direction in Direction:
-            target = md.step(direction)
-            if target is not None and (md, target) not in maps:
-                raise InstanceFormatError("maps", f"missing edge {md}->{target}")
+    for edge in directed_edges(d):
+        if (edge.source, edge.target) not in maps:
+            raise InstanceFormatError("maps", f"missing edge {edge.source}->{edge.target}")
 
     vanishing_field = data.get("vanishing")
     if not isinstance(vanishing_field, dict):
@@ -759,10 +765,12 @@ def _parse_common(data: dict, need_r: bool):
             raise InstanceFormatError(f"vanishing.{key}", "must be an object")
         per = {}
         for q in (1, 2, 3):
-            rows = _parse_rows(triple.get(f"X{q}", None) or [], f"vanishing.{key}.X{q}")
+            where = f"vanishing.{key}.X{q}"
+            if f"X{q}" not in triple:
+                raise InstanceFormatError(where, "missing (write [] for the zero subspace)")
+            rows = _parse_rows(triple[f"X{q}"], where)
             if any(len(row) != ambient[md] for row in rows):
-                raise InstanceFormatError(f"vanishing.{key}.X{q}",
-                                          f"rows must have length {ambient[md]}")
+                raise InstanceFormatError(where, f"rows must have length {ambient[md]}")
             per[q] = Subspace.span(rows, ambient[md])
         vanishing[md] = per
     for md in grid:

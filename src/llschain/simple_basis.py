@@ -18,19 +18,24 @@ anti-diagonal construction behaves the same way by symmetry.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactla import Matrix, Subspace, Vector, as_vector, complement_in, vec_matmul
 from .lattice import (
-    Direction,
     Edge,
     Multidegree,
     all_multidegrees,
     component_regions,
 )
 from .lls_core import (
+    InstanceFormatError,
     LlsInstance,
+    _parse_md_key,
+    _parse_md_triple,
+    _parse_rows,
     canonical_matrix,
     distributive_at,
     exactness,
@@ -55,6 +60,7 @@ __all__ = [
     "verify_certificate",
     "SimplicityVerdict",
     "is_simple",
+    "push_along_walks",
     "certificate_complement_systems",
     "certificate_push_candidates",
     "certificate_to_json",
@@ -314,38 +320,33 @@ def structure_report(inst: LlsInstance,
         raise ValueError("systems must be given in component order 1, 2, 3")
     d = inst.d
     checks: list[StructureCheck] = []
+    if d == 0:
+        return StructureReport(())
 
     def push_span(system: ComplementSystem, source: Multidegree,
                   target: Multidegree) -> Subspace:
         return system.span(source).apply(inst.maps[(source, target)])
 
+    def from_diagonal(md: Multidegree) -> Subspace:
+        return push_span(s1, md.up_right(), md) + push_span(s3, md.up_right(), md)
+
+    def from_sides(md: Multidegree) -> Subspace:
+        return (push_span(s1, md.down(), md) + push_span(s2, md.down(), md)
+                + push_span(s2, md.left(), md) + push_span(s3, md.left(), md))
+
     for md in inst.multidegrees:
         i, l = md.i, md.l
-        vsum = vanishing_sum(inst, md)
-        if d == 0:
-            continue
         if i == 0 and l == d:
-            rhs = push_span(s3, md.up(), md)
-            checks.append(StructureCheck("corner-bottom-right", md, vsum == rhs))
-        elif i == 0:
-            rhs = (push_span(s1, md.down(), md) + push_span(s2, md.down(), md)
-                   + push_span(s2, md.left(), md) + push_span(s3, md.left(), md))
-            checks.append(StructureCheck("right-column", md, vsum == rhs))
+            item, rhs = "corner-bottom-right", push_span(s3, md.up(), md)
         elif i == d:
-            rhs = push_span(s1, md.right(), md)
-            checks.append(StructureCheck("corner-top-left", md, vsum == rhs))
+            item, rhs = "corner-top-left", push_span(s1, md.right(), md)
         elif l == d - i:
-            rhs = push_span(s1, md.up_right(), md) + push_span(s3, md.up_right(), md)
-            checks.append(StructureCheck("anti-diagonal-edge", md, vsum == rhs))
-        elif l == 0:
-            rhs = (push_span(s1, md.down(), md) + push_span(s2, md.down(), md)
-                   + push_span(s2, md.left(), md) + push_span(s3, md.left(), md))
-            checks.append(StructureCheck("top-row", md, vsum == rhs))
+            item, rhs = "anti-diagonal-edge", from_diagonal(md)
+        elif i == 0 or l == 0:
+            item, rhs = ("right-column" if i == 0 else "top-row"), from_sides(md)
         else:
-            rhs = (push_span(s1, md.up_right(), md) + push_span(s3, md.up_right(), md)
-                   + push_span(s1, md.down(), md) + push_span(s2, md.down(), md)
-                   + push_span(s2, md.left(), md) + push_span(s3, md.left(), md))
-            checks.append(StructureCheck("interior", md, vsum == rhs))
+            item, rhs = "interior", from_diagonal(md) + from_sides(md)
+        checks.append(StructureCheck(item, md, vanishing_sum(inst, md) == rhs))
     return StructureReport(tuple(checks))
 
 
@@ -438,11 +439,9 @@ def verify_certificate(inst: LlsInstance, cert: SimpleCertificate) -> Certificat
     if total != inst.r + 1:
         return CertificateCheck(False, None,
                                 f"{total} sections cannot form bases of dimension {inst.r + 1}")
+    walk = partial(canonical_matrix, inst)
     for md in inst.multidegrees:
-        pushes = []
-        for support_md in cert.support:
-            matrix = canonical_matrix(inst, support_md, md)
-            pushes.extend(vec_matmul(s, matrix) for s in cert.sections[support_md])
+        pushes = push_along_walks(walk, cert.sections, cert.support, md)
         space = inst.space(md)
         if any(p not in space for p in pushes):
             return CertificateCheck(False, md, "a pushed section leaves the chosen space")
@@ -489,18 +488,25 @@ def is_simple(inst: LlsInstance) -> SimplicityVerdict:
     return SimplicityVerdict(True, certificate=cert)
 
 
+def push_along_walks(walk: Callable[[Multidegree, Multidegree], Matrix],
+                     sections: Mapping[Multidegree, Sequence[Vector]],
+                     sources: Iterable[Multidegree], target: Multidegree) -> list[Vector]:
+    """Images at ``target`` of every section at each source, pushed by the
+    canonical-walk matrix ``walk(source, target)``; in source order."""
+    out: list[Vector] = []
+    for source in sources:
+        matrix = walk(source, target)
+        out.extend(vec_matmul(s, matrix) for s in sections[source])
+    return out
+
+
 def certificate_push_candidates(inst: LlsInstance, cert: SimpleCertificate,
                                 ) -> dict[Multidegree, list[Vector]]:
     """All canonical pushes of the certificate sections, per multidegree,
     in support order; useful as ``preferred`` complement candidates."""
-    out: dict[Multidegree, list[Vector]] = {}
-    for md in inst.multidegrees:
-        vecs = []
-        for support_md in cert.support:
-            matrix = canonical_matrix(inst, support_md, md)
-            vecs.extend(vec_matmul(s, matrix) for s in cert.sections[support_md])
-        out[md] = vecs
-    return out
+    walk = partial(canonical_matrix, inst)
+    return {md: push_along_walks(walk, cert.sections, cert.support, md)
+            for md in inst.multidegrees}
 
 
 def certificate_complement_systems(inst: LlsInstance, cert: SimpleCertificate,
@@ -517,18 +523,14 @@ def certificate_complement_systems(inst: LlsInstance, cert: SimpleCertificate,
     check = verify_certificate(inst, cert)
     if not check.ok:
         raise CertificateError(f"invalid certificate: {check.message}")
-    support_set = list(cert.support)
+    walk = partial(canonical_matrix, inst)
     systems = []
     for q in (1, 2, 3):
         basis: dict[Multidegree, list[Vector]] = {}
         for md in inst.multidegrees:
             region = set(component_regions(md)[q - 1])
-            vecs: list[Vector] = []
-            for support_md in support_set:
-                if support_md in region:
-                    matrix = canonical_matrix(inst, support_md, md)
-                    vecs.extend(vec_matmul(s, matrix) for s in cert.sections[support_md])
-            basis[md] = vecs
+            sources = [s for s in cert.support if s in region]
+            basis[md] = push_along_walks(walk, cert.sections, sources, md)
         spans = {}
         for md, vecs in basis.items():
             ambient = inst.ambient_dim[md]
@@ -577,7 +579,6 @@ def certificate_to_json(cert: SimpleCertificate) -> dict:
 
 
 def certificate_from_json(data: dict, d: int) -> SimpleCertificate:
-    from .lls_core import InstanceFormatError, _parse_md_key, _parse_md_triple, _parse_rows
     if not isinstance(data, dict):
         raise InstanceFormatError("$", "certificate must be an object")
     support_field = data.get("support")
@@ -599,12 +600,10 @@ def certificate_from_json(data: dict, d: int) -> SimpleCertificate:
 
 
 def save_certificate(path, cert: SimpleCertificate) -> None:
-    import json
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(certificate_to_json(cert), sort_keys=True, indent=2) + "\n")
 
 
 def load_certificate(path, d: int) -> SimpleCertificate:
-    import json
     with open(path, "r", encoding="utf-8") as handle:
         return certificate_from_json(json.load(handle), d)

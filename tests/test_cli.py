@@ -1,11 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import llschain
+from llschain import simple_basis
 from llschain.cli import main
-from llschain.lls_core import load_instance, save_instance
+from llschain.exactla import Subspace
+from llschain.lattice import Multidegree
+from llschain.lls_core import instance_from_json, instance_to_json, load_instance, save_instance
 from llschain.generator import GenSpec, degrade, gen_simple
 
 
@@ -15,6 +23,15 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so an escaping exception shows up
+    as a traceback on stderr instead of failing the test process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(llschain.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "llschain.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -169,3 +186,57 @@ class TestDeterminism:
             assert run_cli("gen", "--d", "2", "--r", "1", "--seed", "11",
                            "-o", str(target))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestFrontDoor:
+    def write(self, tmp_path, data, name="instance.json"):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("command", ["certify", "analyze", "grid", "laws"])
+    def test_empty_v_is_refused_with_violation(self, tmp_path, worked_instance, command):
+        data = instance_to_json(worked_instance)
+        data["V"] = {}
+        code, out, err = run_cli_process(command, str(self.write(tmp_path, data)))
+        assert code == 1
+        assert "Traceback" not in err
+        assert "dimension at" in out and "no subspace stored" in out
+
+    def test_certify_refuses_unlinked_instance(self, tmp_path):
+        result = gen_simple(GenSpec(d=2, r=1, seed=3))
+        broken = degrade(result.instance, "break-linking", seed=1)
+        path = tmp_path / "unlinked.json"
+        save_instance(path, broken.instance)
+        report = tmp_path / "report.json"
+        code, out, err = run_cli("certify", str(path), "--report", str(report))
+        assert code == 1
+        assert f"linking at {broken.location}" in out
+        data = json.loads(report.read_text())
+        assert not data["validation"]["ok"] and "verdict" not in data
+
+    def test_missing_vanishing_key_names_field(self, tmp_path, worked_instance):
+        data = instance_to_json(worked_instance)
+        del data["vanishing"]["0,1"]["X2"]
+        code, _, err = run_cli_process("validate", str(self.write(tmp_path, data)))
+        assert code == 2
+        assert "Traceback" not in err
+        assert "vanishing.0,1.X2" in err
+
+    def test_explicit_empty_vanishing_is_zero(self, worked_instance):
+        data = instance_to_json(worked_instance)
+        data["vanishing"]["0,1"]["X1"] = []
+        inst = instance_from_json(data)
+        assert inst.vanishing[Multidegree(0, 0, 1)][1] == Subspace.zero(2)
+
+    def test_construction_error_exits_one(self, monkeypatch, worked_files):
+        _, inst_path = worked_files
+
+        def corrupt(inst):
+            raise simple_basis.ConstructionError("seed images at the corner are dependent")
+
+        monkeypatch.setattr(simple_basis, "extract_certificate", corrupt)
+        code, _, err = run_cli("certify", str(inst_path))
+        assert code == 1
+        assert "Traceback" not in err
+        assert "seed images at the corner are dependent" in err

@@ -23,6 +23,7 @@ from llschain.lls_core import (
     vanishing_sum,
 )
 from llschain.generator import GenSpec, degrade, gen_simple
+from llschain.simple_basis import is_simple
 
 
 def md(i, j, l):
@@ -216,3 +217,38 @@ class TestScaledBackendInvariance:
         assert report.exact == plain.exact
         assert report.all_distributive == plain.all_distributive
         assert report.simple_by_criterion == plain.simple_by_criterion
+
+
+class TestAnalysisTable:
+    REPORTS = {
+        "validate": validate,
+        "exactness": exactness,
+        "codim_report": codim_report,
+        "identity_suite": identity_suite,
+        "is_simple": is_simple,
+    }
+
+    @pytest.mark.parametrize("variant", ["simple", "shrink-V"])
+    def test_report_order_does_not_change_bytes(self, corpus, tmp_path, variant):
+        inst = corpus[10].instance  # d=4, r=2
+        if variant != "simple":
+            inst = degrade(inst, variant, seed=0).instance
+        path = tmp_path / "instance.json"
+        save_instance(path, inst)
+        outputs = []
+        for order in (list(self.REPORTS), list(self.REPORTS)[::-1]):
+            fresh = load_instance(path)
+            outputs.append({name: json.dumps(self.REPORTS[name](fresh).to_json(), sort_keys=True)
+                            for name in order})
+        assert outputs[0] == outputs[1]
+
+    def test_entries_are_kept_and_filled_lazily(self, corpus):
+        inst = corpus[10].instance
+        fresh = LlsInstance(inst.d, inst.r, inst.ambient_dim, inst.maps,
+                            inst.vanishing, inst.spaces)
+        assert validate(fresh, ambient_laws=False).ok
+        assert not any(key[0] == "_node_row" for key in fresh.table)
+        first = exactness(fresh).edges
+        assert all(a is b for a, b in zip(first, exactness(fresh).edges))
+        assert canonical_matrix(fresh, md(4, 0, 0), md(0, 0, 4)) is \
+            canonical_matrix(fresh, md(4, 0, 0), md(0, 0, 4))
