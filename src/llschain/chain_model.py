@@ -163,7 +163,7 @@ def h0_basis(chain: ChainCurve, md: Multidegree) -> SectionSpace:
         rows.append((col_a, col_b))
     glue = Matrix.from_rows(rows, cols=2)
     solutions = kernel(glue)
-    return SectionSpace(md, solutions.basis, solutions.pivots())
+    return SectionSpace(md, solutions.basis, solutions.pivots)
 
 
 def _shift(coeffs: Vector, size: int) -> list[Fraction]:

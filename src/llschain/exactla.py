@@ -10,15 +10,21 @@ Conventions used by the whole package:
 * every coefficient is a :class:`fractions.Fraction` (arbitrary precision,
   lowest terms, positive denominator).  No floating point anywhere.
 
+``Fraction`` is the interface; elimination (behind every rref, kernel,
+span, intersection, image and preimage) runs inside on primitive integer
+rows, fraction-free, and turns back into ``Fraction`` once at the end.
+
 Rationals serialize as ``"p/q"``, or ``"p"`` when the denominator is one,
 with the sign carried by the numerator; this is exactly ``str(Fraction)``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -63,7 +69,7 @@ def format_rational(value: Fraction) -> str:
 
 
 def as_vector(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def _unit_vector(size: int, position: int) -> Vector:
@@ -165,63 +171,110 @@ def vec_matmul(v: Sequence, m: Matrix) -> Vector:
     return tuple(acc)
 
 
-def _rref_rows(rows: list[list[Fraction]], width: int, extra: int = 0) -> list[int]:
-    """In-place Gauss-Jordan on ``rows``; pivots only in the first ``width``
-    columns (the remaining ``extra`` columns ride along, e.g. a transform)."""
+def _rref_rows(rows: list[Sequence[Fraction]], width: int) -> list[int]:
+    """In-place reduced row echelon form of ``rows``; pivots only in the
+    first ``width`` columns (any further columns ride along, e.g. a
+    transform).
+
+    The elimination runs on primitive integer rows: each row is cleared of
+    denominators once, a row is eliminated against the pivot row by
+    cross-multiplication ``(lead/g)*row - (f/g)*pivot_row`` and divided by
+    its content, so no rational is formed until the end.  Every integer row
+    stays a nonzero multiple of the row the rational Gauss-Jordan would
+    hold, so pivots are the same; each pivot row is then divided by its
+    pivot entry, which gives the canonical RREF, and rows past the rank are
+    returned as their primitive integer multiples.
+    """
+    ints = [_primitive_row(row) for row in rows]
     pivots: list[int] = []
     pr = 0
-    nrows = len(rows)
+    nrows = len(ints)
     for pc in range(width):
         pivot_row = None
         for k in range(pr, nrows):
-            if rows[k][pc] != 0:
+            if ints[k][pc]:
                 pivot_row = k
                 break
         if pivot_row is None:
             continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        lead = rows[pr][pc]
-        if lead != 1:
-            rows[pr] = [e / lead for e in rows[pr]]
-        prow = rows[pr]
+        ints[pr], ints[pivot_row] = ints[pivot_row], ints[pr]
+        prow = ints[pr]
+        lead = prow[pc]
         for k in range(nrows):
-            if k == pr:
+            row = ints[k]
+            factor = row[pc]
+            if not factor or k == pr:
                 continue
-            factor = rows[k][pc]
-            if factor == 0:
-                continue
-            rows[k] = [e - factor * p for e, p in zip(rows[k], prow)]
+            g = gcd(lead, factor)
+            a, b = lead // g, factor // g
+            row = [a * e - b * p for e, p in zip(row, prow)]
+            content = gcd(*row)
+            if content > 1:
+                row = [e // content for e in row]
+            ints[k] = row
         pivots.append(pc)
         pr += 1
         if pr == nrows:
             break
+    for k, pc in enumerate(pivots):
+        lead = ints[k][pc]
+        rows[k] = [_ratio(e, lead) if e else _ZERO for e in ints[k]]
+    for k in range(pr, nrows):
+        rows[k] = [_ratio(e, 1) if e else _ZERO for e in ints[k]]
     return pivots
+
+
+# Reduced entries repeat a few small values across eliminations, so the
+# immutable Fractions are shared instead of rebuilt (and re-reduced).
+@functools.lru_cache(maxsize=256)
+def _ratio(num: int, den: int) -> Fraction:
+    return Fraction(num, den)
+
+
+def _primitive_row(row: Sequence[Fraction]) -> list[int]:
+    """The primitive integer vector on the line through a rational row."""
+    ratios = [e.as_integer_ratio() for e in row]
+    den = lcm(*[q for _, q in ratios])
+    if den == 1:
+        out = [p for p, _ in ratios]
+    else:
+        out = [p * (den // q) for p, q in ratios]
+    content = gcd(*out)
+    if content > 1:
+        out = [e // content for e in out]
+    return out
+
+
+def _from_rows(rows: list[Sequence[Fraction]], cols: int) -> Matrix:
+    """Matrix of rows that already hold ``Fraction`` entries."""
+    return Matrix(len(rows), cols, tuple(itertools.chain.from_iterable(rows)))
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form, pivot columns, and rank."""
-    rows = [list(matrix.row(k)) for k in range(matrix.rows)]
+    rows = matrix.row_list()
     pivots = _rref_rows(rows, matrix.cols)
-    return (Matrix.from_rows(rows, cols=matrix.cols), tuple(pivots), len(pivots))
+    return (_from_rows(rows, matrix.cols), tuple(pivots), len(pivots))
 
 
 def rref_with_transform(matrix: Matrix) -> tuple[Matrix, Matrix, tuple[int, ...]]:
     """Return ``(R, T, pivots)`` with ``T @ matrix == R`` and ``T`` invertible."""
     n = matrix.rows
-    rows = [list(matrix.row(k)) + [_ONE if t == k else _ZERO for t in range(n)]
-            for k in range(n)]
-    pivots = _rref_rows(rows, matrix.cols, extra=n)
-    reduced = Matrix.from_rows([r[:matrix.cols] for r in rows], cols=matrix.cols)
-    transform = Matrix.from_rows([r[matrix.cols:] for r in rows], cols=n)
+    rows = [matrix.row(k) + _unit_vector(n, k) for k in range(n)]
+    pivots = _rref_rows(rows, matrix.cols)
+    reduced = _from_rows([r[:matrix.cols] for r in rows], matrix.cols)
+    transform = _from_rows([r[matrix.cols:] for r in rows], n)
     return reduced, transform, tuple(pivots)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^n in canonical (RREF basis) form."""
+    """A linear subspace of Q^n in canonical (RREF basis) form, with the
+    pivot column of each basis row."""
 
     ambient_dim: int
     basis: Matrix
+    pivots: tuple[int, ...] = field(compare=False, repr=False)
 
     @staticmethod
     def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
@@ -230,28 +283,22 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise LinearAlgebraError(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}")
-        reduced, _, rank = rref(Matrix.from_rows(rows, cols=ambient_dim))
-        return Subspace(ambient_dim, Matrix.from_rows(reduced.row_list()[:rank],
-                                                      cols=ambient_dim))
+        reduced, pivots, rank = rref(_from_rows(rows, ambient_dim))
+        return Subspace(ambient_dim,
+                        Matrix(rank, ambient_dim, reduced.entries[:rank * ambient_dim]),
+                        pivots)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.zeros(0, ambient_dim))
+        return Subspace(ambient_dim, Matrix.zeros(0, ambient_dim), ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim))
+        return Subspace(ambient_dim, Matrix.identity(ambient_dim), tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def pivots(self) -> tuple[int, ...]:
-        out = []
-        for k in range(self.basis.rows):
-            row = self.basis.row(k)
-            out.append(next(j for j, e in enumerate(row) if e != 0))
-        return tuple(out)
 
     def reduce(self, vector: Sequence) -> Vector:
         """Residual of ``vector`` after subtracting its projection onto the
@@ -259,7 +306,7 @@ class Subspace:
         v = list(as_vector(vector))
         if len(v) != self.ambient_dim:
             raise LinearAlgebraError("ambient dimension mismatch")
-        for k, p in enumerate(self.pivots()):
+        for k, p in enumerate(self.pivots):
             coeff = v[p]
             if coeff == 0:
                 continue
@@ -329,7 +376,7 @@ def preimage(matrix: Matrix, target: Subspace) -> Subspace:
         raise LinearAlgebraError("map codomain does not match target ambient")
     n = target.ambient_dim
     rows = [list(_unit_vector(n, j)) for j in range(n)]
-    for k, p in enumerate(target.pivots()):
+    for k, p in enumerate(target.pivots):
         rows[p] = [a - b for a, b in zip(rows[p], target.basis.row(k))]
     reducer = Matrix.from_rows(rows, cols=n)
     return kernel(matrix @ reducer)

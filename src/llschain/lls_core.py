@@ -168,18 +168,19 @@ class ValidationReport:
         return {"ok": self.ok, "violations": [v.to_json() for v in self.violations]}
 
 
-# Ambient-law results keyed by the identity of the shared map table, so
-# many instances over one cached backend do not re-run the law suite.
-_AMBIENT_LAW_CACHE: dict[int, tuple[object, LawReport]] = {}
+# The ambient-law report of the last ambient data checked.  Instances over
+# one backend share its tables, and reloads of one file have equal ones, so
+# both reuse the report; holding one entry pins one map table at most.
+_last_laws: tuple[tuple, LawReport] | None = None
 
 
 def _ambient_law_report(inst: "LlsInstance") -> LawReport:
-    key = id(inst.maps)
-    hit = _AMBIENT_LAW_CACHE.get(key)
-    if hit is not None and hit[0] is inst.maps:
-        return hit[1]
+    global _last_laws
+    key = (inst.d, inst.ambient_dim, inst.maps, inst.vanishing)
+    if _last_laws is not None and _last_laws[0] == key:
+        return _last_laws[1]
     report = verify_sheaf_laws(skeleton_of(inst))
-    _AMBIENT_LAW_CACHE[key] = (inst.maps, report)
+    _last_laws = (key, report)
     return report
 
 
@@ -656,9 +657,14 @@ def _parse_md_key(key: str, d: int, where: str) -> Multidegree:
     return Multidegree(i, j, l)
 
 
+def _is_count(value) -> bool:
+    """A nonnegative JSON integer (``true``/``false`` are not counts)."""
+    return type(value) is int and value >= 0
+
+
 def _parse_md_triple(value, d: int, where: str) -> Multidegree:
     if (not isinstance(value, list) or len(value) != 3
-            or not all(isinstance(x, int) for x in value)):
+            or not all(type(x) is int for x in value)):
         raise InstanceFormatError(where, "expected an [i, j, l] integer triple")
     i, j, l = value
     if min(i, j, l) < 0 or i + j + l != d:
@@ -710,24 +716,29 @@ def _parse_common(data: dict, need_r: bool):
     if not isinstance(data, dict):
         raise InstanceFormatError("$", "top level must be an object")
     d = data.get("d")
-    if not isinstance(d, int) or d < 0:
+    if not _is_count(d):
         raise InstanceFormatError("d", "must be a nonnegative integer")
     r = data.get("r")
-    if need_r and (not isinstance(r, int) or r < 0):
+    if need_r and not _is_count(r):
         raise InstanceFormatError("r", "must be a nonnegative integer")
+    ambient_field = data.get("ambient_dim")
+    if not isinstance(ambient_field, dict):
+        raise InstanceFormatError("ambient_dim", "must be an object")
+    # Checked before the grid is built, so a huge "d" cannot exhaust memory.
+    nodes = (d + 1) * (d + 2) // 2
+    if len(ambient_field) != nodes:
+        raise InstanceFormatError(
+            "ambient_dim", f"has {len(ambient_field)} entries, d = {d} needs {nodes}")
     grid = all_multidegrees(d)
     mds = data.get("multidegrees")
     if mds is not None:
         parsed = [_parse_md_triple(v, d, f"multidegrees[{k}]") for k, v in enumerate(mds)]
         if tuple(parsed) != grid:
             raise InstanceFormatError("multidegrees", "not the grid order enumeration")
-    ambient_field = data.get("ambient_dim")
-    if not isinstance(ambient_field, dict):
-        raise InstanceFormatError("ambient_dim", "must be an object")
     ambient: dict[Multidegree, int] = {}
     for key, value in ambient_field.items():
         md = _parse_md_key(key, d, f"ambient_dim.{key}")
-        if not isinstance(value, int) or value < 0:
+        if not _is_count(value):
             raise InstanceFormatError(f"ambient_dim.{key}", "must be a nonnegative integer")
         ambient[md] = value
     for md in grid:

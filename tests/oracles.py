@@ -1,8 +1,8 @@
 """Independent reference computations used to cross-check the library.
 
 Everything here deliberately avoids the code paths under test: rank via
-fraction-free (Bareiss) elimination on integers, intersections via double
-orthogonal complements in sympy, and path composites via an exhaustive
+fraction-free (Bareiss) elimination on integers, reduced row echelon forms
+by sympy, intersections via double orthogonal complements in sympy, and path composites via an exhaustive
 walk enumeration over (node, step-type-set) states.
 """
 
@@ -64,6 +64,18 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return abs(a) or 1
+
+
+def sympy_rref(rows: list[list[Fraction]], cols: int) -> tuple[list[tuple[Fraction, ...]],
+                                                              tuple[int, ...]]:
+    """Reduced row echelon form (every row, zero rows last) and pivot
+    columns, by sympy's exact rational elimination."""
+    if not rows:
+        return [], ()
+    reduced, pivots = sp.Matrix([[sp.Rational(e) for e in row] for row in rows]).rref()
+    out = [tuple(Fraction(sp.Rational(reduced[k, j])) for j in range(cols))
+           for k in range(len(rows))]
+    return out, tuple(pivots)
 
 
 def sympy_intersection(a_rows, b_rows, ambient: int) -> list[tuple[Fraction, ...]]:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -25,13 +26,21 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, preexec_fn=None):
     """Run the CLI in a fresh interpreter, so an escaping exception shows up
     as a traceback on stderr instead of failing the test process."""
     env = dict(os.environ, PYTHONPATH=str(Path(llschain.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "llschain.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=preexec_fn)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _limit_address_space():
+    """Cap the child at 1 GiB, so a parser that builds an enormous grid
+    fails with a MemoryError instead of starving the machine."""
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +231,29 @@ class TestFrontDoor:
         assert code == 2
         assert "Traceback" not in err
         assert "vanishing.0,1.X2" in err
+
+    def test_huge_degree_is_refused_before_the_grid(self, tmp_path):
+        data = instance_to_json(gen_simple(GenSpec(d=2, r=1, seed=3)).instance)
+        data["d"] = 1_000_000_000
+        code, _, err = run_cli_process("validate", str(self.write(tmp_path, data)),
+                                       preexec_fn=_limit_address_space)
+        assert code == 2
+        assert "Traceback" not in err
+        assert "ambient_dim" in err
+
+    @pytest.mark.parametrize("field, d, r", [("d", 1, 1), ("r", 1, 1),
+                                             ("ambient_dim.0,0", 0, 0)])
+    def test_boolean_counts_are_refused(self, tmp_path, field, d, r):
+        # Each field holds 1 in the chosen instance, so ``true`` would
+        # otherwise load as that 1 and the file would validate.
+        data = instance_to_json(gen_simple(GenSpec(d=d, r=r, seed=3)).instance)
+        *parents, key = field.split(".")
+        holder = data[parents[0]] if parents else data
+        assert holder[key] == 1
+        holder[key] = True
+        code, _, err = run_cli("validate", str(self.write(tmp_path, data)))
+        assert code == 2
+        assert f"{field}: must be a nonnegative integer" in err
 
     def test_explicit_empty_vanishing_is_zero(self, worked_instance):
         data = instance_to_json(worked_instance)

@@ -15,10 +15,11 @@ from llschain.exactla import (
     parse_rational,
     preimage,
     rref,
+    rref_with_transform,
     vec_matmul,
 )
 
-from oracles import bareiss_rank, sympy_intersection
+from oracles import bareiss_rank, sympy_intersection, sympy_rref
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=8)
 
@@ -30,6 +31,22 @@ def matrices(draw, max_rows=5, max_cols=5):
     entries = draw(st.lists(st.lists(rationals, min_size=cols, max_size=cols),
                             min_size=rows, max_size=rows))
     return Matrix.from_rows(entries, cols=cols)
+
+
+@st.composite
+def scaled_matrices(draw, max_rows=6, max_cols=6):
+    """Matrices whose rows are scaled by negative non-integers (so leading
+    entries are negative fractions), with some rows combined from earlier
+    ones (so the rank falls short)."""
+    base = draw(matrices(max_rows=max_rows, max_cols=max_cols))
+    rows = []
+    for row in base.row_list():
+        if len(rows) >= 2 and draw(st.booleans()):
+            a, b = draw(rationals), draw(rationals)
+            row = tuple(a * x + b * y for x, y in zip(rows[-1], rows[-2]))
+        scale = -Fraction(draw(st.integers(1, 9)), draw(st.integers(2, 7)))
+        rows.append(tuple(scale * e for e in row))
+    return Matrix.from_rows(rows, cols=base.cols)
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -65,6 +82,32 @@ class TestRref:
             m = random_matrix(rng, 5, 7)
             _, _, rank = rref(m)
             assert rank == bareiss_rank(m.row_list())
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(scaled_matrices())
+    def test_matches_sympy_rref(self, m):
+        reduced, pivots, rank = rref(m)
+        expected, expected_pivots = sympy_rref(m.row_list(), m.cols)
+        assert reduced.row_list() == expected
+        assert pivots == expected_pivots and rank == len(expected_pivots)
+
+    @settings(max_examples=80, deadline=None)
+    @given(scaled_matrices())
+    def test_transform_reduces_and_is_invertible(self, m):
+        reduced, transform, pivots = rref_with_transform(m)
+        assert (reduced, pivots) == rref(m)[:2]
+        assert transform @ m == reduced
+        assert bareiss_rank(transform.row_list()) == m.rows
+
+    def test_negative_fractional_pivots(self):
+        m = Matrix.from_rows([["-3/2", "1/3", "0"], ["-3", "2/3", "0"], ["0", "-5/7", "1/2"]])
+        reduced, pivots, rank = rref(m)
+        assert reduced.to_strings() == [["1", "0", "-7/45"], ["0", "1", "-7/10"],
+                                        ["0", "0", "0"]]
+        assert pivots == (0, 1) and rank == 2
+        _, transform, _ = rref_with_transform(m)
+        assert transform @ m == reduced
 
 
 class TestKernel:

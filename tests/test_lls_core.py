@@ -1,6 +1,10 @@
+import gc
 import json
+import weakref
 
 import pytest
+
+from llschain import lls_core
 
 from llschain.chain_model import ChainCurve, canonical_matrix as chain_canonical
 from llschain.exactla import Matrix, Subspace, kernel
@@ -252,3 +256,28 @@ class TestAnalysisTable:
         assert all(a is b for a, b in zip(first, exactness(fresh).edges))
         assert canonical_matrix(fresh, md(4, 0, 0), md(0, 0, 4)) is \
             canonical_matrix(fresh, md(4, 0, 0), md(0, 0, 4))
+
+
+class TestAmbientLawReuse:
+    def test_reloads_pin_one_map_table(self, tmp_path):
+        path = tmp_path / "instance.json"
+        save_instance(path, gen_simple(GenSpec(d=3, r=1, seed=3)).instance)
+        held = []
+        for _ in range(5):
+            loaded = load_instance(path)
+            assert validate(loaded).ok
+            held.append(weakref.ref(next(iter(loaded.maps.values()))))
+            del loaded
+        gc.collect()
+        assert sum(ref() is not None for ref in held) <= 1
+
+    def test_reloads_do_not_rerun_the_laws(self, tmp_path, monkeypatch):
+        path = tmp_path / "instance.json"
+        save_instance(path, gen_simple(GenSpec(d=3, r=1, seed=3)).instance)
+        calls = []
+        real = lls_core.verify_sheaf_laws
+        monkeypatch.setattr(lls_core, "verify_sheaf_laws",
+                            lambda skel: calls.append(1) or real(skel))
+        for _ in range(5):
+            assert validate(load_instance(path)).ok
+        assert len(calls) <= 1
