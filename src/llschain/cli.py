@@ -7,9 +7,11 @@ certificate), ``laws`` (ambient law suite and identity suite), ``grid``
 mathematical check failed, 2 the input was malformed or unreadable.
 
 ``certify`` validates dimensions and linking before deciding simplicity
-and stops with exit 1 on any violation; ``analyze``, ``grid`` and ``laws``
-on an instance validate first too, and stop with exit 1 before their
-reports when a space is missing or has the wrong dimension.
+and stops with exit 1 on any violation; with ``--certificate FILE`` it
+checks that certificate instead of constructing one.  ``analyze``,
+``grid`` and ``laws`` on an instance validate first too, and stop with
+exit 1 before their reports when a space is missing or has the wrong
+dimension.
 
 All numeric output is exact (rational strings); reports are emitted with
 sorted keys so identical inputs give byte-identical files.
@@ -159,6 +161,12 @@ def _cmd_certify(args) -> int:
     validation = lls_core.validate(inst, ambient_laws=False)
     if not validation.ok:
         return _refuse(args, validation)
+    if args.certificate:
+        cert = simple_basis.load_certificate(args.certificate, inst.d)
+        check = simple_basis.verify_certificate(inst, cert)
+        where = f" at {check.failing_multidegree}" if check.failing_multidegree else ""
+        _emit(args, {"certificate": check.to_json()}, [f"{check.message}{where}"])
+        return 0 if check.ok else 1
     verdict = simple_basis.is_simple(inst)
     data = {"verdict": verdict.to_json()}
     if verdict.simple:
@@ -238,6 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("json", "text"), default="text")
         if name == "certify":
             cmd.add_argument("--certificate-out")
+            cmd.add_argument("--certificate",
+                             help="check this certificate instead of constructing one")
         cmd.set_defaults(func=func)
 
     laws = sub.add_parser("laws")

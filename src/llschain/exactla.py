@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -55,12 +56,20 @@ class LinearAlgebraError(ValueError):
     """Structural misuse: mismatched ambient dimensions, bad containments."""
 
 
+# ``p`` or ``p/q`` only: ``Fraction`` also reads decimals and exponents,
+# and "1e999999999" would build a billion-digit integer.
+_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical string form ``p`` or ``p/q``."""
+    text = str(text).strip()
+    if not _RATIONAL.fullmatch(text):
+        raise LinearAlgebraError(f"invalid rational literal {text[:40]!r}")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise LinearAlgebraError(f"invalid rational literal {text!r}") from exc
+        raise LinearAlgebraError(f"invalid rational literal {text[:40]!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -123,7 +132,16 @@ class Matrix:
         return self.entries[i * self.cols + j]
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.entries)
+
+    def __hash__(self) -> int:
+        # Subspaces key the analysis table, so each matrix hashes its
+        # entries once and keeps the value.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = hash((self.rows, self.cols, self.entries))
+            return value
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -136,12 +154,11 @@ class Matrix:
             base = i * self.cols
             for k in range(self.cols):
                 coeff = self.entries[base + k]
-                if coeff == 0:
+                if not coeff:
                     continue
-                orow = orows[k]
-                for j in range(other.cols):
-                    if orow[j] != 0:
-                        acc[j] += coeff * orow[j]
+                for j, e in enumerate(orows[k]):
+                    if e:
+                        acc[j] += coeff * e
             out.extend(acc)
         return Matrix(self.rows, other.cols, tuple(out))
 
@@ -162,12 +179,11 @@ def vec_matmul(v: Sequence, m: Matrix) -> Vector:
         raise LinearAlgebraError(f"vector of length {len(vv)} times {m.rows}x{m.cols} matrix")
     acc = [_ZERO] * m.cols
     for k, coeff in enumerate(vv):
-        if coeff == 0:
+        if not coeff:
             continue
-        row = m.row(k)
-        for j in range(m.cols):
-            if row[j] != 0:
-                acc[j] += coeff * row[j]
+        for j, e in enumerate(m.row(k)):
+            if e:
+                acc[j] += coeff * e
     return tuple(acc)
 
 
@@ -308,16 +324,15 @@ class Subspace:
             raise LinearAlgebraError("ambient dimension mismatch")
         for k, p in enumerate(self.pivots):
             coeff = v[p]
-            if coeff == 0:
+            if not coeff:
                 continue
-            row = self.basis.row(k)
-            for j in range(self.ambient_dim):
-                if row[j] != 0:
-                    v[j] -= coeff * row[j]
+            for j, e in enumerate(self.basis.row(k)):
+                if e:
+                    v[j] -= coeff * e
         return tuple(v)
 
     def __contains__(self, vector: Sequence) -> bool:
-        return all(e == 0 for e in self.reduce(vector))
+        return not any(self.reduce(vector))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -325,17 +340,21 @@ class Subspace:
                              self.ambient_dim)
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """Intersection via the stacked-kernel construction: relations
-        x·A = y·B are the left kernel of the stacked matrix [A; -B]."""
+        """Intersection through a residual kernel of the smaller space.
+
+        With ``A`` the smaller basis and ``B`` the larger space, ``x·A``
+        lies in ``B`` exactly when its residual modulo ``B`` vanishes, and
+        the residual is linear, so the relations ``x`` are the left kernel
+        of the ``dim A x n`` matrix of residuals of the rows of ``A``."""
         self._check_ambient(other)
-        p, q = self.dim, other.dim
-        if p == 0 or q == 0:
-            return Subspace.zero(self.ambient_dim)
-        stacked = Matrix.from_rows(
-            self.basis.row_list() + [tuple(-e for e in r) for r in other.basis.row_list()],
-            cols=self.ambient_dim)
-        relations = kernel(stacked)
-        vectors = [vec_matmul(rel[:p], self.basis) for rel in relations.basis.row_list()]
+        small, large = (self, other) if self.dim <= other.dim else (other, self)
+        if small.dim == 0 or large.dim == self.ambient_dim:
+            return small
+        residuals = [large.reduce(row) for row in small.basis.row_list()]
+        relations = kernel(_from_rows(residuals, self.ambient_dim))
+        if relations.dim == small.dim:
+            return small
+        vectors = [vec_matmul(rel, small.basis) for rel in relations.basis.row_list()]
         return Subspace.span(vectors, self.ambient_dim)
 
     def __le__(self, other: "Subspace") -> bool:

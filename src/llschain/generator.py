@@ -134,7 +134,8 @@ def gen_simple(spec: GenSpec) -> GenResult:
     only when every space reaches dimension ``r+1`` (equivalently, the
     drawn data verifies as a certificate), otherwise the next seeded draw
     is tried.  There is no a-priori criterion for which support patterns
-    force dependent pushes, so bad draws are simply retried.
+    force dependent pushes, so bad draws are simply retried.  When every
+    draw fails at ``r = d``, the result is the complete series.
     """
     if spec.strategy != "from-sections":
         raise ValueError("gen_simple needs the from-sections strategy")
@@ -178,6 +179,16 @@ def gen_simple(spec: GenSpec) -> GenResult:
         check = simple_basis.verify_certificate(instance, certificate)
         if check.ok:
             return GenResult(instance, certificate, attempt)
+    if rp1 == spec.d + 1:
+        # At r = d every space is the whole section space, so the complete
+        # series is the only one; it is simple, and its certificate is
+        # extracted instead of drawn.
+        full = Subspace.full(spec.d + 1)
+        instance = from_chain(chain, spec.r, {md: full for md in grid},
+                              provenance=spec.provenance(attempt=spec.retry_limit,
+                                                         series="complete"))
+        return GenResult(instance, simple_basis.extract_certificate(instance),
+                         spec.retry_limit)
     raise GenerationError(
         f"no simple draw found in {spec.retry_limit} attempts (seed {spec.seed})")
 
@@ -215,6 +226,10 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
     grid = all_multidegrees(spec.d)
     rp1 = spec.r + 1
     expansions = 0
+    # The probes derive from one instance, so they share one analysis
+    # table, dropped when the search returns.  The found instance is
+    # rebuilt below with a table of its own for the postcondition replay.
+    root = LlsInstance(spec.d, spec.r, skel.ambient_dim, skel.maps, skel.vanishing, {})
 
     def candidates(md: Multidegree, assigned: dict) -> list[Subspace]:
         freedom = _linking_freedom(skel.maps, md, spec.d + 1, rp1, assigned)
@@ -238,8 +253,7 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
         neighbours = [n for _, n in md.neighbours() if n in assigned]
         found: list[Subspace] = []
         for candidate in trial:
-            probe = LlsInstance(spec.d, spec.r, skel.ambient_dim, skel.maps,
-                                skel.vanishing, {**assigned, md: candidate})
+            probe = root.derive({**assigned, md: candidate})
             if all(exactness_at(probe, edge_between(md, n)).exact
                    and exactness_at(probe, edge_between(n, md)).exact
                    for n in neighbours):
@@ -311,10 +325,7 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
     rp1 = inst.r + 1
 
     def with_space(md: Multidegree, space: Subspace) -> LlsInstance:
-        spaces = dict(inst.spaces)
-        spaces[md] = space
-        return LlsInstance(inst.d, inst.r, inst.ambient_dim, inst.maps,
-                           inst.vanishing, spaces,
+        return inst.derive({**inst.spaces, md: space},
                            provenance={"degraded_from": inst.provenance,
                                        "mode": mode, "at": md.to_json()})
 
@@ -388,10 +399,8 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
             drawn = _biased_linked_draw(inst, bias)
             if drawn is None:
                 continue
-            out = LlsInstance(inst.d, inst.r, inst.ambient_dim, inst.maps,
-                              inst.vanishing, drawn,
-                              provenance={"degraded_from": inst.provenance,
-                                          "mode": mode, "at": None})
+            out = inst.derive(drawn, provenance={"degraded_from": inst.provenance,
+                                                 "mode": mode, "at": None})
             report = exactness(out)
             failing = report.failing_edges()
             if failing and validate(out, ambient_laws=False).ok:

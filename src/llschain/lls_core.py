@@ -6,13 +6,18 @@ edge, the ambient single-component vanishing subspaces, and a chosen
 ``(r+1)``-dimensional subspace.  The ambient data is backend agnostic: it
 may come from :mod:`llschain.chain_model` or be loaded from a file.
 
-Everything the checks derive from that data lives in one per-instance
-analysis table, ``LlsInstance.table``: the subspaces ``V ∩ Van_S``, each
-node's sums and distributivity verdict (:class:`NodeRow`), each edge's
-pushed image and exactness record, and the canonical-walk matrices.  An
-entry is computed the first time any report reads it and kept for every
-later read, so the reports share their work and a check that reads little
-computes little.
+Everything the checks derive from that data lives in one analysis table,
+``LlsInstance.table``: the subspaces ``V ∩ Van_S``, each node's sums and
+distributivity verdict (:class:`NodeRow`), each edge's pushed image and
+exactness record, and the canonical-walk matrices.  An entry is computed
+the first time any report reads it and kept for every later read, so the
+reports share their work and a check that reads little computes little.
+
+A key holds the filler's arguments and the chosen spaces the entry reads
+(none for a walk matrix).  :meth:`LlsInstance.derive` builds an instance
+with other spaces on the same ambient data that shares the table, so a
+search probe or a perturbed copy recomputes only the entries that read a
+changed space.  A table lives exactly as long as the instances sharing it.
 
 The validators here cover everything short of basis constructions:
 linking, per-edge exactness, the dimension bookkeeping of the grid report,
@@ -84,17 +89,25 @@ def _other_components(q: int) -> tuple[int, int]:
     return tuple(p for p in (1, 2, 3) if p != q)
 
 
-def _tabled(compute):
+def _tabled(reads):
     """Make ``compute(inst, *args)`` an entry of the instance's analysis
-    table: computed on the first call with these arguments, then kept."""
-    @functools.wraps(compute)
-    def read(inst: "LlsInstance", *args):
-        key = (compute.__name__, *args)
-        value = inst.table.get(key)
-        if value is None:
-            value = inst.table[key] = compute(inst, *args)
-        return value
-    return read
+    table: computed on the first call, then kept.
+
+    ``reads(*args)`` names the multidegrees whose chosen spaces the entry
+    reads, and the key holds those spaces after the arguments, so every
+    instance sharing the table finds the entry while those spaces agree."""
+    def wrap(compute):
+        name = compute.__name__
+
+        @functools.wraps(compute)
+        def read(inst: "LlsInstance", *args):
+            key = (name, *args, *map(inst.space, reads(*args)))
+            value = inst.table.get(key)
+            if value is None:
+                value = inst.table[key] = compute(inst, *args)
+            return value
+        return read
+    return wrap
 
 
 @dataclass(eq=False)
@@ -102,10 +115,16 @@ class LlsInstance:
     """One series: ambient data plus the chosen subspaces.
 
     Nothing modifies the input fields after construction.  ``table`` maps
-    ``(filler, *arguments)`` to the value a :func:`_tabled` function
-    computed from them on first read.  To change a space, build a new
-    instance: editing ``spaces`` in place would leave the table describing
-    the old series.
+    ``(filler, *arguments, *spaces read)`` to the value a :func:`_tabled`
+    function computed on first read; the spaces are the chosen spaces at
+    the multidegrees the entry depends on.  To change a space, build a new
+    instance with :meth:`derive`, which keeps the ambient data and shares
+    the table, so only entries reading a changed space are computed again.
+    ``derive`` is the only way two instances share a table; an instance
+    built any other way starts with an empty one (the exact search builds
+    its found instance that way, so its postcondition replay reads a table
+    of its own, not the one its probes filled).  Editing ``spaces`` in
+    place would leave the table describing the old series.
     """
 
     d: int
@@ -129,6 +148,15 @@ class LlsInstance:
             return self.spaces[md]
         except KeyError:
             raise KeyError(f"no subspace stored at {md}") from None
+
+    def derive(self, spaces: Mapping[Multidegree, Subspace],
+               provenance: dict | None = None) -> "LlsInstance":
+        """Instance with other chosen spaces on this instance's ambient
+        data, sharing its analysis table."""
+        out = LlsInstance(self.d, self.r, self.ambient_dim, self.maps, self.vanishing,
+                          dict(spaces), provenance)
+        out.table = self.table
+        return out
 
 
 def from_chain(chain: ChainCurve, r: int,
@@ -239,7 +267,7 @@ def vanishing_in_v(inst: LlsInstance, md: Multidegree,
     return _vanishing(inst, md, comps)
 
 
-@_tabled
+@_tabled(lambda md, comps: (md,))
 def _vanishing(inst: LlsInstance, md: Multidegree, comps: tuple[int, ...]) -> Subspace:
     if len(comps) == 1:
         return inst.space(md) & inst.vanishing[md][comps[0]]
@@ -270,7 +298,7 @@ class NodeRow:
         return self.triple.dim if len(comps) == 3 else self.pairwise[_PAIRS.index(comps)]
 
 
-@_tabled
+@_tabled(lambda md: (md,))
 def _node_row(inst: LlsInstance, md: Multidegree) -> NodeRow:
     """The node's table row.  Distributivity: each vanishing subspace must
     distribute over the other two; the three permuted statements are
@@ -347,13 +375,13 @@ def edge_constraint(inst: LlsInstance, edge: Edge) -> Subspace:
     return vanishing_in_v(inst, edge.target, _other_components(q))
 
 
-@_tabled
+@_tabled(lambda edge: (edge.source,))
 def _pushed(inst: LlsInstance, edge: Edge) -> Subspace:
     """Image of the source's chosen space along the edge."""
     return inst.space(edge.source).apply(inst.maps[(edge.source, edge.target)])
 
 
-@_tabled
+@_tabled(lambda edge: (edge.source, edge.target))
 def exactness_at(inst: LlsInstance, edge: Edge) -> EdgeExactness:
     """Image-versus-constraint comparison along one edge."""
     pushed = _pushed(inst, edge)
@@ -456,7 +484,7 @@ def codim_report(inst: LlsInstance) -> GridReport:
     )
 
 
-@_tabled
+@_tabled(lambda start, end: ())
 def canonical_matrix(inst: LlsInstance, start: Multidegree, end: Multidegree) -> Matrix:
     """Composite matrix of the canonical walk in this instance's maps."""
     out = Matrix.identity(inst.ambient_dim[start])
@@ -732,6 +760,8 @@ def _parse_common(data: dict, need_r: bool):
     grid = all_multidegrees(d)
     mds = data.get("multidegrees")
     if mds is not None:
+        if not isinstance(mds, list):
+            raise InstanceFormatError("multidegrees", "must be a list")
         parsed = [_parse_md_triple(v, d, f"multidegrees[{k}]") for k, v in enumerate(mds)]
         if tuple(parsed) != grid:
             raise InstanceFormatError("multidegrees", "not the grid order enumeration")

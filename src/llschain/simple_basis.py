@@ -86,8 +86,9 @@ class DistributivityRequired(ValueError):
         super().__init__(f"distributivity fails at {multidegree}")
 
 
-class CertificateError(ValueError):
-    """Structurally bad certificate (e.g. a section outside its space)."""
+class CertificateError(InstanceFormatError):
+    """Structurally bad certificate (e.g. a section outside its space);
+    carries the offending field path."""
 
 
 class ConstructionError(RuntimeError):
@@ -423,18 +424,22 @@ def verify_certificate(inst: LlsInstance, cert: SimpleCertificate) -> Certificat
     the first failing multidegree in grid order.
     """
     grid = set(inst.multidegrees)
-    for md in cert.support:
+    for k, md in enumerate(cert.support):
         if md not in grid:
-            raise CertificateError(f"support multidegree {md} is not on the grid")
+            raise CertificateError(f"support[{k}]", f"{md} is not on the grid")
+        where = f"sections.{md.i},{md.l}"
         secs = cert.sections.get(md, ())
         if not secs:
-            raise CertificateError(f"support multidegree {md} carries no sections")
+            raise CertificateError(where, f"support multidegree {md} carries no sections")
         space = inst.space(md)
-        for s in secs:
+        for s_idx, s in enumerate(secs):
+            if len(s) != space.ambient_dim:
+                raise CertificateError(f"{where}[{s_idx}]",
+                                       f"rows must have length {space.ambient_dim}")
             if as_vector(s) not in space:
-                raise CertificateError(f"a section at {md} lies outside its space")
+                raise CertificateError(f"{where}[{s_idx}]", "lies outside the chosen space")
     if len(set(cert.support)) != len(cert.support):
-        raise CertificateError("duplicate support multidegrees")
+        raise CertificateError("support", "duplicate support multidegrees")
     total = cert.total_sections
     if total != inst.r + 1:
         return CertificateCheck(False, None,
@@ -522,7 +527,7 @@ def certificate_complement_systems(inst: LlsInstance, cert: SimpleCertificate,
     """
     check = verify_certificate(inst, cert)
     if not check.ok:
-        raise CertificateError(f"invalid certificate: {check.message}")
+        raise CertificateError("sections", f"invalid certificate: {check.message}")
     walk = partial(canonical_matrix, inst)
     systems = []
     for q in (1, 2, 3):

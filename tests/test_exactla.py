@@ -150,12 +150,24 @@ class TestSubspaceLattice:
 
     def test_intersection_agrees_with_independent_oracle(self):
         rng = random.Random(17)
+        cases = []
         for _ in range(100):
             n = rng.randint(1, 5)
             a = image(random_matrix(rng, rng.randint(0, 3), n, bound=4))
             b = image(random_matrix(rng, rng.randint(0, 3), n, bound=4))
-            expected = sympy_intersection(a.basis.row_list(), b.basis.row_list(), n)
+            cases.append((a, b))
+        # Zero and full sides, nested and equal spaces, up to n = 8.
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            a = image(random_matrix(rng, rng.randint(0, n), n, bound=4))
+            b = image(random_matrix(rng, rng.randint(0, n), n, bound=4))
+            cases += [(a, b), (a, Subspace.zero(n)), (Subspace.full(n), a),
+                      (a, a), (a, a + b)]
+        for a, b in cases:
+            expected = sympy_intersection(a.basis.row_list(), b.basis.row_list(),
+                                          a.ambient_dim)
             assert (a & b).basis.row_list() == expected
+            assert (b & a).basis.row_list() == expected
 
     def test_distributivity_is_not_a_law(self):
         # Two-dimensional planes in Q^4, pairwise transverse, whose triple

@@ -59,6 +59,18 @@ class TestGenSimple:
         assert json.dumps(instance_to_json(one.instance), sort_keys=True) == \
             json.dumps(instance_to_json(two.instance), sort_keys=True)
 
+    @pytest.mark.parametrize("d, seed", [(2, 2), (3, 0), (3, 4), (4, 0), (4, 5)])
+    def test_rank_d_falls_back_to_the_complete_series(self, d, seed):
+        # Every draw fails at these seeds; at r = d the complete series is
+        # the only one, so it is the result.
+        result = gen_simple(GenSpec(d=d, r=d, seed=seed))
+        inst = result.instance
+        assert inst.provenance["series"] == "complete"
+        assert all(inst.space(m).dim == d + 1 for m in inst.multidegrees)
+        assert validate(inst).ok
+        assert verify_certificate(inst, result.certificate).ok
+        assert is_simple(inst).simple
+
     def test_different_seed_usually_differs(self):
         one = gen_simple(GenSpec(d=2, r=1, seed=78))
         two = gen_simple(GenSpec(d=2, r=1, seed=79))

@@ -26,7 +26,7 @@ from llschain.lls_core import (
     vanishing_in_v,
     vanishing_sum,
 )
-from llschain.generator import GenSpec, degrade, gen_simple
+from llschain.generator import DEGRADE_MODES, GenSpec, degrade, gen_simple
 from llschain.simple_basis import is_simple
 
 
@@ -256,6 +256,92 @@ class TestAnalysisTable:
         assert all(a is b for a, b in zip(first, exactness(fresh).edges))
         assert canonical_matrix(fresh, md(4, 0, 0), md(0, 0, 4)) is \
             canonical_matrix(fresh, md(4, 0, 0), md(0, 0, 4))
+
+
+class TestSharedTable:
+    """Instances built by ``derive`` share the parent's table; every report
+    must read as if the instance had been built fresh."""
+
+    REPORTS = TestAnalysisTable.REPORTS
+
+    @staticmethod
+    def rebuilt(inst):
+        return LlsInstance(inst.d, inst.r, inst.ambient_dim, inst.maps,
+                           inst.vanishing, dict(inst.spaces))
+
+    def report_json(self, inst):
+        return {name: json.dumps(report(inst).to_json(), sort_keys=True)
+                for name, report in self.REPORTS.items()}
+
+    @staticmethod
+    def probe(parent):
+        """A search-style probe: one node takes another node's space."""
+        grid = parent.multidegrees
+        return parent.derive({**parent.spaces, grid[1]: parent.space(grid[-1])})
+
+    @pytest.mark.parametrize("fill", ["before", "after"])
+    @pytest.mark.parametrize("variant", [*DEGRADE_MODES, "probe"])
+    def test_derived_reports_match_fresh_instances(self, corpus, variant, fill):
+        parent = self.rebuilt(corpus[7].instance)  # d=3, r=2
+        if fill == "before":
+            self.report_json(parent)
+        if variant == "probe":
+            derived = self.probe(parent)
+        else:
+            derived = degrade(parent, variant, seed=0).instance
+        assert derived.table is parent.table
+        if fill == "after":
+            self.report_json(parent)
+        assert self.report_json(derived) == self.report_json(self.rebuilt(derived))
+
+    def test_partial_probe_matches_fresh_instance(self, corpus):
+        parent = self.rebuilt(corpus[7].instance)
+        exactness(parent)
+        grid = parent.multidegrees
+        half = {md: parent.space(md) for md in grid[:len(grid) // 2]}
+        probe = parent.derive({**half, grid[0]: parent.space(grid[-1])})
+        fresh = self.rebuilt(probe)
+        edges = [e for e in lls_core.directed_edges(parent.d)
+                 if e.source in half and e.target in half]
+        assert edges
+        for edge in edges:
+            assert (lls_core.exactness_at(probe, edge).to_json()
+                    == lls_core.exactness_at(fresh, edge).to_json())
+
+    def test_derive_recomputes_only_entries_reading_the_changed_node(
+            self, corpus, monkeypatch):
+        parent = self.rebuilt(corpus[10].instance)  # d=4, r=2
+        reports = (validate, exactness, codim_report)
+        for report in reports:
+            report(parent)
+        node = md(2, 1, 1)
+        replacement = parent.space(md(4, 0, 0))
+        assert replacement != parent.space(node)
+        derived = parent.derive({**parent.spaces, node: replacement})
+        before = set(parent.table)
+
+        calls = {"apply": 0, "and": 0}
+        real_apply, real_and = Subspace.apply, Subspace.__and__
+
+        def counted_apply(space, matrix):
+            calls["apply"] += 1
+            return real_apply(space, matrix)
+
+        def counted_and(space, other):
+            calls["and"] += 1
+            return real_and(space, other)
+
+        monkeypatch.setattr(Subspace, "apply", counted_apply)
+        monkeypatch.setattr(Subspace, "__and__", counted_and)
+        for report in reports:
+            report(derived)
+        new_keys = set(parent.table) - before
+        assert new_keys and all(replacement in key for key in new_keys)
+        # One push per edge leaving the node; at the node, three single
+        # intersections, three pairs, and three in the distributivity test.
+        out_edges = [e for e in lls_core.directed_edges(parent.d) if e.source == node]
+        assert calls == {"apply": len(out_edges), "and": 9}
+        assert sum(key[0] == "_pushed" for key in new_keys) == len(out_edges)
 
 
 class TestAmbientLawReuse:
