@@ -216,10 +216,6 @@ class Path:
     def end(self) -> Multidegree:
         return self.nodes[-1]
 
-    @property
-    def length(self) -> int:
-        return len(self.nodes) - 1
-
     def steps(self) -> tuple[Direction, ...]:
         out = []
         for a, b in zip(self.nodes, self.nodes[1:]):

@@ -9,9 +9,10 @@ may come from :mod:`llschain.chain_model` or be loaded from a file.
 Everything the checks derive from that data lives in one analysis table,
 ``LlsInstance.table``: the subspaces ``V ∩ Van_S``, each node's sums and
 distributivity verdict (:class:`NodeRow`), each edge's pushed image and
-exactness record, and the canonical-walk matrices.  An entry is computed
-the first time any report reads it and kept for every later read, so the
-reports share their work and a check that reads little computes little.
+exactness record, each vertical edge's pushed-complement check, and the
+canonical-walk matrices.  An entry is computed the first time any report
+reads it and kept for every later read, so the reports share their work
+and a check that reads little computes little.
 
 A key holds the filler's arguments and the chosen spaces the entry reads
 (none for a walk matrix).  :meth:`LlsInstance.derive` builds an instance
@@ -524,6 +525,22 @@ class IdentitySuiteReport:
         return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}
 
 
+@_tabled(lambda down, md: (down, md))
+def _pushed_complement(inst: LlsInstance, down: Multidegree,
+                       md: Multidegree) -> tuple[bool, int]:
+    """Whether a complement of vanish-on-X2 at ``down`` pushes along the
+    vertical edge to an independent complement of vanish-on-X2 inside
+    vanish-on-X2 + vanish-on-X3 at ``md``; with the complement's size."""
+    vectors = complement_in(vanishing_in_v(inst, down, (2,)), inst.space(down))
+    matrix = inst.maps[(down, md)]
+    pushed = Subspace.span([vec_matmul(vec, matrix) for vec in vectors],
+                           inst.ambient_dim[md])
+    v2_here = vanishing_in_v(inst, md, (2,))
+    ok = (pushed.dim == len(vectors) and (pushed & v2_here).dim == 0
+          and (v2_here + pushed) == vanishing_sum(inst, md, (2, 3)))
+    return ok, len(vectors)
+
+
 def identity_suite(inst: LlsInstance) -> IdentitySuiteReport:
     """Evaluate the conditional dimension identities at every applicable
     multidegree pair.
@@ -619,17 +636,9 @@ def identity_suite(inst: LlsInstance) -> IdentitySuiteReport:
                 rhs = dim_v(md, 3) - row.meet[2]
                 emit("dim-gap-vertical", loc, lhs == rhs, f"{lhs} == {rhs}")
 
-                v2_below = vanishing_in_v(inst, down, (2,))
-                vectors = complement_in(v2_below, inst.space(down))
-                matrix = inst.maps[(down, md)]
-                pushes = [vec_matmul(vec, matrix) for vec in vectors]
-                pushed_span = Subspace.span(pushes, inst.ambient_dim[md])
-                v2_here = vanishing_in_v(inst, md, (2,))
-                ok = (pushed_span.dim == len(vectors)
-                      and (pushed_span & v2_here).dim == 0
-                      and (v2_here + pushed_span) == vanishing_sum(inst, md, (2, 3)))
+                ok, count = _pushed_complement(inst, down, md)
                 emit("pushed-complement-decomposition", loc, ok,
-                     f"{len(vectors)} complement vectors push to an independent complement")
+                     f"{count} complement vectors push to an independent complement")
 
                 lhs_s = dim_v(down, 2) - dim_v(md, 2)
                 rhs_s = rp1 - dim_sum(md, (2, 3))

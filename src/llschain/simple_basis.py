@@ -2,18 +2,19 @@
 
 A *complement system* for component ``q`` assigns to every multidegree an
 ordered basis of a complement of the vanish-on-Xq subspace inside the
-chosen space, built by a sweep that seeds each node with the twisted
-images of already-built neighbours; the resulting bases grow compatibly
-along the three lattice directions.  A *simple-basis certificate* is a set
-of support multidegrees with section lists whose canonical-walk images
-form a basis of the chosen space at every multidegree.  Both constructions
-need the series to be exact and distributive everywhere; the functions
-here refuse other input with a precise witness instead of producing
-something that silently fails to be a complement.
-
-Boundary reading: at the top-left corner (d, 0, 0) the sweep seeds from
-the horizontal neighbour (d-1, 1, 0); the corresponding corner of the
-anti-diagonal construction behaves the same way by symmetry.
+chosen space.  One table, ``_FEEDS``, says which neighbours feed a node of
+the component-``q`` system: its primary neighbours that exist or, when
+none does, its fallback neighbour (this seeds the corner (d, 0, 0) of
+``W^1`` from (d-1, 1, 0) and the corner (0, 0, d) of ``W^3`` from
+(0, 1, d-1)).  The sweep builds every node after its feeders and seeds it
+with their twisted bases, so the bases grow compatibly along the three
+lattice directions; the growth check, the structure identities and the
+region recurrences read the same table.  A *simple-basis certificate* is
+a set of support multidegrees with section lists whose canonical-walk
+images form a basis of the chosen space at every multidegree.  Both
+constructions need the series to be exact and distributive everywhere;
+the functions here refuse other input with a precise witness instead of
+producing something that silently fails to be a complement.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactla import Matrix, Subspace, Vector, as_vector, complement_in, vec_matmul
 from .lattice import (
+    Direction,
     Edge,
     Multidegree,
     all_multidegrees,
@@ -115,11 +117,31 @@ class ComplementSystem:
     basis: dict[Multidegree, list[Vector]]
     spans: dict[Multidegree, Subspace]
 
-    def vectors(self, md: Multidegree) -> list[Vector]:
-        return self.basis[md]
-
     def span(self, md: Multidegree) -> Subspace:
         return self.spans[md]
+
+
+# Which neighbours feed a node of the component-q complement system:
+# q -> (primary steps, fallback step), each step leading from the node to
+# a feeder.  A node is fed by its primary neighbours that exist or, when
+# none does, by its fallback neighbour if that exists.
+_FEEDS = {
+    1: ((Direction.FROM_X2, Direction.FROM_X3), Direction.TOWARD_X1),
+    2: ((Direction.FROM_X1, Direction.FROM_X3), Direction.TOWARD_X2),
+    3: ((Direction.FROM_X2, Direction.FROM_X1), Direction.TOWARD_X3),
+}
+
+# Growth labels: the lattice axis of a step, by the step's component.
+_AXIS = {1: "horizontal", 2: "diagonal", 3: "vertical"}
+
+
+def _feeders(md: Multidegree, q: int) -> tuple[Multidegree, ...]:
+    primary, fallback = _FEEDS[q]
+    found = tuple(n for n in map(md.step, primary) if n is not None)
+    if found:
+        return found
+    source = md.step(fallback)
+    return () if source is None else (source,)
 
 
 def _dedupe(vectors: list[Vector]) -> list[Vector]:
@@ -132,30 +154,35 @@ def _dedupe(vectors: list[Vector]) -> list[Vector]:
     return out
 
 
-def _pushes(inst: LlsInstance, basis: dict, source: Multidegree,
-            target: Multidegree) -> list[Vector]:
-    matrix = inst.maps[(source, target)]
-    return [vec_matmul(v, matrix) for v in basis[source]]
-
-
 def _complete_node(inst: LlsInstance, md: Multidegree, q: int,
                    seeds: list[Vector], preferred: Mapping | None) -> list[Vector]:
-    ambient = inst.ambient_dim[md]
     van = vanishing_in_v(inst, md, (q,))
-    space = inst.space(md)
-    seed_span = Subspace.span(seeds, ambient)
+    seed_span = Subspace.span(seeds, inst.ambient_dim[md])
     if seed_span.dim != len(seeds):
         raise ConstructionError(f"seed images at {md} are dependent")
     if (seed_span & van).dim != 0:
         raise ConstructionError(f"seed images at {md} meet the vanishing subspace")
     wanted = preferred.get(md, ()) if preferred else ()
-    extras = complement_in(van + seed_span, space, preferred=wanted)
-    vectors = seeds + extras
-    span = Subspace.span(vectors, ambient)
-    if span.dim != len(vectors) or (span & van).dim != 0 \
-            or span.dim + van.dim != space.dim:
-        raise ConstructionError(f"complement construction failed at {md}")
-    return vectors
+    return seeds + complement_in(van + seed_span, inst.space(md), preferred=wanted)
+
+
+def _checked_system(inst: LlsInstance, q: int,
+                    basis: dict[Multidegree, list[Vector]]) -> ComplementSystem:
+    """``basis`` as the component-``q`` system, once it is an independent
+    complement of the vanish-on-Xq subspace at every node and grows
+    verbatim along every table edge; both constructions end here."""
+    spans = {}
+    for md in inst.multidegrees:
+        span = spans[md] = Subspace.span(basis[md], inst.ambient_dim[md])
+        van = vanishing_in_v(inst, md, (q,))
+        if span.dim != len(basis[md]) or (span & van).dim != 0 \
+                or span.dim + van.dim != inst.space(md).dim:
+            raise ConstructionError(f"component-{q} bases are no complement at {md}")
+    system = ComplementSystem(q, basis, spans)
+    failures = [entry for entry in growth_report(inst, system) if not entry[3]]
+    if failures:
+        raise ConstructionError(f"directional growth fails: {failures[0][:3]}")
+    return system
 
 
 def build_complement_system(inst: LlsInstance, q: int,
@@ -163,14 +190,13 @@ def build_complement_system(inst: LlsInstance, q: int,
                             ) -> ComplementSystem:
     """Build the component-``q`` complement system by the inductive sweep.
 
-    ``q = 1`` sweeps columns right to left in the grid (``i`` ascending),
-    each column bottom to top; every node is seeded with the pushed bases
-    of its already-built diagonal and vertical neighbours (down the right
-    column, only the vertical one; at the far corner (d, 0, 0), the
-    horizontal one).  ``q = 3`` is the exact mirror (swap components 1 and
-    3, transpose rows and columns).  ``q = 2`` sweeps anti-diagonals from
-    the boundary ``i + l = d`` inwards, seeding from the horizontal and
-    vertical neighbours on the previous anti-diagonal.
+    Every node is built after its feeders in ``_FEEDS`` (components 1, 2, 3
+    are fed from the up-right and lower, the left and lower, and the
+    up-right and left neighbours; where none of those exists, from the
+    right, down-left and upper neighbour).  Its seeds are the feeders'
+    bases pushed along the edges into it, with repeats dropped when two
+    feeders meet, and its basis extends the seeds to a complement of the
+    vanish-on-Xq subspace.
 
     ``preferred`` optionally injects favourite complement vectors per
     multidegree (scanned before the default candidates), which makes the
@@ -185,96 +211,40 @@ def build_complement_system(inst: LlsInstance, q: int,
         raise ValueError("component must be 1, 2, or 3")
     _require_exact(inst)
     _require_distributive(inst)
-    d = inst.d
     basis: dict[Multidegree, list[Vector]] = {}
 
-    def node_order():
-        if q == 1:
-            for i in range(d + 1):
-                for l in range(d - i, -1, -1):
-                    yield Multidegree(i, d - i - l, l)
-        elif q == 3:
-            for l in range(d + 1):
-                for i in range(d - l, -1, -1):
-                    yield Multidegree(i, d - i - l, l)
-        else:
-            for m in range(d + 1):
-                for md in all_multidegrees(d):
-                    if md.i + md.l == d - m:
-                        yield md
+    def build(md: Multidegree) -> list[Vector]:
+        if md not in basis:
+            sources = _feeders(md, q)
+            seeds = [vec_matmul(v, inst.maps[(source, md)])
+                     for source in sources for v in build(source)]
+            if len(sources) == 2:
+                seeds = _dedupe(seeds)
+            basis[md] = _complete_node(inst, md, q, seeds, preferred)
+        return basis[md]
 
-    def seeds_for(md: Multidegree) -> list[Vector]:
-        if d == 0:
-            return []
-        if q == 1:
-            if md.i == 0:
-                return [] if md.l == d else _pushes(inst, basis, md.down(), md)
-            if md.i == d:
-                return _pushes(inst, basis, md.right(), md)
-            if md.l == d - md.i:
-                return _pushes(inst, basis, md.up_right(), md)
-            if md.l >= 1:
-                return _dedupe(_pushes(inst, basis, md.up_right(), md)
-                               + _pushes(inst, basis, md.down(), md))
-            return _pushes(inst, basis, md.down(), md)
-        if q == 3:
-            if md.l == 0:
-                return [] if md.i == d else _pushes(inst, basis, md.left(), md)
-            if md.l == d:
-                return _pushes(inst, basis, md.up(), md)
-            if md.i == d - md.l:
-                return _pushes(inst, basis, md.up_right(), md)
-            if md.i >= 1:
-                return _dedupe(_pushes(inst, basis, md.up_right(), md)
-                               + _pushes(inst, basis, md.left(), md))
-            return _pushes(inst, basis, md.left(), md)
-        # q == 2
-        if md.i + md.l == d:
-            return []
-        return _dedupe(_pushes(inst, basis, md.left(), md)
-                       + _pushes(inst, basis, md.down(), md))
-
-    for md in node_order():
-        basis[md] = _complete_node(inst, md, q, seeds_for(md), preferred)
-
-    spans = {md: Subspace.span(vecs, inst.ambient_dim[md])
-             for md, vecs in basis.items()}
-    system = ComplementSystem(q, basis, spans)
-    failures = [entry for entry in growth_report(inst, system) if not entry[3]]
-    if failures:
-        raise ConstructionError(f"directional growth fails: {failures[0][:3]}")
-    return system
-
-
-# The nine directional-growth relations: pushed basis vectors along the
-# stated edge must reappear verbatim in the target basis.
-_GROWTH = {
-    1: (("vertical", lambda md: (md.down(), md)),
-        ("diagonal", lambda md: (md.up_right(), md)),
-        ("horizontal", lambda md: (md.right(), md))),
-    2: (("vertical", lambda md: (md.down(), md)),
-        ("horizontal", lambda md: (md, md.right())),
-        ("diagonal", lambda md: (md, md.up_right()))),
-    3: (("horizontal", lambda md: (md, md.right())),
-        ("diagonal", lambda md: (md.up_right(), md)),
-        ("vertical", lambda md: (md, md.down()))),
-}
+    for md in inst.multidegrees:
+        build(md)
+    return _checked_system(inst, q, basis)
 
 
 def growth_report(inst: LlsInstance, system: ComplementSystem,
                   ) -> list[tuple[str, Multidegree, Multidegree, bool]]:
-    """Evaluate the three directional-growth relations of one system at
-    every multidegree where the companion exists."""
+    """Evaluate directional growth of one system at every node: along the
+    edge from each neighbour its three table steps reach, the pushed basis
+    must reappear verbatim in the node's basis.  Entries are labelled by
+    the axis of the step."""
+    primary, fallback = _FEEDS[system.component]
     out = []
     for md in inst.multidegrees:
-        for label, edge_fn in _GROWTH[system.component]:
-            pair = edge_fn(md)
-            if pair[0] is None or pair[1] is None:
+        for step in (*primary, fallback):
+            source = md.step(step)
+            if source is None:
                 continue
-            source, target = pair
-            pushed = _pushes(inst, system.basis, source, target)
-            ok = set(pushed) <= set(system.basis[target])
-            out.append((label, source, target, ok))
+            matrix = inst.maps[(source, md)]
+            pushed = {vec_matmul(v, matrix) for v in system.basis[source]}
+            out.append((_AXIS[step.component], source, md,
+                        pushed <= set(system.basis[md])))
     return out
 
 
@@ -302,19 +272,13 @@ class StructureReport:
 def structure_report(inst: LlsInstance,
                      systems: Sequence[ComplementSystem]) -> StructureReport:
     """Check that the sum of the three vanishing subspaces decomposes
-    through pushed complements, case by grid position.
+    through pushed complements: at every node it equals the sum over ``q``
+    of ``W^q`` pushed from the node's component-``q`` feeders.
 
-    With ``W^q`` the complement spans and pushes along single edges:
-
-    * bottom-right corner (0, 0, d): the sum is the push of ``W^3`` from
-      the node above;
-    * right column (i = 0, l < d): pushes of ``W^1`` and ``W^2`` from
-      below plus ``W^2`` and ``W^3`` from the left;
-    * anti-diagonal edge (1 <= i <= d-1, i + l = d): pushes of ``W^1`` and
-      ``W^3`` from the upper-right;
-    * interior: the union of the previous two right-hand sides;
-    * top row (1 <= i <= d-1, l = 0): same as the right-column case;
-    * top-left corner (d, 0, 0): the push of ``W^1`` from the right.
+    Each check is labelled by the node's grid position:
+    ``corner-bottom-right`` (0, 0, d), ``corner-top-left`` (d, 0, 0),
+    ``anti-diagonal-edge`` (i + l = d), ``right-column`` (i = 0),
+    ``top-row`` (l = 0) or ``interior``.
     """
     s1, s2, s3 = systems
     if (s1.component, s2.component, s3.component) != (1, 2, 3):
@@ -323,30 +287,22 @@ def structure_report(inst: LlsInstance,
     checks: list[StructureCheck] = []
     if d == 0:
         return StructureReport(())
-
-    def push_span(system: ComplementSystem, source: Multidegree,
-                  target: Multidegree) -> Subspace:
-        return system.span(source).apply(inst.maps[(source, target)])
-
-    def from_diagonal(md: Multidegree) -> Subspace:
-        return push_span(s1, md.up_right(), md) + push_span(s3, md.up_right(), md)
-
-    def from_sides(md: Multidegree) -> Subspace:
-        return (push_span(s1, md.down(), md) + push_span(s2, md.down(), md)
-                + push_span(s2, md.left(), md) + push_span(s3, md.left(), md))
-
     for md in inst.multidegrees:
         i, l = md.i, md.l
         if i == 0 and l == d:
-            item, rhs = "corner-bottom-right", push_span(s3, md.up(), md)
+            item = "corner-bottom-right"
         elif i == d:
-            item, rhs = "corner-top-left", push_span(s1, md.right(), md)
+            item = "corner-top-left"
         elif l == d - i:
-            item, rhs = "anti-diagonal-edge", from_diagonal(md)
+            item = "anti-diagonal-edge"
         elif i == 0 or l == 0:
-            item, rhs = ("right-column" if i == 0 else "top-row"), from_sides(md)
+            item = "right-column" if i == 0 else "top-row"
         else:
-            item, rhs = "interior", from_diagonal(md) + from_sides(md)
+            item = "interior"
+        pushed = [vec_matmul(v, inst.maps[(source, md)]) for system in systems
+                  for source in _feeders(md, system.component)
+                  for v in system.basis[source]]
+        rhs = Subspace.span(pushed, inst.ambient_dim[md])
         checks.append(StructureCheck(item, md, vanishing_sum(inst, md) == rhs))
     return StructureReport(tuple(checks))
 
@@ -366,9 +322,6 @@ class SimpleCertificate:
     @property
     def total_sections(self) -> int:
         return sum(len(self.sections[md]) for md in self.support)
-
-    def counts(self) -> dict[Multidegree, int]:
-        return {md: len(self.sections[md]) for md in self.support}
 
 
 def extract_certificate(inst: LlsInstance) -> SimpleCertificate:
@@ -536,40 +489,22 @@ def certificate_complement_systems(inst: LlsInstance, cert: SimpleCertificate,
             region = set(component_regions(md)[q - 1])
             sources = [s for s in cert.support if s in region]
             basis[md] = push_along_walks(walk, cert.sections, sources, md)
-        spans = {}
-        for md, vecs in basis.items():
-            ambient = inst.ambient_dim[md]
-            span = Subspace.span(vecs, ambient)
-            van = vanishing_in_v(inst, md, (q,))
-            if span.dim != len(vecs) or (span & van).dim != 0 \
-                    or span.dim + van.dim != inst.space(md).dim:
-                raise ConstructionError(
-                    f"certificate does not induce a complement at {md} (component {q})")
-            spans[md] = span
-        system = ComplementSystem(q, basis, spans)
-        failures = [entry for entry in growth_report(inst, system) if not entry[3]]
-        if failures:
-            raise ConstructionError(f"directional growth fails: {failures[0][:3]}")
-        systems.append(system)
+        systems.append(_checked_system(inst, q, basis))
     _check_region_recurrences(inst.d)
     return tuple(systems)
 
 
 def _check_region_recurrences(d: int) -> None:
-    """Interior recurrences of the source regions: removing the node from
-    its own region leaves the union of the two feeding neighbours' regions
-    (per component: up-right with down; left with down; up-right with left)."""
+    """Recurrences of the source regions: wherever both primary feeders of
+    a node exist, removing the node from its component-``q`` region leaves
+    the union of the feeders' component-``q`` regions."""
     for md in all_multidegrees(d):
-        if md.i < 1 or md.l < 1 or md.i + md.l > d - 1:
-            continue
-        r1, r2, r3 = (set(r) for r in component_regions(md))
-        expectations = (
-            (r1, component_regions(md.up_right())[0], component_regions(md.down())[0]),
-            (r2, component_regions(md.left())[1], component_regions(md.down())[1]),
-            (r3, component_regions(md.up_right())[2], component_regions(md.left())[2]),
-        )
-        for whole, part_a, part_b in expectations:
-            if whole - {md} != set(part_a) | set(part_b):
+        for q in (1, 2, 3):
+            fed = _feeders(md, q)
+            if len(fed) < 2:
+                continue
+            parts = set().union(*(component_regions(f)[q - 1] for f in fed))
+            if set(component_regions(md)[q - 1]) - {md} != parts:
                 raise ConstructionError(f"region recurrence fails at {md}")
 
 

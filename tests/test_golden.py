@@ -1,7 +1,8 @@
 """Golden output bytes: sha256 digests of the instance file and of every
 report's JSON for a fixed subset of the seeded corpus, plus the three
 degradations of one of its members.  Any drift in the bytes a user sees
-(file format, canonical bases, witnesses, verdicts) fails here.
+(file format, canonical bases, witnesses, verdicts) fails here.  The
+complement systems of the same corpus members are pinned the same way.
 """
 
 import hashlib
@@ -224,3 +225,276 @@ def test_golden_labels(digests):
 @pytest.mark.parametrize("label", list(GOLDEN))
 def test_golden_bytes(digests, label):
     assert digests[label] == GOLDEN[label]
+
+
+def _system_json(inst, system) -> dict:
+    return {f"{md.i},{md.l}": [[str(e) for e in vec] for vec in system.basis[md]]
+            for md in inst.multidegrees}
+
+
+def complement_digests(corpus) -> dict[str, dict[str, str]]:
+    """Digests of the complement systems of the golden corpus members: the
+    swept bases with and without pushed certificate sections preferred,
+    the systems read off the certificate, the structure report and the
+    sorted growth entries of the plain sweep."""
+    out = {}
+    for k in GOLDEN_INDICES:
+        inst = corpus[k].instance
+        cert = simple_basis.extract_certificate(inst)
+        preferred = simple_basis.certificate_push_candidates(inst, cert)
+        built = [simple_basis.build_complement_system(inst, q) for q in (1, 2, 3)]
+        row = {}
+        for system in built:
+            q = system.component
+            row[f"W{q}"] = _digest(_system_json(inst, system))
+            favoured = simple_basis.build_complement_system(inst, q, preferred=preferred)
+            row[f"W{q}-preferred"] = _digest(_system_json(inst, favoured))
+        read_off = simple_basis.certificate_complement_systems(inst, cert)
+        row["certificate"] = _digest({f"W{s.component}": _system_json(inst, s)
+                                      for s in read_off})
+        row["structure"] = _digest(simple_basis.structure_report(inst, built).to_json())
+        growth = sorted([s.component, label, source.to_json(), target.to_json(), ok]
+                        for s in built
+                        for label, source, target, ok in simple_basis.growth_report(inst, s))
+        row["growth"] = _digest({"entries": growth})
+        out[f"corpus[{k}]"] = row
+    return out
+
+
+# Recorded from the per-component sweep that preceded the feeder table.
+GOLDEN_COMPLEMENTS = {
+    'corpus[0]': {
+        'W1': '7a0f29b6444d796b51d62f319b36bd80b90b3ddbe8acd6c5eda59745c77a065b',
+        'W1-preferred': '7a0f29b6444d796b51d62f319b36bd80b90b3ddbe8acd6c5eda59745c77a065b',
+        'W2': 'a137f4946e1b5ca1e3cb2c9e463f3de3afbc8711a51aea3672f75ce35645136a',
+        'W2-preferred': 'a137f4946e1b5ca1e3cb2c9e463f3de3afbc8711a51aea3672f75ce35645136a',
+        'W3': 'da79ebfef9001a9fd4b375891cbd890d2a1bd1cf0be74ac49f72aa8603350ef2',
+        'W3-preferred': 'da79ebfef9001a9fd4b375891cbd890d2a1bd1cf0be74ac49f72aa8603350ef2',
+        'certificate': '82af5ce2976327163a0d28476b2c99bca33e0bb156667f30751a046c89d8ccc8',
+        'structure': 'e60cc68dc89de765a5bcfbfb261677b120554d696994dfc831d837abbfc6605b',
+        'growth': '4388d81b93c17d9165d3c22cdfa3d91c8f83e743edc6a1389650aa3f46113cd6',
+    },
+    'corpus[5]': {
+        'W1': '92e43b7835de77ccc8db7e3638ca52dbf66447ee310c8ce9fa14b8e05272f26e',
+        'W1-preferred': '92e43b7835de77ccc8db7e3638ca52dbf66447ee310c8ce9fa14b8e05272f26e',
+        'W2': '458a2e36a6ea87bd09ebb37df3b1f81f4930a4fc18e3ca3aca467ea902427d5d',
+        'W2-preferred': '458a2e36a6ea87bd09ebb37df3b1f81f4930a4fc18e3ca3aca467ea902427d5d',
+        'W3': 'f7046fabb0009be3b4d4266daecae9573fbe537d446ac8bad02b66fb63d643d7',
+        'W3-preferred': 'f7046fabb0009be3b4d4266daecae9573fbe537d446ac8bad02b66fb63d643d7',
+        'certificate': 'b2c37a24cc157f5099cf4fb5a485169a192b1a2edd1073cb33b8ef9ad00c454d',
+        'structure': '894bbb8a15eca11cc28cdcabfdf1d373757c2155fe3bd4fedde6f521e2a0fa22',
+        'growth': '8fc64915d6e8eefba95d0792e3c8afa8f92472fd614828c4241b243c688a27aa',
+    },
+    'corpus[10]': {
+        'W1': '973e42aab48cd805aaf4c3a3fcf2ee081813dd058eaabe03e6ee9dc9b900e43e',
+        'W1-preferred': '973e42aab48cd805aaf4c3a3fcf2ee081813dd058eaabe03e6ee9dc9b900e43e',
+        'W2': 'f248a7264141a00f96fe921ce15531af13d52419d2ae9bc04557d134445f4cfa',
+        'W2-preferred': 'f248a7264141a00f96fe921ce15531af13d52419d2ae9bc04557d134445f4cfa',
+        'W3': '6ea1e5a4e8c2e36f6c970c3cdafa53bccf3efd43ec63eebbff5fae15e705a1c9',
+        'W3-preferred': '6ea1e5a4e8c2e36f6c970c3cdafa53bccf3efd43ec63eebbff5fae15e705a1c9',
+        'certificate': '8a265e947832dd8e4e42dd1bbe73068f4ae25e87155e26ed4a411eb36a6ea5de',
+        'structure': '87d35b29fb13508878da9386399d3cc9f003f36bedbe3216001d1bbb512e9580',
+        'growth': '9ae35bd20080d480739ecd57db227e5a07fb54fcbb153f3c9fa095b7cfcb9f56',
+    },
+    'corpus[15]': {
+        'W1': '2e5a6d2bb2e74f0b397283b3685666dfcab28eb0685e6476e6fd793644066afe',
+        'W1-preferred': '2e5a6d2bb2e74f0b397283b3685666dfcab28eb0685e6476e6fd793644066afe',
+        'W2': '4e6128c7f012bcb422c5e71581157093f57fe800a00eb3c1361b74e764410d59',
+        'W2-preferred': '4e6128c7f012bcb422c5e71581157093f57fe800a00eb3c1361b74e764410d59',
+        'W3': 'f797ef8ab7bdd31cce05ddb08688328999ee8ca7715c5aa2c6397ac4bad23cd1',
+        'W3-preferred': 'f797ef8ab7bdd31cce05ddb08688328999ee8ca7715c5aa2c6397ac4bad23cd1',
+        'certificate': 'd373b76c3db491ebd206db619638c8c3748a42541c9e8b94fbd4ea0769ab4249',
+        'structure': 'e60cc68dc89de765a5bcfbfb261677b120554d696994dfc831d837abbfc6605b',
+        'growth': '4388d81b93c17d9165d3c22cdfa3d91c8f83e743edc6a1389650aa3f46113cd6',
+    },
+    'corpus[20]': {
+        'W1': 'e1823fec0c752c403cd34bbf4122834092283ee9fb91ba37158746f337a8cd74',
+        'W1-preferred': 'e1823fec0c752c403cd34bbf4122834092283ee9fb91ba37158746f337a8cd74',
+        'W2': '834710241cf3005d2e3ed8523e99d7f81a45ef71df17a05c2afdea7b939b1a85',
+        'W2-preferred': '834710241cf3005d2e3ed8523e99d7f81a45ef71df17a05c2afdea7b939b1a85',
+        'W3': '005e88a8ad41729abec617cb4be99228280540398a0c3f87be3dce255c973503',
+        'W3-preferred': '005e88a8ad41729abec617cb4be99228280540398a0c3f87be3dce255c973503',
+        'certificate': '8417b1afc9d210f2efb04ecf0521d2098de309f1cc5f481a5bde9713634b2b2d',
+        'structure': '894bbb8a15eca11cc28cdcabfdf1d373757c2155fe3bd4fedde6f521e2a0fa22',
+        'growth': '8fc64915d6e8eefba95d0792e3c8afa8f92472fd614828c4241b243c688a27aa',
+    },
+    'corpus[25]': {
+        'W1': 'c7cb79747c77d478496a5ba8c429ccf05fd11356c66c388f4d3ab2a8464e47d5',
+        'W1-preferred': 'c7cb79747c77d478496a5ba8c429ccf05fd11356c66c388f4d3ab2a8464e47d5',
+        'W2': '8fadc07c0845e1a52146950b3a2ece5062c23d541dabfe29153eb04cd77dd685',
+        'W2-preferred': '8fadc07c0845e1a52146950b3a2ece5062c23d541dabfe29153eb04cd77dd685',
+        'W3': '34e33e10c14fdb7b818d63cf7a81a4536850b85e6c7b6d893efe3daf13893029',
+        'W3-preferred': '34e33e10c14fdb7b818d63cf7a81a4536850b85e6c7b6d893efe3daf13893029',
+        'certificate': '172127c0605ed279dd99ee1c0dc554df375468300b5480fa15b17ca85cfc4154',
+        'structure': 'e49ac69b552f1f1d624073425a50ec83c3c85fd4d3c660572485453713c9a587',
+        'growth': '621c4d442ea5f2b1b5ce2b82eabd4378d4ecf9fb7320fb58b9fe24fc66740fd1',
+    },
+    'corpus[30]': {
+        'W1': 'a4de697e22b29ffcbe6d529015ac7592c66f711507bfe5d4d06dfdf817190c3e',
+        'W1-preferred': 'a4de697e22b29ffcbe6d529015ac7592c66f711507bfe5d4d06dfdf817190c3e',
+        'W2': 'a8998d246b319a77d02e69f834f48c79b9a9d345c755a8311e4b9be02a366d0e',
+        'W2-preferred': 'a8998d246b319a77d02e69f834f48c79b9a9d345c755a8311e4b9be02a366d0e',
+        'W3': '99bee82adb67791941984633e5a1efdc115de0dfeaf09530cd76a829b8961c07',
+        'W3-preferred': '99bee82adb67791941984633e5a1efdc115de0dfeaf09530cd76a829b8961c07',
+        'certificate': 'de2c8c64697e55280c542e92bc30aafdb429ea8c9635ba3bca3730ef786b072b',
+        'structure': '6660ea3fc7ac2ba3edeee94d567e748b8294044bdb36e96ef48b8591619ee74a',
+        'growth': '51bc6d15f829b40296837f6658999a3c7ca60f19cd7620ae335d80007cf4803b',
+    },
+    'corpus[35]': {
+        'W1': '18cc9919b8bda3112623f77f14d68f5c33ec7c841f54546505fcb35d941d292d',
+        'W1-preferred': '18cc9919b8bda3112623f77f14d68f5c33ec7c841f54546505fcb35d941d292d',
+        'W2': '7c549d92d396b63d058640ac42df6d398cee31be414abd70f6643a7b9b17f39e',
+        'W2-preferred': '7c549d92d396b63d058640ac42df6d398cee31be414abd70f6643a7b9b17f39e',
+        'W3': '3bd2a07cfeb787a7561844f6b9c1aa6cf7eed73eb88c775aeb60865c3277f4b6',
+        'W3-preferred': '3bd2a07cfeb787a7561844f6b9c1aa6cf7eed73eb88c775aeb60865c3277f4b6',
+        'certificate': '8fe0758a3d25bac757fdaa4f78510be1e1ab015c26933a87f46cc9166a3ba207',
+        'structure': '894bbb8a15eca11cc28cdcabfdf1d373757c2155fe3bd4fedde6f521e2a0fa22',
+        'growth': '8fc64915d6e8eefba95d0792e3c8afa8f92472fd614828c4241b243c688a27aa',
+    },
+    'corpus[40]': {
+        'W1': '2c8e2f564081287d34660b7f8d87d64e431148ac51cac9b091cdc7d7d5250888',
+        'W1-preferred': '2c8e2f564081287d34660b7f8d87d64e431148ac51cac9b091cdc7d7d5250888',
+        'W2': '324fb2df977866990e5c76f102aef0ecfdab38f2ed6e381c64c1ed1b805d931a',
+        'W2-preferred': '324fb2df977866990e5c76f102aef0ecfdab38f2ed6e381c64c1ed1b805d931a',
+        'W3': 'ce56b2d70a6752196d695278dc3e2c12cc152147bf21e1790344dc2379a7b2e8',
+        'W3-preferred': 'ce56b2d70a6752196d695278dc3e2c12cc152147bf21e1790344dc2379a7b2e8',
+        'certificate': '0c041ac5b329dc134e0dcb75312439a7d603b2c462af32c3c68430a6d18546c5',
+        'structure': 'e49ac69b552f1f1d624073425a50ec83c3c85fd4d3c660572485453713c9a587',
+        'growth': '621c4d442ea5f2b1b5ce2b82eabd4378d4ecf9fb7320fb58b9fe24fc66740fd1',
+    },
+    'corpus[45]': {
+        'W1': 'c755d105caab87b85ccfe2bd650af769e599f1a39794e5e7733d7f88af539fd5',
+        'W1-preferred': 'c755d105caab87b85ccfe2bd650af769e599f1a39794e5e7733d7f88af539fd5',
+        'W2': '3e44a76381f06380129d2a5d716a967f4ecfc5d4c08addec913d663fd86a5f3b',
+        'W2-preferred': '3e44a76381f06380129d2a5d716a967f4ecfc5d4c08addec913d663fd86a5f3b',
+        'W3': '27f6f2cfbf87513a7b1aa7744fab541080a038247a1428fd98296cff7d6a5d27',
+        'W3-preferred': '27f6f2cfbf87513a7b1aa7744fab541080a038247a1428fd98296cff7d6a5d27',
+        'certificate': '9f4a3fba13c5c55264cc692f10a8a1d2a0d976113660aaba8481c05d3c561a7f',
+        'structure': '6660ea3fc7ac2ba3edeee94d567e748b8294044bdb36e96ef48b8591619ee74a',
+        'growth': '51bc6d15f829b40296837f6658999a3c7ca60f19cd7620ae335d80007cf4803b',
+    },
+    'corpus[50]': {
+        'W1': '201cb45ed638edfb17b58a0df83a063626fd375f506e77b4a83dcd33c3fc5218',
+        'W1-preferred': '201cb45ed638edfb17b58a0df83a063626fd375f506e77b4a83dcd33c3fc5218',
+        'W2': '7db6944aab8d2c20eebcfebb9bb6134fa3955864afdf1c51ddc0367edf64b4c5',
+        'W2-preferred': '7db6944aab8d2c20eebcfebb9bb6134fa3955864afdf1c51ddc0367edf64b4c5',
+        'W3': 'cd0ee93f7c3770a873dbf171439ade544ba7c07fe10f2e5906fdc6f7c03b8133',
+        'W3-preferred': 'cd0ee93f7c3770a873dbf171439ade544ba7c07fe10f2e5906fdc6f7c03b8133',
+        'certificate': '8d508eb463244731f3d0494cf0711fee7ecc09a9d651585baa2be71007ab5dea',
+        'structure': '87d35b29fb13508878da9386399d3cc9f003f36bedbe3216001d1bbb512e9580',
+        'growth': '9ae35bd20080d480739ecd57db227e5a07fb54fcbb153f3c9fa095b7cfcb9f56',
+    },
+    'corpus[55]': {
+        'W1': 'da3973a9a753d084953f31151b075c5ca964cde7af33a665eaec1d87bdcbf4ef',
+        'W1-preferred': 'da3973a9a753d084953f31151b075c5ca964cde7af33a665eaec1d87bdcbf4ef',
+        'W2': 'a4f39f8f91869d9d17a45027c3934cdb586ac8790e9fcf2eba4edb287407d085',
+        'W2-preferred': 'a4f39f8f91869d9d17a45027c3934cdb586ac8790e9fcf2eba4edb287407d085',
+        'W3': '9eda109d0a5ef650a411599f68b726da76cd3560ad3a80d4bc70a0355785d322',
+        'W3-preferred': '9eda109d0a5ef650a411599f68b726da76cd3560ad3a80d4bc70a0355785d322',
+        'certificate': '9b1636449892508300b322dd84770b221b6e569eb5c5f5c9cbdd2bd5ba31aef6',
+        'structure': 'e49ac69b552f1f1d624073425a50ec83c3c85fd4d3c660572485453713c9a587',
+        'growth': '621c4d442ea5f2b1b5ce2b82eabd4378d4ecf9fb7320fb58b9fe24fc66740fd1',
+    },
+    'corpus[60]': {
+        'W1': '8fcba662bfa6fbc9f04144d1bd77d05cfd58b8444121c416117e36f0cf4684c4',
+        'W1-preferred': '8fcba662bfa6fbc9f04144d1bd77d05cfd58b8444121c416117e36f0cf4684c4',
+        'W2': '6205861b227e3960f0918e34a965136de17c225d07171b1edee624983ec04a00',
+        'W2-preferred': '6205861b227e3960f0918e34a965136de17c225d07171b1edee624983ec04a00',
+        'W3': '58faef3b1a55483a1d80936a5dcaaa8efaec4c59131e4b747bf79264fad3bc58',
+        'W3-preferred': '58faef3b1a55483a1d80936a5dcaaa8efaec4c59131e4b747bf79264fad3bc58',
+        'certificate': '1406289dcee17cb12a66093bb8256d2290cd346fc1d000b35367ba8de05eff6d',
+        'structure': '6660ea3fc7ac2ba3edeee94d567e748b8294044bdb36e96ef48b8591619ee74a',
+        'growth': '51bc6d15f829b40296837f6658999a3c7ca60f19cd7620ae335d80007cf4803b',
+    },
+    'corpus[65]': {
+        'W1': '55951f79f07eb71214390b81a013733a96dd9ab429e09c5ef60f416920432528',
+        'W1-preferred': '55951f79f07eb71214390b81a013733a96dd9ab429e09c5ef60f416920432528',
+        'W2': 'd66b166debd800a40a806539a1119105df022237d07133fda9dff4eb0641729e',
+        'W2-preferred': 'd66b166debd800a40a806539a1119105df022237d07133fda9dff4eb0641729e',
+        'W3': '3bd9a49cb0b92368f2eb600ec0fda613db314b30660b429554b32b7d7835b434',
+        'W3-preferred': '3bd9a49cb0b92368f2eb600ec0fda613db314b30660b429554b32b7d7835b434',
+        'certificate': 'e9f69f8ce4a239785a6622286949dba76b47d2ec553e3f636579bb844f40a343',
+        'structure': '87d35b29fb13508878da9386399d3cc9f003f36bedbe3216001d1bbb512e9580',
+        'growth': '9ae35bd20080d480739ecd57db227e5a07fb54fcbb153f3c9fa095b7cfcb9f56',
+    },
+    'corpus[70]': {
+        'W1': '8045b30b37440390d2355f88063147dc5f93b9465d0b73b2003241382c7565d1',
+        'W1-preferred': '8045b30b37440390d2355f88063147dc5f93b9465d0b73b2003241382c7565d1',
+        'W2': '3af0a09162fa2b1e36d967473532e340c05c87ee26785b86849008219a865452',
+        'W2-preferred': '3af0a09162fa2b1e36d967473532e340c05c87ee26785b86849008219a865452',
+        'W3': '0aaba699c82d61428707f9eef4cb5b97f14b92c8b11634b842aac6e5ead34b81',
+        'W3-preferred': '0aaba699c82d61428707f9eef4cb5b97f14b92c8b11634b842aac6e5ead34b81',
+        'certificate': '9e2fc207624468cbc6546204f69ab04b822d7ae88c5dfeb03104b1da2e7b22ae',
+        'structure': 'e60cc68dc89de765a5bcfbfb261677b120554d696994dfc831d837abbfc6605b',
+        'growth': '4388d81b93c17d9165d3c22cdfa3d91c8f83e743edc6a1389650aa3f46113cd6',
+    },
+    'corpus[75]': {
+        'W1': '0c73405c1723b64bf867312d863770a8bbea22e503b697e42d1b7f708a4ac80c',
+        'W1-preferred': '0c73405c1723b64bf867312d863770a8bbea22e503b697e42d1b7f708a4ac80c',
+        'W2': '4142f737d4917b977ed348fd30fef3676fa827fb3a21a71b6ee5f17fb2c7ff98',
+        'W2-preferred': '4142f737d4917b977ed348fd30fef3676fa827fb3a21a71b6ee5f17fb2c7ff98',
+        'W3': '1e101f053eebfb64b03cff396aaa10ded866af9cc4a69c4dcfbf2da76df8ca89',
+        'W3-preferred': '1e101f053eebfb64b03cff396aaa10ded866af9cc4a69c4dcfbf2da76df8ca89',
+        'certificate': '56dee4709b046f571181a9600d0682a0e65f4f4dd4ef1c87f2225b63c426ed88',
+        'structure': '894bbb8a15eca11cc28cdcabfdf1d373757c2155fe3bd4fedde6f521e2a0fa22',
+        'growth': '8fc64915d6e8eefba95d0792e3c8afa8f92472fd614828c4241b243c688a27aa',
+    },
+    'corpus[80]': {
+        'W1': '3194465825e9fd954a5a418e7f1494258aff9550b76e6b87f0bcc26fbffc8acf',
+        'W1-preferred': '3194465825e9fd954a5a418e7f1494258aff9550b76e6b87f0bcc26fbffc8acf',
+        'W2': '2795153eabc1eff2ec2939ac5de886d93b3ff9d6c8ab7111fb102c8d220b06e2',
+        'W2-preferred': '2795153eabc1eff2ec2939ac5de886d93b3ff9d6c8ab7111fb102c8d220b06e2',
+        'W3': '6188a7faa5102c07eef11546938ddbf202aed3ec276ca8c824466a79856dd7ca',
+        'W3-preferred': '6188a7faa5102c07eef11546938ddbf202aed3ec276ca8c824466a79856dd7ca',
+        'certificate': 'f5766e87d19842de6fd7a145b4bba6a02421c114cc52eb473a4682f4d1d73cf1',
+        'structure': '87d35b29fb13508878da9386399d3cc9f003f36bedbe3216001d1bbb512e9580',
+        'growth': '9ae35bd20080d480739ecd57db227e5a07fb54fcbb153f3c9fa095b7cfcb9f56',
+    },
+    'corpus[85]': {
+        'W1': '2e5a6d2bb2e74f0b397283b3685666dfcab28eb0685e6476e6fd793644066afe',
+        'W1-preferred': '2e5a6d2bb2e74f0b397283b3685666dfcab28eb0685e6476e6fd793644066afe',
+        'W2': '4e6128c7f012bcb422c5e71581157093f57fe800a00eb3c1361b74e764410d59',
+        'W2-preferred': '4e6128c7f012bcb422c5e71581157093f57fe800a00eb3c1361b74e764410d59',
+        'W3': 'f797ef8ab7bdd31cce05ddb08688328999ee8ca7715c5aa2c6397ac4bad23cd1',
+        'W3-preferred': 'f797ef8ab7bdd31cce05ddb08688328999ee8ca7715c5aa2c6397ac4bad23cd1',
+        'certificate': 'd373b76c3db491ebd206db619638c8c3748a42541c9e8b94fbd4ea0769ab4249',
+        'structure': 'e60cc68dc89de765a5bcfbfb261677b120554d696994dfc831d837abbfc6605b',
+        'growth': '4388d81b93c17d9165d3c22cdfa3d91c8f83e743edc6a1389650aa3f46113cd6',
+    },
+    'corpus[90]': {
+        'W1': 'cce2fb5ee4fb7e9b227c359e7dd3b4e6ae02ce4fd2856e7feeaee8e596cedc90',
+        'W1-preferred': 'cce2fb5ee4fb7e9b227c359e7dd3b4e6ae02ce4fd2856e7feeaee8e596cedc90',
+        'W2': '5eadaa7eb2d6ef377fb577221dbb947322ac2991b9654720388e5e63f2118ad6',
+        'W2-preferred': '5eadaa7eb2d6ef377fb577221dbb947322ac2991b9654720388e5e63f2118ad6',
+        'W3': '99ee4837cbd066cb3fbea79a645ee04a09c41cf75d03e55ef6d08e7ea64cd461',
+        'W3-preferred': '99ee4837cbd066cb3fbea79a645ee04a09c41cf75d03e55ef6d08e7ea64cd461',
+        'certificate': 'c62d716bf8fe5998f272d90a6d051d663337bd106689f5edd83c8b58f8e6236a',
+        'structure': '894bbb8a15eca11cc28cdcabfdf1d373757c2155fe3bd4fedde6f521e2a0fa22',
+        'growth': '8fc64915d6e8eefba95d0792e3c8afa8f92472fd614828c4241b243c688a27aa',
+    },
+    'corpus[95]': {
+        'W1': '7f9919575065c35e884673bda8c23cdbb6465761db016822630441071bae983e',
+        'W1-preferred': '7f9919575065c35e884673bda8c23cdbb6465761db016822630441071bae983e',
+        'W2': 'e085b4b1d2ee8fd45ee1284cd40bb4da7f0028486966428d5d1ff22398eefb35',
+        'W2-preferred': 'e085b4b1d2ee8fd45ee1284cd40bb4da7f0028486966428d5d1ff22398eefb35',
+        'W3': '4f00446d5569b9a4efb51905b4f0eb92afe3d7f292564b8fe05216a4e4b8f1bd',
+        'W3-preferred': '4f00446d5569b9a4efb51905b4f0eb92afe3d7f292564b8fe05216a4e4b8f1bd',
+        'certificate': 'a357173d59c061da0d137709bd037ab4da46f9e4f9735b7d5af39ad8295a92a7',
+        'structure': 'e49ac69b552f1f1d624073425a50ec83c3c85fd4d3c660572485453713c9a587',
+        'growth': '621c4d442ea5f2b1b5ce2b82eabd4378d4ecf9fb7320fb58b9fe24fc66740fd1',
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def complements(corpus):
+    return complement_digests(corpus)
+
+
+def test_complement_labels(complements):
+    assert list(complements) == list(GOLDEN_COMPLEMENTS)
+
+
+@pytest.mark.parametrize("label", list(GOLDEN_COMPLEMENTS))
+def test_complement_bytes(complements, label):
+    assert complements[label] == GOLDEN_COMPLEMENTS[label]

@@ -246,6 +246,20 @@ class TestAnalysisTable:
                             for name in order})
         assert outputs[0] == outputs[1]
 
+    def test_second_identity_suite_intersects_nothing(self, monkeypatch):
+        inst = gen_simple(GenSpec(d=4, r=2, seed=1)).instance
+        first = json.dumps(identity_suite(inst).to_json(), sort_keys=True)
+        calls = []
+        real_and = Subspace.__and__
+
+        def counted_and(space, other):
+            calls.append(1)
+            return real_and(space, other)
+
+        monkeypatch.setattr(Subspace, "__and__", counted_and)
+        assert json.dumps(identity_suite(inst).to_json(), sort_keys=True) == first
+        assert not calls
+
     def test_entries_are_kept_and_filled_lazily(self, corpus):
         inst = corpus[10].instance
         fresh = LlsInstance(inst.d, inst.r, inst.ambient_dim, inst.maps,

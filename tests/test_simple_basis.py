@@ -6,9 +6,11 @@ from llschain.exactla import Matrix, Subspace, vec_matmul
 from llschain.lattice import Direction, Multidegree, all_multidegrees
 from llschain.lls_core import LlsInstance, canonical_matrix, validate
 from llschain.generator import GenSpec, degrade, gen_simple
+from llschain import simple_basis
 from llschain.simple_basis import (
     CertificateError,
     ComplementSystem,
+    ConstructionError,
     DistributivityRequired,
     ExactnessRequired,
     SimpleCertificate,
@@ -234,6 +236,34 @@ class TestCorpusConstructions:
                                  result.instance.ambient_dim[node])
             assert span == result.instance.space(node)
             assert vsum.dim + len(cert.sections[node]) == result.instance.r + 1
+
+
+class TestSharedChecker:
+    """Both constructions end in one check of the complement property and
+    of verbatim growth; a corrupted basis must be refused."""
+
+    @staticmethod
+    def built():
+        inst = gen_simple(GenSpec(d=3, r=2, seed=53)).instance
+        return inst, build_complement_system(inst, 1)
+
+    def test_dropped_vector_is_no_complement(self):
+        inst, system = self.built()
+        node = next(n for n in inst.multidegrees if system.basis[n])
+        basis = {**system.basis, node: system.basis[node][1:]}
+        with pytest.raises(ConstructionError, match="no complement"):
+            simple_basis._checked_system(inst, 1, basis)
+
+    def test_rescaled_seed_keeps_the_span_but_breaks_growth(self):
+        inst, system = self.built()
+        node, source = next((n, s) for n in inst.multidegrees
+                            for s in simple_basis._feeders(n, 1) if system.basis[s])
+        seed = vec_matmul(system.basis[source][0], inst.maps[(source, node)])
+        vectors = list(system.basis[node])
+        vectors[vectors.index(seed)] = tuple(2 * e for e in seed)
+        assert Subspace.span(vectors, inst.ambient_dim[node]) == system.span(node)
+        with pytest.raises(ConstructionError, match="directional growth"):
+            simple_basis._checked_system(inst, 1, {**system.basis, node: vectors})
 
 
 class TestMirrorSymmetry:
