@@ -53,6 +53,7 @@ from .lattice import (
     canonical_path,
     classify_steps,
     directed_edges,
+    edge_between,
     PathClass,
 )
 
@@ -192,12 +193,10 @@ def _node_product_shift(coeffs: Vector, size: int) -> list[Fraction]:
     return out
 
 
-def _apply_twist(chain: ChainCurve, edge: Edge, raw: Sequence) -> Vector:
-    src = h0_basis(chain, edge.source)
-    tgt = h0_basis(chain, edge.target)
+def _apply_twist(src: SectionSpace, tgt: SectionSpace, d: Direction, scale: Fraction,
+                 raw: Sequence) -> Vector:
     f1, f2, f3 = src.split(raw)
     t1, t2, t3 = tgt.blocks
-    d = edge.direction
     if d is Direction.TOWARD_X1:
         g1, g2, g3 = [_ZERO] * t1, _shift(f2, t2), list(f3)
     elif d is Direction.FROM_X1:
@@ -212,8 +211,7 @@ def _apply_twist(chain: ChainCurve, edge: Edge, raw: Sequence) -> Vector:
         g1, g2, g3 = [_ZERO] * t1, [_ZERO] * t2, _shift(f3, t3)
     else:  # pragma: no cover
         raise ValueError(d)
-    scale = chain.scale(d)
-    return tuple(scale * e for e in tuple(g1) + tuple(g2) + tuple(g3))
+    return tuple(scale * e if e else _ZERO for e in (*g1, *g2, *g3))
 
 
 @lru_cache(maxsize=None)
@@ -228,10 +226,9 @@ def twist_matrix(chain: ChainCurve, edge: Edge) -> Matrix:
         raise ValueError(f"{edge} is not a lattice edge")
     src = h0_basis(chain, edge.source)
     tgt = h0_basis(chain, edge.target)
-    rows = []
-    for k in range(src.dim):
-        raw = _apply_twist(chain, edge, src.basis.row(k))
-        rows.append(tgt.coords_of(raw))
+    scale = chain.scale(edge.direction)
+    rows = [tgt.coords_of(_apply_twist(src, tgt, edge.direction, scale, row))
+            for row in src.basis.row_list()]
     return Matrix.from_rows(rows, cols=tgt.dim)
 
 
@@ -258,16 +255,27 @@ def vanishing_subspace(chain: ChainCurve, md: Multidegree,
 
 def composite_matrix(chain: ChainCurve, path: Path) -> Matrix:
     """Product of the edge matrices along a walk (identity for length 0)."""
-    out = Matrix.identity(h0_basis(chain, path.start).dim)
-    for edge in path.edges():
+    edges = path.edges()
+    if not edges:
+        return Matrix.identity(h0_basis(chain, path.start).dim)
+    out = twist_matrix(chain, edges[0])
+    for edge in edges[1:]:
         out = out @ twist_matrix(chain, edge)
     return out
 
 
 @lru_cache(maxsize=None)
 def canonical_matrix(chain: ChainCurve, start: Multidegree, end: Multidegree) -> Matrix:
-    """Composite matrix of the canonical walk between two multidegrees."""
-    return composite_matrix(chain, canonical_path(start, end))
+    """Composite matrix of the canonical walk between two multidegrees.
+
+    Canonical walks are prefix-closed (the walk to the last-but-one node is
+    the canonical walk there), so a longer walk is its cached prefix times
+    the last edge."""
+    nodes = canonical_path(start, end).nodes
+    if len(nodes) == 1:
+        return Matrix.identity(h0_basis(chain, start).dim)
+    last = twist_matrix(chain, edge_between(nodes[-2], end))
+    return last if len(nodes) == 2 else canonical_matrix(chain, start, nodes[-2]) @ last
 
 
 @dataclass(frozen=True)
@@ -328,7 +336,7 @@ class LawReport:
 def _first_nonzero_row(m: Matrix) -> Vector | None:
     for k in range(m.rows):
         row = m.row(k)
-        if any(e != 0 for e in row):
+        if any(row):
             return row
     return None
 

@@ -94,7 +94,7 @@ def _cmd_gen(args) -> int:
     inst = lls_core.load_instance(args.input)
     result = generator.degrade(inst, args.mode, seed=args.seed)
     lls_core.save_instance(args.out, result.instance)
-    print(f"wrote {args.out} (injected {args.mode} at {result.location})")
+    print(f"wrote {args.out} (injected {args.mode} at {result.at.label})")
     return 0
 
 
@@ -146,7 +146,7 @@ def _cmd_analyze(args) -> int:
              f"valid: {validation.ok}  exact: {grid.exact}  "
              f"distributive everywhere: {grid.all_distributive}  "
              f"simple by criterion: {grid.simple_by_criterion}"]
-    lines += [f"  inexact edge {e.edge.source}->{e.edge.target}" for e in failing]
+    lines += [f"  inexact edge {e.edge.label}" for e in failing]
     lines += _violation_lines(validation)
     bad = identities.by_status("fail")
     lines += [f"  identity failure {c.identity} at {c.location}: {c.detail}" for c in bad]
@@ -164,7 +164,7 @@ def _cmd_certify(args) -> int:
     if args.certificate:
         cert = simple_basis.load_certificate(args.certificate, inst.d)
         check = simple_basis.verify_certificate(inst, cert)
-        where = f" at {check.failing_multidegree}" if check.failing_multidegree else ""
+        where = f" at {check.failing_multidegree.label}" if check.failing_multidegree else ""
         _emit(args, {"certificate": check.to_json()}, [f"{check.message}{where}"])
         return 0 if check.ok else 1
     verdict = simple_basis.is_simple(inst)
@@ -175,7 +175,7 @@ def _cmd_certify(args) -> int:
             simple_basis.save_certificate(args.certificate_out, verdict.certificate)
             lines.append(f"wrote {args.certificate_out}")
     else:
-        lines = [f"not simple: {verdict.reason} (witness {verdict.witness})"]
+        lines = [f"not simple: {verdict.reason} (witness {verdict.witness.label})"]
     _emit(args, data, lines)
     return 0 if verdict.simple else 1
 

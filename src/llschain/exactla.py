@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Conventions used by the whole package:
 
@@ -13,6 +13,11 @@ Conventions used by the whole package:
 ``Fraction`` is the interface; elimination (behind every rref, kernel,
 span, intersection, image and preimage) runs inside on primitive integer
 rows, fraction-free, and turns back into ``Fraction`` once at the end.
+
+Matrices are stored dense.  A product ``A @ B`` lists the nonzero
+``(column, value)`` pairs of each row of ``B`` once per call and walks only
+those, so the sparse twist maps cost a few adds per row; the lists are
+dropped with the call, never kept on a matrix.
 
 Rationals serialize as ``"p/q"``, or ``"p"`` when the denominator is one,
 with the sign carried by the numerator; this is exactly ``str(Fraction)``.
@@ -61,9 +66,7 @@ class LinearAlgebraError(ValueError):
 _RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the canonical string form ``p`` or ``p/q``."""
-    text = str(text).strip()
+def _parse(text: str) -> Fraction:
     if not _RATIONAL.fullmatch(text):
         raise LinearAlgebraError(f"invalid rational literal {text[:40]!r}")
     try:
@@ -72,9 +75,22 @@ def parse_rational(text: str) -> Fraction:
         raise LinearAlgebraError(f"invalid rational literal {text[:40]!r}") from exc
 
 
+# An instance file repeats a few short literals ("0", "1", "-1", ...) tens
+# of thousands of times, so those parse once; a failed parse raises and is
+# not cached, and long literals are never kept.
+_SHORT_LITERAL = 12
+_parse_short = functools.lru_cache(maxsize=1024)(_parse)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse the canonical string form ``p`` or ``p/q``."""
+    text = str(text).strip()
+    return _parse_short(text) if len(text) <= _SHORT_LITERAL else _parse(text)
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical string form, lowest terms, sign on the numerator."""
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def as_vector(entries: Iterable) -> Vector:
@@ -147,20 +163,22 @@ class Matrix:
         if self.cols != other.rows:
             raise LinearAlgebraError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        # The nonzero (column, value) pairs of each row of ``other``, built
+        # once per product: the twist maps are about 8% nonzero, so a row
+        # of the product is a handful of adds.  Nothing is kept on the
+        # operands.
+        width, entries = other.cols, other.entries
+        sparse = [[(j, e) for j, e in enumerate(entries[k * width:(k + 1) * width]) if e]
+                  for k in range(other.rows)]
         out: list[Fraction] = []
-        orows = other.row_list()
         for i in range(self.rows):
-            acc = [_ZERO] * other.cols
-            base = i * self.cols
-            for k in range(self.cols):
-                coeff = self.entries[base + k]
-                if not coeff:
-                    continue
-                for j, e in enumerate(orows[k]):
-                    if e:
+            acc = [_ZERO] * width
+            for coeff, pairs in zip(self.row(i), sparse):
+                if coeff:
+                    for j, e in pairs:
                         acc[j] += coeff * e
             out.extend(acc)
-        return Matrix(self.rows, other.cols, tuple(out))
+        return Matrix(self.rows, width, tuple(out))
 
     def with_entry(self, i: int, j: int, value) -> "Matrix":
         """Copy with one entry replaced (handy for perturbation tests)."""
@@ -393,12 +411,10 @@ def preimage(matrix: Matrix, target: Subspace) -> Subspace:
     """``{v : v @ matrix in target}`` as a subspace of Q^rows."""
     if matrix.cols != target.ambient_dim:
         raise LinearAlgebraError("map codomain does not match target ambient")
-    n = target.ambient_dim
-    rows = [list(_unit_vector(n, j)) for j in range(n)]
-    for k, p in enumerate(target.pivots):
-        rows[p] = [a - b for a, b in zip(rows[p], target.basis.row(k))]
-    reducer = Matrix.from_rows(rows, cols=n)
-    return kernel(matrix @ reducer)
+    # ``v @ matrix`` lies in the target exactly when its residual modulo
+    # the target vanishes, and the residual is linear in ``v``.
+    residuals = [target.reduce(row) for row in matrix.row_list()]
+    return kernel(_from_rows(residuals, target.ambient_dim))
 
 
 def complement_in(inner: Subspace, outer: Subspace,

@@ -18,7 +18,7 @@ from typing import Mapping
 from . import chain_model, lls_core, simple_basis
 from .chain_model import ChainCurve
 from .exactla import Matrix, Subspace, Vector, complement_in, kernel, preimage
-from .lattice import Multidegree, all_multidegrees, edge_between
+from .lattice import Edge, Multidegree, all_multidegrees, directed_edges, edge_between
 from .lls_core import LlsInstance, exactness, exactness_at, from_chain, validate
 
 __all__ = [
@@ -299,8 +299,15 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
 class DegradeResult:
     instance: LlsInstance
     mode: str
-    location: str
+    at: Multidegree | Edge
     detail: str
+
+    @property
+    def location(self) -> str:
+        """Where the defect is, written as the report locations are."""
+        if isinstance(self.at, Edge):
+            return f"{self.at.source}->{self.at.target}"
+        return f"{self.at}"
 
 
 def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
@@ -334,7 +341,7 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
         shrunk = Subspace.span(inst.space(md).basis.row_list()[1:],
                                inst.ambient_dim[md])
         out = with_space(md, shrunk)
-        return DegradeResult(out, mode, f"{md}",
+        return DegradeResult(out, mode, md,
                              f"dropped one basis vector at {md}")
 
     if mode == "break-linking":
@@ -348,7 +355,9 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
                 report = validate(out, ambient_laws=False)
                 linking = [v for v in report.violations if v.kind == "linking"]
                 if linking and not any(v.kind == "dimension" for v in report.violations):
-                    return DegradeResult(out, mode, linking[0].location,
+                    edge = next(e for e in directed_edges(inst.d)
+                                if f"{e.source}->{e.target}" == linking[0].location)
+                    return DegradeResult(out, mode, edge,
                                          f"replaced the space at {md}")
         raise GenerationError("break-linking found no perturbation")
 
@@ -377,7 +386,7 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
                 if touched and len(touched) == len(failing):
                     first = touched[0]
                     return DegradeResult(
-                        out, mode, f"{first.source}->{first.target}",
+                        out, mode, first,
                         f"replaced the space at {md} within its linking freedom")
 
     # Phase 2: some exact instances are rigid (every node pinned by its
@@ -405,7 +414,7 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
             failing = report.failing_edges()
             if failing and validate(out, ambient_laws=False).ok:
                 first = failing[0]
-                return DegradeResult(out, mode, f"{first.source}->{first.target}",
+                return DegradeResult(out, mode, first,
                                      "redrew the assignment with a degenerate bias "
                                      f"around {a}->{b}")
     raise GenerationError("break-exactness found no perturbation")

@@ -147,6 +147,11 @@ class Multidegree(NamedTuple):
     def to_json(self) -> list[int]:
         return [self.i, self.j, self.l]
 
+    @property
+    def label(self) -> str:
+        """Compact text form ``(i,j,l)``."""
+        return f"({self.i},{self.j},{self.l})"
+
 
 def multidegree(i: int, j: int, l: int) -> Multidegree:
     if i < 0 or j < 0 or l < 0:
@@ -172,6 +177,11 @@ class Edge(NamedTuple):
     source: Multidegree
     target: Multidegree
     direction: Direction
+
+    @property
+    def label(self) -> str:
+        """Compact text form ``(i,j,l)->(i,j,l)``."""
+        return f"{self.source.label}->{self.target.label}"
 
 
 def edge_between(source: Multidegree, target: Multidegree) -> Edge:

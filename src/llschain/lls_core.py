@@ -487,11 +487,14 @@ def codim_report(inst: LlsInstance) -> GridReport:
 
 @_tabled(lambda start, end: ())
 def canonical_matrix(inst: LlsInstance, start: Multidegree, end: Multidegree) -> Matrix:
-    """Composite matrix of the canonical walk in this instance's maps."""
-    out = Matrix.identity(inst.ambient_dim[start])
-    for edge in canonical_path(start, end).edges():
-        out = out @ inst.maps[(edge.source, edge.target)]
-    return out
+    """Composite matrix of the canonical walk in this instance's maps: the
+    identity, one edge map, or the tabled composite of the prefix walk
+    (canonical walks are prefix-closed) times the last edge map."""
+    nodes = canonical_path(start, end).nodes
+    if len(nodes) == 1:
+        return Matrix.identity(inst.ambient_dim[start])
+    last = inst.maps[(nodes[-2], end)]
+    return last if len(nodes) == 2 else canonical_matrix(inst, start, nodes[-2]) @ last
 
 
 @dataclass(frozen=True)

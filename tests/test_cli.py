@@ -111,6 +111,53 @@ def _edge_string(edge_json):
     return f"{fmt(edge_json['from'])}->{fmt(edge_json['to'])}"
 
 
+class TestReadableLocations:
+    """Text output writes multidegrees as ``(i,j,l)`` and edges as
+    ``(i,j,l)->(i,j,l)``; the JSON reports keep their fields."""
+
+    @pytest.fixture(scope="class")
+    def broken(self):
+        base = gen_simple(GenSpec(d=2, r=1, seed=91)).instance
+        return base, degrade(base, "break-exactness", seed=4)
+
+    def test_certify_witness_edge(self, broken, tmp_path):
+        _, result = broken
+        path = tmp_path / "broken.json"
+        save_instance(path, result.instance)
+        report = tmp_path / "report.json"
+        code, out, _ = run_cli("certify", str(path), "--report", str(report))
+        assert code == 1
+        edge = result.at
+        assert out == f"not simple: not-exact (witness {edge.label})\n"
+        assert out.count("->") == 1 and "Multidegree" not in out
+        witness = json.loads(report.read_text())["verdict"]["witness"]
+        assert witness == {"from": edge.source.to_json(), "to": edge.target.to_json()}
+
+    def test_analyze_inexact_edges(self, broken, tmp_path):
+        _, result = broken
+        path = tmp_path / "broken.json"
+        save_instance(path, result.instance)
+        code, out, _ = run_cli("analyze", str(path))
+        assert code == 1
+        assert f"  inexact edge {result.at.label}\n" in out
+        assert "Multidegree" not in out
+
+    def test_gen_degrade_location(self, broken, tmp_path):
+        base, result = broken
+        source = tmp_path / "base.json"
+        save_instance(source, base)
+        code, out, _ = run_cli("gen", "--d", "2", "--r", "1", "--strategy", "degrade",
+                               "--mode", "break-exactness", "--seed", "4",
+                               "--input", str(source), "-o", str(tmp_path / "out.json"))
+        assert code == 0
+        assert out.endswith(f"(injected break-exactness at {result.at.label})\n")
+        code, out, _ = run_cli("gen", "--d", "2", "--r", "1", "--strategy", "degrade",
+                               "--mode", "shrink-V", "--input", str(source),
+                               "-o", str(tmp_path / "shrunk.json"))
+        assert code == 0
+        assert out.endswith("(injected shrink-V at (2,0,0))\n")
+
+
 class TestGrid:
     def test_worked_triangle(self, worked_instance, tmp_path):
         path = tmp_path / "worked.json"

@@ -49,6 +49,30 @@ def scaled_matrices(draw, max_rows=6, max_cols=6):
     return Matrix.from_rows(rows, cols=base.cols)
 
 
+# Mostly 0 and +-1, as in the twist maps, with some general rationals.
+sparse_entries = st.one_of(st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1)]),
+                           rationals)
+
+
+@st.composite
+def product_operands(draw, max_dim=5):
+    """``(A, B)`` with ``A.cols == B.rows``; any of the three sizes may be 0."""
+    rows, inner, cols = (draw(st.integers(0, max_dim)) for _ in range(3))
+
+    def matrix(r, c):
+        return Matrix(r, c, tuple(draw(st.lists(sparse_entries, min_size=r * c,
+                                                max_size=r * c))))
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+def reference_product(a, b):
+    """Row-by-row product straight from the definition, on the raw entries."""
+    return [[sum((a.entries[i * a.cols + k] * b.entries[k * b.cols + j]
+                  for k in range(a.cols)), Fraction(0))
+             for j in range(b.cols)]
+            for i in range(a.rows)]
+
+
 def random_matrix(rng, rows, cols, bound=9):
     return Matrix.from_rows(
         [[Fraction(rng.randint(-bound, bound)) for _ in range(cols)]
@@ -108,6 +132,51 @@ class TestRref:
         assert pivots == (0, 1) and rank == 2
         _, transform, _ = rref_with_transform(m)
         assert transform @ m == reduced
+
+
+class TestProduct:
+    @settings(max_examples=100, deadline=None)
+    @given(product_operands())
+    def test_matmul_matches_definition(self, operands):
+        a, b = operands
+        product = a @ b
+        expected = reference_product(a, b)
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert [list(product.row(i)) for i in range(a.rows)] == expected
+        assert all(type(e) is Fraction for e in product.entries)
+
+    @settings(max_examples=100, deadline=None)
+    @given(product_operands())
+    def test_vec_matmul_matches_definition(self, operands):
+        a, b = operands
+        expected = reference_product(a, b)
+        for i in range(a.rows):
+            assert list(vec_matmul(a.entries[i * a.cols:(i + 1) * a.cols], b)) == expected[i]
+
+    def test_empty_shapes(self):
+        assert Matrix.zeros(3, 0) @ Matrix.zeros(0, 2) == Matrix.zeros(3, 2)
+        assert Matrix.zeros(2, 3) @ Matrix.zeros(3, 0) == Matrix.zeros(2, 0)
+        assert Matrix.zeros(0, 3) @ Matrix.identity(3) == Matrix.zeros(0, 3)
+        assert vec_matmul((), Matrix.zeros(0, 2)) == (Fraction(0), Fraction(0))
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(LinearAlgebraError):
+            Matrix.identity(2) @ Matrix.identity(3)
+
+    def test_operands_keep_no_derived_state(self):
+        """Products and subspace operations leave each matrix holding its
+        fields and at most its cached hash: nothing per row is kept."""
+        rng = random.Random(3)
+        a, b = random_matrix(rng, 4, 5, bound=2), random_matrix(rng, 5, 5, bound=1)
+        s = image(random_matrix(rng, 3, 5, bound=2))
+        t = image(random_matrix(rng, 4, 5, bound=2))
+        hash(a), hash(b), hash(s), hash(t)
+        a @ b
+        vec_matmul(a.row(0), b)
+        s.apply(b)
+        s & t
+        for m in (a, b, s.basis, t.basis):
+            assert set(vars(m)) <= {"rows", "cols", "entries", "_hash"}
 
 
 class TestKernel:
@@ -227,6 +296,21 @@ class TestComplement:
         assert preimage(m, Subspace.full(2)) == Subspace.full(3)
         assert preimage(m, Subspace.zero(2)) == kernel(m)
 
+    def test_preimage_is_kernel_of_map_modulo_target(self):
+        """The residual kernel equals the kernel of ``M`` followed by the
+        projection that clears the target's pivot coordinates."""
+        rng = random.Random(23)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            m = random_matrix(rng, rng.randint(0, 6), n, bound=3)
+            target = image(random_matrix(rng, rng.randint(0, n), n, bound=3))
+            reducer = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            for k, p in enumerate(target.pivots):
+                reducer[p] = [x - y for x, y in zip(reducer[p], target.basis.row(k))]
+            pre = preimage(m, target)
+            assert pre == kernel(m @ Matrix.from_rows(reducer, cols=n))
+            assert all(vec_matmul(v, m) in target for v in pre.basis.row_list())
+
 
 class TestSerialization:
     @settings(max_examples=80, deadline=None)
@@ -243,3 +327,11 @@ class TestSerialization:
             parse_rational("1/0")
         with pytest.raises(LinearAlgebraError):
             parse_rational("0.5x")
+
+    def test_failed_parses_stay_failures(self):
+        for text in ("1/0", " 1/0 ", "x", "1e9", "9" * 30 + "/0"):
+            for _ in range(2):
+                with pytest.raises(LinearAlgebraError):
+                    parse_rational(text)
+        assert parse_rational(" -1 ") is parse_rational("-1")
+        assert parse_rational("12345678901234567890/3") == Fraction(12345678901234567890, 3)

@@ -132,6 +132,23 @@ class TestCanonicalPath:
         with pytest.raises(PathError):
             canonical_path(md(1, 0, 0), md(1, 1, 0))
 
+    def test_canonical_walks_are_prefix_closed(self):
+        """Dropping the last step of a canonical walk leaves the canonical
+        walk to its last-but-one node (so, by induction, every prefix is
+        canonical); the walk composites are built on this."""
+        for d in range(0, 13):
+            grid = all_multidegrees(d)
+            for a in grid:
+                for b in grid:
+                    nodes = canonical_path(a, b).nodes
+                    if len(nodes) > 1:
+                        assert canonical_path(a, nodes[-2]).nodes == nodes[:-1]
+
+    def test_labels(self):
+        assert md(3, 0, 0).label == "(3,0,0)"
+        path = canonical_path(md(3, 0, 0), md(2, 1, 0))
+        assert path.edges()[0].label == "(3,0,0)->(2,1,0)"
+
 
 class TestRegions:
     def test_anti_diagonal_component2_is_singleton(self):

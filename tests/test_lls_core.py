@@ -8,7 +8,7 @@ from llschain import lls_core
 
 from llschain.chain_model import ChainCurve, canonical_matrix as chain_canonical
 from llschain.exactla import Matrix, Subspace, kernel
-from llschain.lattice import Direction, Multidegree, all_multidegrees
+from llschain.lattice import Direction, Multidegree, all_multidegrees, canonical_path
 from llschain.lls_core import (
     InstanceFormatError,
     LlsInstance,
@@ -28,6 +28,8 @@ from llschain.lls_core import (
 )
 from llschain.generator import DEGRADE_MODES, GenSpec, degrade, gen_simple
 from llschain.simple_basis import is_simple
+
+from test_golden import GOLDEN_INDICES
 
 
 def md(i, j, l):
@@ -204,6 +206,26 @@ class TestCanonicalMatrices:
     def test_identity_on_equal_endpoints(self, worked_instance):
         node = md(1, 0, 0)
         assert canonical_matrix(worked_instance, node, node) == Matrix.identity(2)
+
+    @pytest.mark.parametrize("index", GOLDEN_INDICES)
+    def test_composites_equal_step_by_step_products(self, corpus, index):
+        """Both walk composites (the instance's, built from the tabled
+        prefix, and the chain's) equal the product along every edge of the
+        canonical walk.  Longest walks are asked first, on an empty table,
+        so the prefixes are filled by the recursion."""
+        inst = corpus[index].instance
+        fresh = LlsInstance(inst.d, inst.r, inst.ambient_dim, inst.maps,
+                            inst.vanishing, inst.spaces)
+        chain = ChainCurve(inst.d)
+        grid = all_multidegrees(inst.d)
+        pairs = sorted(((a, b) for a in grid for b in grid),
+                       key=lambda p: -len(canonical_path(*p).nodes))
+        for a, b in pairs:
+            expected = Matrix.identity(inst.ambient_dim[a])
+            for edge in canonical_path(a, b).edges():
+                expected = expected @ inst.maps[(edge.source, edge.target)]
+            assert canonical_matrix(fresh, a, b) == expected
+            assert chain_canonical(chain, a, b) == expected
 
 
 class TestScaledBackendInvariance:
