@@ -49,18 +49,14 @@ def render_grid(report: GridReport) -> str:
     return "\n".join(lines)
 
 
-def _dump_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
 def _write_report(path: str | None, data: dict) -> None:
     if path:
-        Path(path).write_text(_dump_json(data), encoding="utf-8")
+        Path(path).write_text(lls_core._dump(data), encoding="utf-8")
 
 
 def _emit(args, data: dict, text_lines: list[str]) -> None:
     if getattr(args, "format", "text") == "json":
-        sys.stdout.write(_dump_json(data))
+        sys.stdout.write(lls_core._dump(data))
     else:
         for line in text_lines:
             print(line)
@@ -104,7 +100,8 @@ def _derived_cert_path(out: str) -> str:
 
 
 def _violation_lines(report: lls_core.ValidationReport) -> list[str]:
-    return [f"  {v.kind} at {v.location}: {v.message}" for v in report.violations]
+    return [f"  {v.kind} at {v.at.label if v.at else v.location}: {v.message}"
+            for v in report.violations]
 
 
 def _wrong_dimension(report: lls_core.ValidationReport) -> bool:

@@ -18,7 +18,7 @@ from typing import Mapping
 from . import chain_model, lls_core, simple_basis
 from .chain_model import ChainCurve
 from .exactla import Matrix, Subspace, Vector, complement_in, kernel, preimage
-from .lattice import Edge, Multidegree, all_multidegrees, directed_edges, edge_between
+from .lattice import Edge, Multidegree, all_multidegrees, edge_between
 from .lls_core import LlsInstance, exactness, exactness_at, from_chain, validate
 
 __all__ = [
@@ -355,9 +355,7 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
                 report = validate(out, ambient_laws=False)
                 linking = [v for v in report.violations if v.kind == "linking"]
                 if linking and not any(v.kind == "dimension" for v in report.violations):
-                    edge = next(e for e in directed_edges(inst.d)
-                                if f"{e.source}->{e.target}" == linking[0].location)
-                    return DegradeResult(out, mode, edge,
+                    return DegradeResult(out, mode, linking[0].at,
                                          f"replaced the space at {md}")
         raise GenerationError("break-linking found no perturbation")
 

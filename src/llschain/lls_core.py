@@ -90,6 +90,11 @@ def _other_components(q: int) -> tuple[int, int]:
     return tuple(p for p in (1, 2, 3) if p != q)
 
 
+# The lattice axis of a step, by the step's component; it names the
+# identity-suite checks and the complement systems' growth entries.
+_AXIS = {1: "horizontal", 2: "diagonal", 3: "vertical"}
+
+
 def _tabled(reads):
     """Make ``compute(inst, *args)`` an entry of the instance's analysis
     table: computed on the first call, then kept.
@@ -176,10 +181,15 @@ def skeleton_of(inst: LlsInstance) -> SheafSkeleton:
 
 @dataclass(frozen=True)
 class Violation:
+    """One failed validation check.  ``at`` is the multidegree or edge it
+    concerns, for text output (``None`` for an ambient-law violation);
+    the JSON leaves it out."""
+
     kind: str
     location: str
     witness: Vector | None
     message: str
+    at: Multidegree | Edge | None = None
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "location": self.location, "message": self.message}
@@ -226,15 +236,15 @@ def validate(inst: LlsInstance, ambient_laws: bool = True) -> ValidationReport:
         space = inst.spaces.get(md)
         if space is None:
             violations.append(Violation("dimension", f"{md}", None,
-                                        "no subspace stored at this multidegree"))
+                                        "no subspace stored at this multidegree", md))
             continue
         if space.ambient_dim != inst.ambient_dim[md]:
             violations.append(Violation("dimension", f"{md}", None,
-                                        "subspace lives in the wrong ambient space"))
+                                        "subspace lives in the wrong ambient space", md))
         elif space.dim != expected:
             violations.append(Violation(
                 "dimension", f"{md}", None,
-                f"dim {space.dim} instead of r+1 = {expected}"))
+                f"dim {space.dim} instead of r+1 = {expected}", md))
     for edge in directed_edges(inst.d):
         src = inst.spaces.get(edge.source)
         tgt = inst.spaces.get(edge.target)
@@ -247,7 +257,7 @@ def validate(inst: LlsInstance, ambient_laws: bool = True) -> ValidationReport:
             witness = next(row for row in pushed.basis.row_list() if row not in tgt)
             violations.append(Violation(
                 "linking", f"{edge.source}->{edge.target}", witness,
-                "image of the chosen subspace leaves the target subspace"))
+                "image of the chosen subspace leaves the target subspace", edge))
     if ambient_laws:
         law_report = _ambient_law_report(inst)
         for v in law_report.violations:
@@ -528,12 +538,19 @@ class IdentitySuiteReport:
         return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}
 
 
-@_tabled(lambda down, md: (down, md))
-def _pushed_complement(inst: LlsInstance, down: Multidegree,
-                       md: Multidegree) -> tuple[bool, int]:
+def _dim_gap(inst: LlsInstance, source: Multidegree, target: Multidegree,
+             q: int) -> tuple[bool, str]:
+    lhs = inst.r + 1 - _node_row(inst, source).sum_dim(_other_components(q))
+    rhs = vanishing_in_v(inst, target, (q,)).dim - _node_row(inst, target).meet[q - 1]
+    return lhs == rhs, f"{lhs} == {rhs}"
+
+
+@_tabled(lambda down, md, q: (down, md))
+def _pushed_complement(inst: LlsInstance, down: Multidegree, md: Multidegree,
+                       q: int) -> tuple[bool, str]:
     """Whether a complement of vanish-on-X2 at ``down`` pushes along the
     vertical edge to an independent complement of vanish-on-X2 inside
-    vanish-on-X2 + vanish-on-X3 at ``md``; with the complement's size."""
+    vanish-on-X2 + vanish-on-X3 at ``md``."""
     vectors = complement_in(vanishing_in_v(inst, down, (2,)), inst.space(down))
     matrix = inst.maps[(down, md)]
     pushed = Subspace.span([vec_matmul(vec, matrix) for vec in vectors],
@@ -541,123 +558,97 @@ def _pushed_complement(inst: LlsInstance, down: Multidegree,
     v2_here = vanishing_in_v(inst, md, (2,))
     ok = (pushed.dim == len(vectors) and (pushed & v2_here).dim == 0
           and (v2_here + pushed) == vanishing_sum(inst, md, (2, 3)))
-    return ok, len(vectors)
+    return ok, f"{len(vectors)} complement vectors push to an independent complement"
+
+
+def _vanishing_dim_step(inst: LlsInstance, down: Multidegree, md: Multidegree,
+                        q: int) -> tuple[bool, str]:
+    lhs = vanishing_in_v(inst, down, (2,)).dim - vanishing_in_v(inst, md, (2,)).dim
+    rhs = inst.r + 1 - _node_row(inst, md).sum_dim((2, 3))
+    return lhs == rhs, f"{lhs} == {rhs}"
+
+
+def _quotient_splitting(inst: LlsInstance, source: Multidegree, target: Multidegree,
+                        q: int) -> tuple[bool, str]:
+    others, row = _other_components(q), _node_row(inst, target)
+    lhs = inst.r + 1 - _node_row(inst, source).sum_dim(others)
+    part1 = row.triple.dim - row.sum_dim(others)
+    defect = row.spread[q - 1] - row.meet[q - 1]
+    return lhs == part1 + defect, f"{lhs} == {part1} + {defect}"
+
+
+def _distributivity_dim_test(inst: LlsInstance, source: Multidegree, target: Multidegree,
+                             q: int) -> tuple[bool, str]:
+    others, row = _other_components(q), _node_row(inst, target)
+    gap_closed = (_node_row(inst, source).sum_dim(others) - row.sum_dim(others)
+                  == inst.r + 1 - row.triple.dim)
+    return (row.distributive == gap_closed,
+            f"distributive={row.distributive} gap_closed={gap_closed}")
+
+
+_IDENTITIES = {
+    "dim-gap-{axis}": _dim_gap,
+    "pushed-complement-decomposition": _pushed_complement,
+    "vanishing-dim-step": _vanishing_dim_step,
+    "quotient-splitting-{axis}": _quotient_splitting,
+    "distributivity-dim-test-{axis}": _distributivity_dim_test,
+}
+
+# Per node, in report order: (q, whether the toward-Xq edge runs into the
+# node rather than out of it, the identities checked along that edge).
+# The edge's axis is _AXIS[q]; "{axis}" in a name stands for it.
+_EDGE_IDENTITIES = (
+    (2, True, ("dim-gap-{axis}",)),
+    (1, False, ("dim-gap-{axis}", "quotient-splitting-{axis}",
+                "distributivity-dim-test-{axis}")),
+    (3, True, ("dim-gap-{axis}", "pushed-complement-decomposition", "vanishing-dim-step",
+               "quotient-splitting-{axis}", "distributivity-dim-test-{axis}")),
+)
 
 
 def identity_suite(inst: LlsInstance) -> IdentitySuiteReport:
     """Evaluate the conditional dimension identities at every applicable
     multidegree pair.
 
-    Each identity assumes exactness of one specific edge (its hypothesis,
-    read from that edge's record in the analysis table); when the
-    hypothesis fails, the check is reported ``hypothesis-not-met`` rather
-    than failed.  The catalogue, per node ``(i, j, l)``:
+    At each node, ``_EDGE_IDENTITIES`` runs one group of identities along
+    each of three toward edges: the diagonal (toward-X2) edge into the
+    node, the horizontal (toward-X1) edge out of it and the vertical
+    (toward-X3) edge into it.  Each identity assumes exactness of its edge
+    (read from that edge's record in the analysis table); when the edge is
+    not exact, the check is reported ``hypothesis-not-met`` rather than
+    failed.  The catalogue, for the toward-Xq edge from source to target:
 
-    * ``dim-gap-*``: the codimension of a pairwise vanishing sum equals a
-      dimension gap at the companion node (diagonal, horizontal, vertical
-      companions);
-    * ``pushed-complement-decomposition``: complements of the vanish-on-X2
-      space below push to a complement of vanish-on-X2 inside the sum
-      vanish-on-X2 + vanish-on-X3;
-    * ``vanishing-dim-step``: the vertical drop of the vanish-on-X2
+    * ``dim-gap-*``: the codimension of the sum of the other two vanishing
+      spaces at the source equals a dimension gap at the target;
+    * ``pushed-complement-decomposition`` (vertical): complements of the
+      vanish-on-X2 space below push to a complement of vanish-on-X2 inside
+      the sum vanish-on-X2 + vanish-on-X3;
+    * ``vanishing-dim-step`` (vertical): the drop of the vanish-on-X2
       dimension equals the codimension of vanish-on-X2 + vanish-on-X3;
-    * ``quotient-splitting-*``: the codimension of a pairwise sum splits as
-      a triple-sum quotient plus a distributivity defect at the companion;
-    * ``distributivity-dim-test-*``: distributivity at the companion holds
+    * ``quotient-splitting-*``: that codimension splits as a triple-sum
+      quotient plus a distributivity defect at the target;
+    * ``distributivity-dim-test-*``: distributivity at the target holds
       exactly when the corresponding dimension gap closes (checked as a
       biconditional, both directions).
     """
     checks: list[IdentityCheck] = []
-    rp1 = inst.r + 1
-
-    def dim_v(md: Multidegree, q: int) -> int:
-        return vanishing_in_v(inst, md, (q,)).dim
-
-    def dim_sum(md: Multidegree, parts: tuple[int, ...]) -> int:
-        return _node_row(inst, md).sum_dim(parts)
-
-    def exact(source: Multidegree, target: Multidegree, direction: Direction) -> bool:
-        return exactness_at(inst, Edge(source, target, direction)).exact
-
-    def emit(identity: str, location: str, ok: bool, detail: str) -> None:
-        checks.append(IdentityCheck(identity, location, "pass" if ok else "fail", detail))
-
-    def skip(identity: str, location: str, why: str) -> None:
-        checks.append(IdentityCheck(identity, location, "hypothesis-not-met", why))
-
     for md in inst.multidegrees:
-        # Diagonal companion (toward-X2 edge from up-right into md).
-        diag = md.up_right()
-        if diag is not None:
-            loc = f"{diag}->{md}"
-            if not exact(diag, md, Direction.TOWARD_X2):
-                skip("dim-gap-diagonal", loc, "diagonal edge into the node is not exact")
-            else:
-                lhs = rp1 - dim_sum(diag, (1, 3))
-                rhs = dim_v(md, 2) - _node_row(inst, md).meet[1]
-                emit("dim-gap-diagonal", loc, lhs == rhs, f"{lhs} == {rhs}")
-
-        # Horizontal companion (toward-X1 edge from md into its right).
-        right = md.right()
-        if right is not None:
-            loc = f"{md}->{right}"
-            names = ("dim-gap-horizontal", "quotient-splitting-horizontal",
-                     "distributivity-dim-test-horizontal")
-            if not exact(md, right, Direction.TOWARD_X1):
-                for name in names:
-                    skip(name, loc, "horizontal edge out of the node is not exact")
-            else:
-                row = _node_row(inst, right)
-                lhs = rp1 - dim_sum(md, (2, 3))
-                rhs = dim_v(right, 1) - row.meet[0]
-                emit("dim-gap-horizontal", loc, lhs == rhs, f"{lhs} == {rhs}")
-
-                part1 = dim_sum(right, (1, 2, 3)) - dim_sum(right, (2, 3))
-                defect = row.spread[0] - row.meet[0]
-                emit("quotient-splitting-horizontal", loc, lhs == part1 + defect,
-                     f"{lhs} == {part1} + {defect}")
-
-                gap_closed = (dim_sum(md, (2, 3)) - dim_sum(right, (2, 3))
-                              == rp1 - dim_sum(right, (1, 2, 3)))
-                distributive = distributive_at(inst, right)
-                emit("distributivity-dim-test-horizontal", loc, distributive == gap_closed,
-                     f"distributive={distributive} gap_closed={gap_closed}")
-
-        # Vertical companion (toward-X3 edge from down into md).
-        down = md.down()
-        if down is not None:
-            loc = f"{down}->{md}"
-            names = ("dim-gap-vertical", "pushed-complement-decomposition",
-                     "vanishing-dim-step", "quotient-splitting-vertical",
-                     "distributivity-dim-test-vertical")
-            if not exact(down, md, Direction.TOWARD_X3):
-                for name in names:
-                    skip(name, loc, "vertical edge into the node is not exact")
-            else:
-                row = _node_row(inst, md)
-                lhs = rp1 - dim_sum(down, (1, 2))
-                rhs = dim_v(md, 3) - row.meet[2]
-                emit("dim-gap-vertical", loc, lhs == rhs, f"{lhs} == {rhs}")
-
-                ok, count = _pushed_complement(inst, down, md)
-                emit("pushed-complement-decomposition", loc, ok,
-                     f"{count} complement vectors push to an independent complement")
-
-                lhs_s = dim_v(down, 2) - dim_v(md, 2)
-                rhs_s = rp1 - dim_sum(md, (2, 3))
-                emit("vanishing-dim-step", loc, lhs_s == rhs_s, f"{lhs_s} == {rhs_s}")
-
-                part1 = dim_sum(md, (1, 2, 3)) - dim_sum(md, (1, 2))
-                defect = row.spread[2] - row.meet[2]
-                emit("quotient-splitting-vertical", loc, lhs == part1 + defect,
-                     f"{lhs} == {part1} + {defect}")
-
-                gap_closed = (dim_sum(down, (1, 2)) - dim_sum(md, (1, 2))
-                              == rp1 - dim_sum(md, (1, 2, 3)))
-                distributive = distributive_at(inst, md)
-                emit("distributivity-dim-test-vertical", loc, distributive == gap_closed,
-                     f"distributive={distributive} gap_closed={gap_closed}")
-
+        for q, into, identities in _EDGE_IDENTITIES:
+            toward = Direction[f"TOWARD_X{q}"]
+            other = md.step(toward.inverse if into else toward)
+            if other is None:
+                continue
+            source, target = (other, md) if into else (md, other)
+            loc, axis = f"{source}->{target}", _AXIS[q]
+            if not exactness_at(inst, Edge(source, target, toward)).exact:
+                why = f"{axis} edge {'into' if into else 'out of'} the node is not exact"
+                checks += [IdentityCheck(name.format(axis=axis), loc, "hypothesis-not-met", why)
+                           for name in identities]
+                continue
+            for name in identities:
+                ok, detail = _IDENTITIES[name](inst, source, target, q)
+                checks.append(IdentityCheck(name.format(axis=axis), loc,
+                                            "pass" if ok else "fail", detail))
     return IdentitySuiteReport(tuple(checks))
 
 

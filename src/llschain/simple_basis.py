@@ -35,6 +35,8 @@ from .lattice import (
 from .lls_core import (
     InstanceFormatError,
     LlsInstance,
+    _AXIS,
+    _dump,
     _parse_md_key,
     _parse_md_triple,
     _parse_rows,
@@ -131,9 +133,6 @@ _FEEDS = {
     3: ((Direction.FROM_X2, Direction.FROM_X1), Direction.TOWARD_X3),
 }
 
-# Growth labels: the lattice axis of a step, by the step's component.
-_AXIS = {1: "horizontal", 2: "diagonal", 3: "vertical"}
-
 
 def _feeders(md: Multidegree, q: int) -> tuple[Multidegree, ...]:
     primary, fallback = _FEEDS[q]
@@ -142,16 +141,6 @@ def _feeders(md: Multidegree, q: int) -> tuple[Multidegree, ...]:
         return found
     source = md.step(fallback)
     return () if source is None else (source,)
-
-
-def _dedupe(vectors: list[Vector]) -> list[Vector]:
-    seen = set()
-    out = []
-    for v in vectors:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
 
 
 def _complete_node(inst: LlsInstance, md: Multidegree, q: int,
@@ -219,7 +208,7 @@ def build_complement_system(inst: LlsInstance, q: int,
             seeds = [vec_matmul(v, inst.maps[(source, md)])
                      for source in sources for v in build(source)]
             if len(sources) == 2:
-                seeds = _dedupe(seeds)
+                seeds = list(dict.fromkeys(seeds))
             basis[md] = _complete_node(inst, md, q, seeds, preferred)
         return basis[md]
 
@@ -541,7 +530,7 @@ def certificate_from_json(data: dict, d: int) -> SimpleCertificate:
 
 def save_certificate(path, cert: SimpleCertificate) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(certificate_to_json(cert), sort_keys=True, indent=2) + "\n")
+        handle.write(_dump(certificate_to_json(cert)))
 
 
 def load_certificate(path, d: int) -> SimpleCertificate:

@@ -13,7 +13,7 @@ import llschain
 from llschain import simple_basis
 from llschain.cli import main
 from llschain.exactla import Subspace
-from llschain.lattice import Multidegree
+from llschain.lattice import Edge, Multidegree
 from llschain.lls_core import instance_from_json, instance_to_json, load_instance, save_instance
 from llschain.generator import GenSpec, degrade, gen_simple
 
@@ -158,6 +158,22 @@ class TestReadableLocations:
         assert out.endswith("(injected shrink-V at (2,0,0))\n")
 
 
+    def test_analyze_linking_violation(self, tmp_path):
+        base = gen_simple(GenSpec(d=2, r=1, seed=91)).instance
+        result = degrade(base, "break-linking", seed=2)
+        assert isinstance(result.at, Edge)
+        path = tmp_path / "unlinked.json"
+        save_instance(path, result.instance)
+        report = tmp_path / "report.json"
+        code, out, _ = run_cli("analyze", str(path), "--report", str(report))
+        assert code == 1
+        assert f"  linking at {result.at.label}: " in out
+        assert "Multidegree" not in out
+        linking = [v for v in json.loads(report.read_text())["validation"]["violations"]
+                   if v["kind"] == "linking"]
+        assert linking[0]["location"] == result.location
+
+
 class TestGrid:
     def test_worked_triangle(self, worked_instance, tmp_path):
         path = tmp_path / "worked.json"
@@ -267,7 +283,7 @@ class TestFrontDoor:
         report = tmp_path / "report.json"
         code, out, err = run_cli("certify", str(path), "--report", str(report))
         assert code == 1
-        assert f"linking at {broken.location}" in out
+        assert f"linking at {broken.at.label}: " in out
         data = json.loads(report.read_text())
         assert not data["validation"]["ok"] and "verdict" not in data
 

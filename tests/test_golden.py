@@ -2,7 +2,9 @@
 report's JSON for a fixed subset of the seeded corpus, plus the three
 degradations of one of its members.  Any drift in the bytes a user sees
 (file format, canonical bases, witnesses, verdicts) fails here.  The
-complement systems of the same corpus members are pinned the same way.
+complement systems of the same corpus members are pinned the same way, and
+so is the identity suite, together with its failing checks on the hand-made
+non-distributive fixture.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ from llschain import lls_core, simple_basis
 from llschain.generator import degrade
 
 from conftest import CORPUS_SIZE
+from test_simple_basis import _abstract_nondistributive_instance
 
 GOLDEN_INDICES = range(0, CORPUS_SIZE, 5)  # 20 instances, every (d, r) combo
 DEGRADED_FROM = 3  # a d=2, r=1 corpus member
@@ -498,3 +501,43 @@ def test_complement_labels(complements):
 @pytest.mark.parametrize("label", list(GOLDEN_COMPLEMENTS))
 def test_complement_bytes(complements, label):
     assert complements[label] == GOLDEN_COMPLEMENTS[label]
+
+
+def identity_digests(corpus) -> dict[str, str]:
+    out = {label: _digest(lls_core.identity_suite(inst).to_json())
+           for label, inst in golden_instances(corpus)}
+    out["abstract-nondistributive"] = _digest(
+        lls_core.identity_suite(_abstract_nondistributive_instance()).to_json())
+    return out
+
+
+GOLDEN_IDENTITIES = {
+    'corpus[0]': 'ce192890d953f9c1c4ebcda0df4f688db0738bf4b7939a7b75d9dabc67e126d8',
+    'corpus[5]': '9509f1a4856aab57f27f495cd43973eb69015d9bf74801012528aa49107f2c5e',
+    'corpus[10]': 'e0be04a25e612f22ac47fc224fe55d8328377516e1e3f473671af7b8ec8f5b64',
+    'corpus[15]': '4831c1b4a64a9eb914fee50334d643d8420bae6388b69a6f89f373c1a1e7bf8e',
+    'corpus[20]': '79c3ece09ca62af50cdb63c0418be00266255e82a6fd0f97568afdd33a5e439b',
+    'corpus[25]': '80d8ea192a241d807b899dcf743366851bf9ab09a6187e9234816221a1d29e3b',
+    'corpus[30]': 'fb95e47aebdd43c4ea875d9885f319cc0ff545536ca0f4f6c385822c69fb3e57',
+    'corpus[35]': 'bbd8ba5b6410fa5ea416fc74b8c90a5b20b6839783112c15b06a4824972906ff',
+    'corpus[40]': '8574d59057e9b9fade5a91f4111fc9225153dc3cd22fb9f533cb14040498d7a7',
+    'corpus[45]': '2e1ebf0c67a2c7030f6164bedbfbb775cd9cbf60cdde999188fc5d8fa1d59cf2',
+    'corpus[50]': '01fb0a8f61ab0f0f489a39dd6743b9c214ab0d47d156ca4cf0859c5234467192',
+    'corpus[55]': 'cc9ae74e390c653a1b3226ca263f893597baf9b30084b3d3c9e7510056867f63',
+    'corpus[60]': '9b8b5b9403cd6436dcc7f56a626ad26364fa6e9cab70ef296d8b272f91fe929d',
+    'corpus[65]': '5f0f9a457721e6d66ee279974d6dee8cd52d63cf8e815b5ee11f25baea657837',
+    'corpus[70]': 'aadc011d2eff2147da651b1483b607a0a3e41eee14665ae72a18b2e69999b242',
+    'corpus[75]': '3304536a0c51a4c34a892a940809d92b83075dd21c96c9a37440f1217db224f3',
+    'corpus[80]': 'b0b9b3a8201c17235aa226a0a437e844bbecf11dbedebf66089f9ba1728bb299',
+    'corpus[85]': '4831c1b4a64a9eb914fee50334d643d8420bae6388b69a6f89f373c1a1e7bf8e',
+    'corpus[90]': '412b958a49e7ebec55bab2cfbbde4856774acef3c7b48db9fb47643c21b3d18f',
+    'corpus[95]': '26694cb0ff40766ea4ac2800bae10d9cc231d2333797dae1b597a6dbd47b9b0c',
+    'corpus[3]/shrink-V': '9514fae4e20c9c991ede6282417c288655ec81521187da80b25a0608fea490ff',
+    'corpus[3]/break-linking': 'f35da3d25f9487fd376c635bdc233572fb9d4d7fb0dff1c8c00c5ebdee14445c',
+    'corpus[3]/break-exactness': 'c39483d955645190a453a88957d7c2fcc1c3befe0efc193e429eb0e8e9689f22',
+    'abstract-nondistributive': '25f418c39932ed3a11026031d7ecd25074bc15bb84f96155c890a052fa651d60',
+}
+
+
+def test_identity_bytes(corpus):
+    assert identity_digests(corpus) == GOLDEN_IDENTITIES

@@ -3,11 +3,12 @@ import json
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from llschain import lls_core
 
-from llschain.chain_model import ChainCurve, canonical_matrix as chain_canonical
-from llschain.exactla import Matrix, Subspace, kernel
+from llschain.chain_model import ChainCurve, canonical_matrix as chain_canonical, skeleton
+from llschain.exactla import Matrix, Subspace, kernel, vec_matmul
 from llschain.lattice import Direction, Multidegree, all_multidegrees, canonical_path
 from llschain.lls_core import (
     InstanceFormatError,
@@ -136,6 +137,53 @@ class TestDistributivity:
                 assert vanishing_in_v(inst, node, (3,)) <= v2
             top_right = md(0, inst.d, 0)
             assert vanishing_in_v(inst, top_right, (2,)).dim == 0
+
+
+def _meet_inside_third(d: int, node: Multidegree) -> bool:
+    """Whether some ``Van_a ∩ Van_b`` of the ambient vanishing spaces at the
+    node lies inside the third, ``Van_c``.  Then every chosen space is
+    distributive there: for ``x = y + z`` in ``V_a`` with ``y ∈ V_b`` and
+    ``z ∈ V_c``, ``x`` lies in ``Van_a ∩ (Van_b + Van_c)``, which ambient
+    distributivity makes ``Van_a ∩ Van_c``, so ``x ∈ V_a ∩ V_c``."""
+    van = skeleton(ChainCurve(d)).vanishing[node]
+    return any((van[a] & van[b]) <= van[6 - a - b] for a, b in ((1, 2), (1, 3), (2, 3)))
+
+
+class TestDistributivityCondition:
+    # Nodes where every pairwise ambient meet is strictly larger than the
+    # triple meet: the only places a chosen space can fail distributivity.
+    OPEN_NODES = {1: [], 2: [], 3: [], 4: [md(1, 2, 1)],
+                  5: [md(2, 2, 1), md(1, 3, 1), md(1, 2, 2)]}
+
+    def test_open_nodes(self):
+        for d, nodes in self.OPEN_NODES.items():
+            assert [n for n in all_multidegrees(d) if not _meet_inside_third(d, n)] == nodes
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_distributive_where_a_meet_lies_in_the_third(self, data):
+        d = data.draw(st.integers(1, 5))
+        node = data.draw(st.sampled_from(
+            [n for n in all_multidegrees(d) if _meet_inside_third(d, n)]))
+        van = skeleton(ChainCurve(d)).vanishing[node]
+        # Each spanning vector is the sum of two vectors drawn from the
+        # vanishing spaces, their pairwise meets or the whole space, so V
+        # meets the vanishing spaces often and in several ways.
+        pools = [van[1], van[2], van[3], van[1] & van[2], van[1] & van[3],
+                 van[2] & van[3], Subspace.full(d + 1)]
+
+        def draw_from(pool: Subspace):
+            coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=pool.dim,
+                                        max_size=pool.dim))
+            return vec_matmul(coeffs, pool.basis) if pool.dim else (0,) * (d + 1)
+
+        vectors = [tuple(x + y for x, y in zip(draw_from(a), draw_from(b)))
+                   for a, b in data.draw(st.lists(st.tuples(st.sampled_from(pools),
+                                                            st.sampled_from(pools)),
+                                                  min_size=1, max_size=d + 1))]
+        base = from_chain(ChainCurve(d), 0, {})
+        inst = base.derive({node: Subspace.span(vectors, d + 1)})
+        assert distributive_at(inst, node)
 
 
 class TestIdentityHypotheses:
