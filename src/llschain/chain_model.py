@@ -40,7 +40,7 @@ from .exactla import (
     Subspace,
     Vector,
     as_vector,
-    image,
+    image_in,
     kernel,
     preimage,
     vec_matmul,
@@ -291,10 +291,23 @@ def skeleton(chain: ChainCurve) -> SheafSkeleton:
 
 @dataclass(frozen=True)
 class LawViolation:
+    """One failed ambient law at the node or edge ``at``; ``where`` is the
+    rest of its location (a direction pair or a component), so the JSON
+    ``location`` and the compact text ``label`` differ only in ``at``."""
+
     law: str
-    location: str
+    at: Multidegree | Edge
     witness: Vector | None
     message: str
+    where: str = ""
+
+    @property
+    def location(self) -> str:
+        return self.at.location + self.where
+
+    @property
+    def label(self) -> str:
+        return self.at.label + self.where
 
 
 @dataclass(frozen=True)
@@ -339,8 +352,9 @@ def verify_sheaf_laws(target: ChainCurve | SheafSkeleton) -> LawReport:
     skel = skeleton(target) if isinstance(target, ChainCurve) else target
     violations: list[LawViolation] = []
 
-    def record(law: str, location: str, witness: Vector | None, message: str) -> None:
-        violations.append(LawViolation(law, location, witness, message))
+    def record(law: str, at: Multidegree | Edge, witness: Vector | None, message: str,
+               where: str = "") -> None:
+        violations.append(LawViolation(law, at, witness, message, where))
 
     grid = skel.multidegrees
     directions = list(Direction)
@@ -363,16 +377,15 @@ def verify_sheaf_laws(target: ChainCurve | SheafSkeleton) -> LawReport:
                     continue
                 if classify_steps((da, db)) is PathClass.VALID_CANONICAL:
                     if len(orders) == 2 and orders[0] != orders[1]:
-                        record("square-commutation",
-                               f"{md} via {da.label}/{db.label}", None,
-                               "the two step orders disagree")
+                        record("square-commutation", md, None,
+                               "the two step orders disagree", f" via {da.label}/{db.label}")
                 else:
                     for product in orders:
                         if not product.is_zero():
-                            record("degenerate-composition",
-                                   f"{md} via {da.label}/{db.label}",
+                            record("degenerate-composition", md,
                                    _first_nonzero_row(product),
-                                   "degenerate two-step pattern is not zero")
+                                   "degenerate two-step pattern is not zero",
+                                   f" via {da.label}/{db.label}")
 
     for md in grid:
         for q in (1, 2, 3):
@@ -380,29 +393,29 @@ def verify_sheaf_laws(target: ChainCurve | SheafSkeleton) -> LawReport:
             target_md = md.step(toward)
             if target_md is None:
                 continue
+            edge = Edge(md, target_md, toward)
             fwd = skel.maps[(md, target_md)]
             complementary = tuple(p for p in (1, 2, 3) if p != q)
             expected_kernel = (skel.vanishing[md][complementary[0]]
                                & skel.vanishing[md][complementary[1]])
             actual_kernel = kernel(fwd)
             if actual_kernel != expected_kernel:
-                record("kernel-vanishing", f"{md}->{target_md}",
+                record("kernel-vanishing", edge,
                        _first_nonzero_row(actual_kernel.basis),
                        "kernel differs from vanishing on the complementary components")
             for p in complementary:
                 transported = preimage(fwd, skel.vanishing[target_md][p])
                 if transported != skel.vanishing[md][p]:
-                    record("vanishing-transport", f"{md}->{target_md} (X{p})",
-                           None,
-                           "vanishing on an untwisted component is not transported exactly")
-            if not image(fwd) <= skel.vanishing[target_md][q]:
-                record("image-containment", f"{md}->{target_md}",
+                    record("vanishing-transport", edge, None,
+                           "vanishing on an untwisted component is not transported exactly",
+                           f" (X{p})")
+            if not image_in(fwd, skel.vanishing[target_md][q]):
+                record("image-containment", edge,
                        None, "toward image does not vanish on the twisted component")
             back = skel.maps[(target_md, md)]
-            back_image = image(back)
             for p in complementary:
-                if not back_image <= skel.vanishing[md][p]:
-                    record("image-containment", f"{target_md}->{md}",
+                if not image_in(back, skel.vanishing[md][p]):
+                    record("image-containment", Edge(target_md, md, toward.inverse),
                            None, "from image does not vanish away from its component")
 
     return LawReport(tuple(violations))

@@ -100,7 +100,7 @@ def _derived_cert_path(out: str) -> str:
 
 
 def _violation_lines(report: lls_core.ValidationReport) -> list[str]:
-    return [f"  {v.kind} at {v.at.label if v.at else v.location}: {v.message}"
+    return [f"  {v.kind} at {v.label}: {v.message}"
             for v in report.violations]
 
 
@@ -193,7 +193,7 @@ def _cmd_laws(args) -> int:
                  f"identity suite: {'pass' if identities.ok else 'fail'} "
                  f"({len(identities.passed())} pass, "
                  f"{len(identities.by_status('hypothesis-not-met'))} skipped)"]
-        lines += [f"  {v.law} at {v.location}" for v in law_report.violations]
+        lines += [f"  {v.law} at {v.label}" for v in law_report.violations]
         lines += [f"  {c.identity} at {c.location}: {c.detail}"
                   for c in identities.by_status("fail")]
     else:
@@ -201,7 +201,7 @@ def _cmd_laws(args) -> int:
         data = {"laws": law_report.to_json()}
         ok = law_report.ok
         lines = [f"ambient laws at degree {args.d}: {'pass' if ok else 'fail'}"]
-        lines += [f"  {v.law} at {v.location}" for v in law_report.violations]
+        lines += [f"  {v.law} at {v.label}" for v in law_report.violations]
     _emit(args, data, lines)
     return 0 if ok else 1
 

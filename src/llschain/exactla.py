@@ -10,14 +10,24 @@ Conventions used by the whole package:
 * every coefficient is a :class:`fractions.Fraction` (arbitrary precision,
   lowest terms, positive denominator).  No floating point anywhere.
 
-``Fraction`` is the interface; elimination (behind every rref, kernel,
-span, intersection, image and preimage) runs inside on primitive integer
-rows, fraction-free, and turns back into ``Fraction`` once at the end.
+``Fraction`` is the interface and integers the inside.  Each subspace
+operation (``Subspace.span``, ``+``, ``&``, ``apply``, ``<=``, ``in``,
+``kernel``, ``image``, ``image_in``, ``preimage``) reads its operands once
+per call: a subspace through ``int_rows``, the primitive integer multiple
+of each canonical basis row (pivot entry positive) that the elimination
+making it left behind, and a matrix as rows ``ints_k / den_k``.  Residuals,
+products and relation rows are ``int``; a relation (kernel) computation
+eliminates ``[ints_k | den_k·e_k]`` once, so the transform carries each
+row's own denominator.  One fraction-free elimination, ``_eliminate``,
+serves them and ``rref``, and ``Fraction`` entries are made once, for the
+canonical result.
 
-Matrices are stored dense.  A product ``A @ B`` lists the nonzero
+``Matrix.__matmul__`` and ``vec_matmul`` stay on ``Fraction``: their
+operands are mostly sparse twist maps and one-off composites, and
+converting both operands on every call measured slower than the few
+``Fraction`` adds a product needs.  A product lists the nonzero
 ``(column, value)`` pairs of each row of ``B`` once per call and walks only
-those, so the sparse twist maps cost a few adds per row; the lists are
-dropped with the call, never kept on a matrix.
+those; the lists are dropped with the call, never kept on a matrix.
 
 Rationals serialize as ``"p/q"``, or ``"p"`` when the denominator is one,
 with the sign carried by the numerator; this is exactly ``str(Fraction)``.
@@ -48,6 +58,7 @@ __all__ = [
     "rref_with_transform",
     "kernel",
     "image",
+    "image_in",
     "preimage",
     "Subspace",
     "complement_in",
@@ -205,37 +216,61 @@ def vec_matmul(v: Sequence, m: Matrix) -> Vector:
     return tuple(acc)
 
 
-def _rref_rows(rows: list[Sequence[Fraction]], width: int) -> list[int]:
-    """In-place reduced row echelon form of ``rows``; pivots only in the
-    first ``width`` columns (any further columns ride along, e.g. a
-    transform).
+def _clear(entries: Sequence, nrows: int, width: int) -> tuple[list[list[int]], list[int]]:
+    """Integer rows and denominators of ``nrows`` rows of ``width`` entries
+    laid end to end: row ``k`` is ``rows[k] / dens[k]``, where ``dens[k]``
+    is the least common denominator of its entries."""
+    try:
+        nums = [e.numerator for e in entries]
+        denoms = [e.denominator for e in entries]
+    except AttributeError:
+        return _clear(as_vector(entries), nrows, width)
+    rows, dens = [], []
+    for k in range(nrows):
+        start, stop = k * width, (k + 1) * width
+        den = lcm(*denoms[start:stop])
+        rows.append(nums[start:stop] if den == 1 else
+                    [p * (den // q) for p, q in zip(nums[start:stop], denoms[start:stop])])
+        dens.append(den)
+    return rows, dens
 
-    The elimination runs on primitive integer rows: each row is cleared of
-    denominators once, a row is eliminated against the pivot row by
-    cross-multiplication ``(lead/g)*row - (f/g)*pivot_row`` and divided by
-    its content, so no rational is formed until the end.  Every integer row
-    stays a nonzero multiple of the row the rational Gauss-Jordan would
-    hold, so pivots are the same; each pivot row is then divided by its
-    pivot entry, which gives the canonical RREF, and rows past the rank are
-    returned as their primitive integer multiples.
+
+def _int_rows(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
+    return _clear(matrix.entries, matrix.rows, matrix.cols)
+
+
+def _eliminate(rows: list[Sequence[int]], width: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place;
+    returns the pivot columns, all among the first ``width`` (any further
+    columns ride along, e.g. a transform).
+
+    Each row is divided by its content on entry and after every update
+    ``(lead/g)*row - (f/g)*pivot_row``, so it stays primitive and a nonzero
+    multiple of the row the rational Gauss-Jordan would hold: the pivots
+    are the same, and ``rows[k] / rows[k][pivots[k]]`` is row ``k`` of the
+    canonical RREF.  Pivot rows end with a positive pivot entry; rows past
+    the rank are zero in the first ``width`` columns.
     """
-    ints = [_primitive_row(row) for row in rows]
+    nrows = len(rows)
+    for k in range(nrows):
+        content = gcd(*rows[k])
+        if content > 1:
+            rows[k] = [e // content for e in rows[k]]
     pivots: list[int] = []
     pr = 0
-    nrows = len(ints)
     for pc in range(width):
-        pivot_row = None
+        if pr == nrows:
+            break
         for k in range(pr, nrows):
-            if ints[k][pc]:
-                pivot_row = k
+            if rows[k][pc]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        ints[pr], ints[pivot_row] = ints[pivot_row], ints[pr]
-        prow = ints[pr]
+        rows[pr], rows[k] = rows[k], rows[pr]
+        prow = rows[pr]
         lead = prow[pc]
         for k in range(nrows):
-            row = ints[k]
+            row = rows[k]
             factor = row[pc]
             if not factor or k == pr:
                 continue
@@ -245,16 +280,12 @@ def _rref_rows(rows: list[Sequence[Fraction]], width: int) -> list[int]:
             content = gcd(*row)
             if content > 1:
                 row = [e // content for e in row]
-            ints[k] = row
+            rows[k] = row
         pivots.append(pc)
         pr += 1
-        if pr == nrows:
-            break
     for k, pc in enumerate(pivots):
-        lead = ints[k][pc]
-        rows[k] = [_ratio(e, lead) if e else _ZERO for e in ints[k]]
-    for k in range(pr, nrows):
-        rows[k] = [_ratio(e, 1) if e else _ZERO for e in ints[k]]
+        if rows[k][pc] < 0:
+            rows[k] = [-e for e in rows[k]]
     return pivots
 
 
@@ -265,125 +296,170 @@ def _ratio(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _primitive_row(row: Sequence[Fraction]) -> list[int]:
-    """The primitive integer vector on the line through a rational row."""
-    ratios = [e.as_integer_ratio() for e in row]
-    den = lcm(*[q for _, q in ratios])
-    if den == 1:
-        out = [p for p, _ in ratios]
-    else:
-        out = [p * (den // q) for p, q in ratios]
-    content = gcd(*out)
-    if content > 1:
-        out = [e // content for e in out]
-    return out
+def _over_pivots(rows: list[Sequence[int]], pivots: list[int]) -> list[Fraction]:
+    """The entries of eliminated ``rows``, each pivot row divided by its
+    pivot entry and the rows past the rank as they are."""
+    leads = [row[pc] for row, pc in zip(rows, pivots)] + [1] * (len(rows) - len(pivots))
+    return [_ratio(e, lead) if e else _ZERO for row, lead in zip(rows, leads) for e in row]
 
 
-def _from_rows(rows: list[Sequence[Fraction]], cols: int) -> Matrix:
-    """Matrix of rows that already hold ``Fraction`` entries."""
-    return Matrix(len(rows), cols, tuple(itertools.chain.from_iterable(rows)))
+def _augment(rows: list[Sequence[int]], scales: Sequence[int]) -> list[list[int]]:
+    """``[rows[k] | scales[k]·e_k]`` for every ``k``."""
+    n = len(rows)
+    return [[*row, *[0] * k, s, *[0] * (n - 1 - k)]
+            for k, (row, s) in enumerate(zip(rows, scales))]
+
+
+def _relations(rows: list[Sequence[int]], scales: Sequence[int], width: int) -> list[list[int]]:
+    """Integer rows spanning ``{y : sum_k (y_k / scales[k]) * rows[k] = 0}``
+    for integer ``rows`` of ``width`` columns: the transform parts of the
+    rows of ``[rows | scales[k]·e_k]`` that elimination clears."""
+    augmented = _augment(rows, scales)
+    rank = len(_eliminate(augmented, width))
+    return [row[width:] for row in augmented[rank:]]
+
+
+def _combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list[int]:
+    """``sum_k coeffs[k] * rows[k]``."""
+    acc = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * e for a, e in zip(acc, row)]
+    return acc
+
+
+def _subspace(rows: list[Sequence[int]], ambient_dim: int) -> "Subspace":
+    """The span of integer rows in canonical form: every ``Subspace`` is
+    made here, and only here are its ``Fraction`` entries made."""
+    pivots = _eliminate(rows, ambient_dim)
+    rows = rows[:len(pivots)]
+    return Subspace(ambient_dim, Matrix(len(rows), ambient_dim, tuple(_over_pivots(rows, pivots))),
+                    tuple(pivots), tuple(map(tuple, rows)))
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form, pivot columns, and rank."""
-    rows = matrix.row_list()
-    pivots = _rref_rows(rows, matrix.cols)
-    return (_from_rows(rows, matrix.cols), tuple(pivots), len(pivots))
+    rows, _ = _int_rows(matrix)
+    pivots = _eliminate(rows, matrix.cols)
+    return (Matrix(matrix.rows, matrix.cols, tuple(_over_pivots(rows, pivots))),
+            tuple(pivots), len(pivots))
 
 
 def rref_with_transform(matrix: Matrix) -> tuple[Matrix, Matrix, tuple[int, ...]]:
-    """Return ``(R, T, pivots)`` with ``T @ matrix == R`` and ``T`` invertible."""
-    n = matrix.rows
-    rows = [matrix.row(k) + _unit_vector(n, k) for k in range(n)]
-    pivots = _rref_rows(rows, matrix.cols)
-    reduced = _from_rows([r[:matrix.cols] for r in rows], matrix.cols)
-    transform = _from_rows([r[matrix.cols:] for r in rows], n)
+    """Return ``(R, T, pivots)`` with ``T @ matrix == R`` and ``T`` invertible.
+
+    Row ``k`` of the matrix is ``ints_k / den_k``, so eliminating
+    ``[ints_k | den_k·e_k]`` keeps every row of the form ``[y @ matrix | y]``."""
+    n, cols = matrix.rows, matrix.cols
+    rows, dens = _int_rows(matrix)
+    augmented = _augment(rows, dens)
+    pivots = _eliminate(augmented, cols)
+    both = Matrix(n, cols + n, tuple(_over_pivots(augmented, pivots)))
+    reduced = Matrix(n, cols, tuple(e for k in range(n) for e in both.row(k)[:cols]))
+    transform = Matrix(n, n, tuple(e for k in range(n) for e in both.row(k)[cols:]))
     return reduced, transform, tuple(pivots)
 
 
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace of Q^n in canonical (RREF basis) form, with the
-    pivot column of each basis row."""
+    pivot column of each basis row and the primitive integer multiple of
+    each basis row, pivot entry positive (``int_rows``), which the
+    operations read instead of the ``Fraction`` basis."""
 
     ambient_dim: int
     basis: Matrix
     pivots: tuple[int, ...] = field(compare=False, repr=False)
+    int_rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @staticmethod
     def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        rows = [as_vector(v) for v in vectors]
-        for v in rows:
+        vectors = list(vectors)
+        for v in vectors:
             if len(v) != ambient_dim:
                 raise LinearAlgebraError(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}")
-        reduced, pivots, rank = rref(_from_rows(rows, ambient_dim))
-        return Subspace(ambient_dim,
-                        Matrix(rank, ambient_dim, reduced.entries[:rank * ambient_dim]),
-                        pivots)
+        entries = list(itertools.chain.from_iterable(vectors))
+        return _subspace(_clear(entries, len(vectors), ambient_dim)[0], ambient_dim)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.zeros(0, ambient_dim), ())
+        return _subspace([], ambient_dim)
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim), tuple(range(ambient_dim)))
+        return _subspace([[int(j == k) for j in range(ambient_dim)] for k in range(ambient_dim)],
+                         ambient_dim)
 
     @property
     def dim(self) -> int:
         return self.basis.rows
 
-    def reduce(self, vector: Sequence) -> Vector:
-        """Residual of ``vector`` after subtracting its projection onto the
-        pivot coordinates; zero exactly when the vector lies in the space."""
-        v = list(as_vector(vector))
-        if len(v) != self.ambient_dim:
-            raise LinearAlgebraError("ambient dimension mismatch")
-        for k, p in enumerate(self.pivots):
-            coeff = v[p]
-            if not coeff:
-                continue
-            for j, e in enumerate(self.basis.row(k)):
-                if e:
-                    v[j] -= coeff * e
-        return tuple(v)
+    def _residuals(self, vectors: Iterable[Sequence[int]]) -> list[list[int]]:
+        """Residuals of integer vectors modulo this space, on its non-pivot
+        columns (the pivot columns of a residual are zero), all scaled by
+        the one factor ``L``, the lcm of the pivot entries, so the map
+        stays linear: ``L*v - sum_k v[p_k] * (L / lead_k) * int_rows[k]``."""
+        pivots, int_rows = self.pivots, self.int_rows
+        free = [j for j in range(self.ambient_dim) if j not in pivots]
+        scale = lcm(*[row[p] for row, p in zip(int_rows, pivots)])
+        steps = [(p, [(scale // row[p]) * row[j] for j in free])
+                 for row, p in zip(int_rows, pivots)]
+        out = []
+        for v in vectors:
+            res = [scale * v[j] for j in free]
+            for p, step in steps:
+                c = v[p]
+                if c:
+                    res = [x - c * y for x, y in zip(res, step)]
+            out.append(res)
+        return out
+
+    def _holds(self, vectors: Iterable[Sequence[int]]) -> bool:
+        """Whether every integer vector lies in this space."""
+        return not any(map(any, self._residuals(vectors)))
 
     def __contains__(self, vector: Sequence) -> bool:
-        return not any(self.reduce(vector))
+        if len(vector) != self.ambient_dim:
+            raise LinearAlgebraError("ambient dimension mismatch")
+        return self._holds(_clear(vector, 1, self.ambient_dim)[0])
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.span(self.basis.row_list() + other.basis.row_list(),
-                             self.ambient_dim)
+        return _subspace([*self.int_rows, *other.int_rows], self.ambient_dim)
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Intersection through a residual kernel of the smaller space.
 
-        With ``A`` the smaller basis and ``B`` the larger space, ``x·A``
-        lies in ``B`` exactly when its residual modulo ``B`` vanishes, and
-        the residual is linear, so the relations ``x`` are the left kernel
-        of the ``dim A x n`` matrix of residuals of the rows of ``A``."""
+        With ``A`` the smaller space and ``B`` the larger, ``sum x_k a_k``
+        over the integer rows ``a_k`` of ``A`` lies in ``B`` exactly when
+        the same combination of their residuals modulo ``B`` vanishes, so
+        the relations ``x`` are the left kernel of the residual rows, and
+        the intersection is spanned by the combinations they give."""
         self._check_ambient(other)
         small, large = (self, other) if self.dim <= other.dim else (other, self)
-        if small.dim == 0 or large.dim == self.ambient_dim:
+        n = self.ambient_dim
+        if small.dim == 0 or large.dim == n:
             return small
-        residuals = [large.reduce(row) for row in small.basis.row_list()]
-        relations = kernel(_from_rows(residuals, self.ambient_dim))
-        if relations.dim == small.dim:
+        relations = _relations(large._residuals(small.int_rows), [1] * small.dim, n - large.dim)
+        if len(relations) == small.dim:
             return small
-        vectors = [vec_matmul(rel, small.basis) for rel in relations.basis.row_list()]
-        return Subspace.span(vectors, self.ambient_dim)
+        return _subspace([_combination(x, small.int_rows, n) for x in relations], n)
 
     def __le__(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(row in other for row in self.basis.row_list())
+        return self.dim <= other.dim and other._holds(self.int_rows)
 
     def apply(self, matrix: Matrix) -> "Subspace":
         """Image of this subspace under the map ``v -> v @ matrix``."""
         if matrix.rows != self.ambient_dim:
             raise LinearAlgebraError("map domain does not match ambient dimension")
-        return Subspace.span((self.basis @ matrix).row_list(), matrix.cols)
+        rows, dens = _int_rows(matrix)
+        common = lcm(*dens)
+        if common != 1:
+            rows = [[(common // den) * e for e in row] for row, den in zip(rows, dens)]
+        return _subspace([_combination(a, rows, matrix.cols) for a in self.int_rows],
+                         matrix.cols)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -396,15 +472,20 @@ class Subspace:
 
 def kernel(matrix: Matrix) -> Subspace:
     """Left kernel ``{v : v @ matrix = 0}`` as a subspace of Q^rows."""
-    reduced, transform, pivots = rref_with_transform(matrix)
-    rank = len(pivots)
-    rows = [transform.row(k) for k in range(rank, matrix.rows)]
-    return Subspace.span(rows, matrix.rows)
+    rows, dens = _int_rows(matrix)
+    return _subspace(_relations(rows, dens, matrix.cols), matrix.rows)
 
 
 def image(matrix: Matrix) -> Subspace:
     """Row space of the matrix, i.e. the image of the full domain."""
-    return Subspace.span(matrix.row_list(), matrix.cols)
+    return _subspace(_int_rows(matrix)[0], matrix.cols)
+
+
+def image_in(matrix: Matrix, target: Subspace) -> bool:
+    """Whether ``image(matrix) <= target``, read off the rows directly."""
+    if matrix.cols != target.ambient_dim:
+        raise LinearAlgebraError("map codomain does not match target ambient")
+    return target._holds(_int_rows(matrix)[0])
 
 
 def preimage(matrix: Matrix, target: Subspace) -> Subspace:
@@ -413,8 +494,9 @@ def preimage(matrix: Matrix, target: Subspace) -> Subspace:
         raise LinearAlgebraError("map codomain does not match target ambient")
     # ``v @ matrix`` lies in the target exactly when its residual modulo
     # the target vanishes, and the residual is linear in ``v``.
-    residuals = [target.reduce(row) for row in matrix.row_list()]
-    return kernel(_from_rows(residuals, target.ambient_dim))
+    rows, dens = _int_rows(matrix)
+    return _subspace(_relations(target._residuals(rows), dens, matrix.cols - target.dim),
+                     matrix.rows)
 
 
 def complement_in(inner: Subspace, outer: Subspace,

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import Mapping
 
 from . import chain_model, lls_core, simple_basis
@@ -106,17 +107,24 @@ def _linking_freedom(maps: Mapping[tuple[Multidegree, Multidegree], Matrix],
     return lower, upper
 
 
-def _draw_in_freedom(rng: random.Random, lower: Subspace, free: list[Vector],
+def _over_common_denominator(vectors: list[Vector]) -> list[list[int]]:
+    """The vectors times the least common denominator of their entries."""
+    den = lcm(*[e.denominator for v in vectors for e in v])
+    return [[e.numerator * (den // e.denominator) for e in v] for v in vectors]
+
+
+def _draw_in_freedom(rng: random.Random, lower: Subspace, free: list[list[int]],
                      needed: int, bound: int) -> Subspace:
     """Span of ``lower`` and ``needed`` random integer combinations of the
-    ``free`` vectors, coefficients in ``[-bound, bound]``."""
+    ``free`` vectors (integer rows over one common denominator, which a
+    span ignores), coefficients in ``[-bound, bound]``."""
     ambient = lower.ambient_dim
     extra = []
     for _ in range(needed):
-        coeffs = [Fraction(rng.randint(-bound, bound)) for _ in free]
-        extra.append(tuple(sum(c * row[k] for c, row in zip(coeffs, free))
-                           for k in range(ambient)))
-    return Subspace.span(list(lower.basis.row_list()) + extra, ambient)
+        coeffs = [rng.randint(-bound, bound) for _ in free]
+        extra.append([sum(c * row[k] for c, row in zip(coeffs, free))
+                      for k in range(ambient)])
+    return Subspace.span([*lower.int_rows, *extra], ambient)
 
 
 @dataclass(frozen=True)
@@ -239,7 +247,7 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
         if lower.dim == rp1:
             trial = [lower]
         else:
-            free = complement_in(lower, upper)
+            free = _over_common_denominator(complement_in(lower, upper))
             needed = rp1 - lower.dim
             trial = []
             seen = set()
@@ -305,9 +313,7 @@ class DegradeResult:
     @property
     def location(self) -> str:
         """Where the defect is, written as the report locations are."""
-        if isinstance(self.at, Edge):
-            return f"{self.at.source}->{self.at.target}"
-        return f"{self.at}"
+        return self.at.location
 
 
 def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:

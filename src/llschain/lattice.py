@@ -152,6 +152,11 @@ class Multidegree(NamedTuple):
         """Compact text form ``(i,j,l)``."""
         return f"({self.i},{self.j},{self.l})"
 
+    @property
+    def location(self) -> str:
+        """Report form ``Multidegree(i=.., j=.., l=..)``."""
+        return repr(self)
+
 
 def multidegree(i: int, j: int, l: int) -> Multidegree:
     if i < 0 or j < 0 or l < 0:
@@ -182,6 +187,11 @@ class Edge(NamedTuple):
     def label(self) -> str:
         """Compact text form ``(i,j,l)->(i,j,l)``."""
         return f"{self.source.label}->{self.target.label}"
+
+    @property
+    def location(self) -> str:
+        """Report form, the two endpoints' report forms joined by ``->``."""
+        return f"{self.source.location}->{self.target.location}"
 
 
 def edge_between(source: Multidegree, target: Multidegree) -> Edge:

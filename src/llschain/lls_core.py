@@ -181,15 +181,23 @@ def skeleton_of(inst: LlsInstance) -> SheafSkeleton:
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed validation check.  ``at`` is the multidegree or edge it
-    concerns, for text output (``None`` for an ambient-law violation);
-    the JSON leaves it out."""
+    """One failed validation check at the multidegree or edge ``at``;
+    ``where`` is the rest of an ambient-law location.  The JSON writes the
+    ``location``, text output the compact ``label``."""
 
     kind: str
-    location: str
+    at: Multidegree | Edge
     witness: Vector | None
     message: str
-    at: Multidegree | Edge | None = None
+    where: str = ""
+
+    @property
+    def location(self) -> str:
+        return self.at.location + self.where
+
+    @property
+    def label(self) -> str:
+        return self.at.label + self.where
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "location": self.location, "message": self.message}
@@ -235,16 +243,15 @@ def validate(inst: LlsInstance, ambient_laws: bool = True) -> ValidationReport:
     for md in inst.multidegrees:
         space = inst.spaces.get(md)
         if space is None:
-            violations.append(Violation("dimension", f"{md}", None,
-                                        "no subspace stored at this multidegree", md))
+            violations.append(Violation("dimension", md, None,
+                                        "no subspace stored at this multidegree"))
             continue
         if space.ambient_dim != inst.ambient_dim[md]:
-            violations.append(Violation("dimension", f"{md}", None,
-                                        "subspace lives in the wrong ambient space", md))
+            violations.append(Violation("dimension", md, None,
+                                        "subspace lives in the wrong ambient space"))
         elif space.dim != expected:
             violations.append(Violation(
-                "dimension", f"{md}", None,
-                f"dim {space.dim} instead of r+1 = {expected}", md))
+                "dimension", md, None, f"dim {space.dim} instead of r+1 = {expected}"))
     for edge in directed_edges(inst.d):
         src = inst.spaces.get(edge.source)
         tgt = inst.spaces.get(edge.target)
@@ -256,13 +263,13 @@ def validate(inst: LlsInstance, ambient_laws: bool = True) -> ValidationReport:
         if not pushed <= tgt:
             witness = next(row for row in pushed.basis.row_list() if row not in tgt)
             violations.append(Violation(
-                "linking", f"{edge.source}->{edge.target}", witness,
-                "image of the chosen subspace leaves the target subspace", edge))
+                "linking", edge, witness,
+                "image of the chosen subspace leaves the target subspace"))
     if ambient_laws:
         law_report = _ambient_law_report(inst)
         for v in law_report.violations:
-            violations.append(Violation("ambient-law", v.location, v.witness,
-                                        f"{v.law}: {v.message}"))
+            violations.append(Violation("ambient-law", v.at, v.witness,
+                                        f"{v.law}: {v.message}", v.where))
     return ValidationReport(tuple(violations))
 
 

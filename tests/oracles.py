@@ -1,9 +1,11 @@
 """Independent reference computations used to cross-check the library.
 
 Everything here deliberately avoids the code paths under test: rank via
-fraction-free (Bareiss) elimination on integers, reduced row echelon forms
-by sympy, intersections via double orthogonal complements in sympy, and path composites via an exhaustive
-walk enumeration over (node, step-type-set) states.
+fraction-free (Bareiss) elimination on integers, reduced row echelon forms,
+row spaces and left kernels by sympy, preimages as left kernels against
+the target's orthogonal complement, intersections via double orthogonal
+complements in sympy, and path composites via an exhaustive walk
+enumeration over (node, step-type-set) states.
 """
 
 from __future__ import annotations
@@ -76,6 +78,41 @@ def sympy_rref(rows: list[list[Fraction]], cols: int) -> tuple[list[tuple[Fracti
     out = [tuple(Fraction(sp.Rational(reduced[k, j])) for j in range(cols))
            for k in range(len(rows))]
     return out, tuple(pivots)
+
+
+def sympy_rowspace(rows, cols: int) -> list[tuple[Fraction, ...]]:
+    """Canonical (RREF) basis of the row space, by sympy."""
+    reduced, pivots = sympy_rref(rows, cols)
+    return reduced[:len(pivots)]
+
+
+def _sympy_matrix(rows, nrows: int, ncols: int) -> sp.Matrix:
+    return sp.Matrix(nrows, ncols, [sp.Rational(e) for row in rows for e in row])
+
+
+def _left_kernel(mat: sp.Matrix) -> list[tuple[Fraction, ...]]:
+    """Canonical basis of ``{v : v mat = 0}`` from sympy's nullspace of the
+    transpose."""
+    vectors = [[Fraction(sp.Rational(e)) for e in v] for v in mat.T.nullspace()]
+    return sympy_rowspace(vectors, mat.rows)
+
+
+def sympy_left_kernel(rows, nrows: int, ncols: int) -> list[tuple[Fraction, ...]]:
+    """Canonical basis of ``{v : v M = 0}`` for the ``nrows x ncols`` matrix
+    ``M`` with the given rows."""
+    return _left_kernel(_sympy_matrix(rows, nrows, ncols))
+
+
+def sympy_preimage(rows, nrows: int, ncols: int, target_rows) -> list[tuple[Fraction, ...]]:
+    """Canonical basis of ``{v : v M in rowspace(T)}``: the left kernel of
+    ``M N``, where the columns of ``N`` span the solutions of ``T x = 0``
+    (so ``w`` lies in ``rowspace(T)`` exactly when ``w N = 0``)."""
+    mat = _sympy_matrix(rows, nrows, ncols)
+    target = _sympy_matrix(target_rows, len(target_rows), ncols)
+    normals = target.nullspace()
+    if not normals:
+        return [tuple(Fraction(int(i == j)) for j in range(nrows)) for i in range(nrows)]
+    return _left_kernel(mat * sp.Matrix.hstack(*normals))
 
 
 def sympy_intersection(a_rows, b_rows, ambient: int) -> list[tuple[Fraction, ...]]:

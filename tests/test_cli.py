@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -172,6 +173,26 @@ class TestReadableLocations:
         linking = [v for v in json.loads(report.read_text())["validation"]["violations"]
                    if v["kind"] == "linking"]
         assert linking[0]["location"] == result.location
+
+    def test_ambient_law_violations(self, tmp_path):
+        data = instance_to_json(gen_simple(GenSpec(d=2, r=1, seed=91)).instance)
+        data["maps"][0]["matrix"][0][0] = "5"
+        path = tmp_path / "laws.json"
+        path.write_text(json.dumps(data))
+        report = tmp_path / "report.json"
+        code, out, _ = run_cli("validate", str(path), "--report", str(report))
+        assert code == 1
+        laws = [v for v in json.loads(report.read_text())["violations"]
+                if v["kind"] == "ambient-law"]
+        assert laws and "Multidegree" not in out
+        for v in laws:
+            compact = re.sub(r"Multidegree\(i=(\d+), j=(\d+), l=(\d+)\)", r"(\1,\2,\3)",
+                             v["location"])
+            assert compact != v["location"]
+            assert f"  ambient-law at {compact}: {v['message']}\n" in out
+        code, out, _ = run_cli("laws", str(path))
+        assert code == 1 and "Multidegree" not in out
+        assert out.count("\n  ") == len(laws)
 
 
 class TestGrid:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from llschain.exactla import (
     complement_in,
     format_rational,
     image,
+    image_in,
     kernel,
     parse_rational,
     preimage,
@@ -19,7 +21,14 @@ from llschain.exactla import (
     vec_matmul,
 )
 
-from oracles import bareiss_rank, sympy_intersection, sympy_rref
+from oracles import (
+    bareiss_rank,
+    sympy_intersection,
+    sympy_left_kernel,
+    sympy_preimage,
+    sympy_rowspace,
+    sympy_rref,
+)
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=8)
 
@@ -335,3 +344,112 @@ class TestSerialization:
                     parse_rational(text)
         assert parse_rational(" -1 ") is parse_rational("-1")
         assert parse_rational("12345678901234567890/3") == Fraction(12345678901234567890, 3)
+
+
+@st.composite
+def mixed_rows(draw, max_rows=5, cols=None, max_cols=5):
+    """Rows with different denominators and signs: each is an integer row,
+    or a rational combination of the two rows before it, over a signed
+    denominator of its own, so the rank can fall short."""
+    cols = draw(st.integers(1, max_cols)) if cols is None else cols
+    out = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        if len(out) >= 2 and draw(st.booleans()):
+            a, b = draw(rationals), draw(rationals)
+            ints = [a * x + b * y for x, y in zip(out[-1], out[-2])]
+        else:
+            ints = draw(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols))
+        den = draw(st.integers(1, 12)) * draw(st.sampled_from([1, -1]))
+        out.append(tuple(Fraction(e) / den for e in ints))
+    return cols, out
+
+
+@st.composite
+def mixed_matrices(draw, max_rows=5, cols=None, max_cols=5):
+    cols, rows = draw(mixed_rows(max_rows, cols, max_cols))
+    return Matrix.from_rows(rows, cols=cols)
+
+
+@st.composite
+def mixed_pairs(draw):
+    """Two spans of mixed rows in one ambient space."""
+    n, a = draw(mixed_rows(max_rows=5))
+    _, b = draw(mixed_rows(max_rows=5, cols=n))
+    return n, a, b
+
+
+def assert_canonical(space):
+    """The carried integer rows: primitive, pivot entry positive, and each
+    its basis row times the row's least common denominator."""
+    assert len(space.int_rows) == space.dim
+    for k, (ints, p) in enumerate(zip(space.int_rows, space.pivots)):
+        row = space.basis.row(k)
+        assert type(ints) is tuple and all(type(e) is int for e in ints)
+        assert gcd(*ints) == 1 and ints[p] > 0
+        den = lcm(*(e.denominator for e in row))
+        assert ints == tuple(e * den for e in row)
+    return space
+
+
+class TestIntegerCore:
+    """Every subspace operation against an independent oracle, on rows with
+    different denominators and signs: a transform that dropped the
+    per-row denominators would return the wrong relations."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_matrices())
+    def test_kernel(self, m):
+        ker = assert_canonical(kernel(m))
+        assert ker.basis.row_list() == sympy_left_kernel(m.row_list(), m.rows, m.cols)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_preimage(self, data):
+        m = data.draw(mixed_matrices())
+        _, target_rows = data.draw(mixed_rows(cols=m.cols))
+        target = Subspace.span(target_rows, m.cols)
+        pre = assert_canonical(preimage(m, target))
+        assert pre.basis.row_list() == sympy_preimage(m.row_list(), m.rows, m.cols,
+                                                      target_rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_pairs())
+    def test_meet_and_join(self, pair):
+        n, a_rows, b_rows = pair
+        a, b = Subspace.span(a_rows, n), Subspace.span(b_rows, n)
+        meet = sympy_intersection(a_rows, b_rows, n)
+        assert assert_canonical(a & b).basis.row_list() == meet
+        assert assert_canonical(b & a).basis.row_list() == meet
+        join = sympy_rowspace(a_rows + b_rows, n)
+        assert assert_canonical(a + b).basis.row_list() == join
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_apply_and_image(self, data):
+        m = data.draw(mixed_matrices())
+        _, rows = data.draw(mixed_rows(cols=m.rows))
+        space = Subspace.span(rows, m.rows)
+        pushed = [tuple(sum((x * m.entry(k, j) for k, x in enumerate(row)), Fraction(0))
+                        for j in range(m.cols)) for row in rows]
+        assert assert_canonical(space.apply(m)).basis.row_list() == \
+            sympy_rowspace(pushed, m.cols)
+        assert assert_canonical(image(m)).basis.row_list() == \
+            sympy_rowspace(m.row_list(), m.cols)
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_pairs())
+    def test_containment(self, pair):
+        n, a_rows, b_rows = pair
+        a, b = Subspace.span(a_rows, n), Subspace.span(b_rows, n)
+        rank_b = bareiss_rank(b_rows)
+        inside = bareiss_rank(a_rows + b_rows) == rank_b
+        assert (a <= b) == inside
+        assert image_in(Matrix.from_rows(a_rows, cols=n), b) == inside
+        for v in a_rows:
+            assert (v in b) == (bareiss_rank(b_rows + [v]) == rank_b)
+        assert all(row in a for row in a_rows)
+
+    def test_zero_and_full_carry_rows(self):
+        for n in range(4):
+            assert_canonical(Subspace.zero(n))
+            assert_canonical(Subspace.full(n))

@@ -9,10 +9,11 @@ non-distributive fixture.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from llschain import lls_core, simple_basis
+from llschain import ChainCurve, from_chain, lls_core, simple_basis
 from llschain.generator import degrade
 
 from conftest import CORPUS_SIZE
@@ -541,3 +542,74 @@ GOLDEN_IDENTITIES = {
 
 def test_identity_bytes(corpus):
     assert identity_digests(corpus) == GOLDEN_IDENTITIES
+
+
+# Golden members rebuilt over a chain whose toward maps are rescaled by
+# non-integer factors of both signs.  Rescaling keeps every verdict (see
+# the chain_model docstring), and the maps then carry rows with
+# denominators, so these digests pin the elimination paths that clear
+# them; the corpus maps above are all integer.
+RESCALED_SCALES = (Fraction(-1, 2), Fraction(7), Fraction(3, 4))
+RESCALED_FROM = ("corpus[10]", "corpus[20]", "corpus[40]", "corpus[55]",
+                 f"corpus[{DEGRADED_FROM}]/break-exactness")
+
+
+def rescaled_digests(corpus) -> dict[str, dict[str, str]]:
+    members = dict(golden_instances(corpus))
+    out = {}
+    for label in RESCALED_FROM:
+        base = members[label]
+        inst = from_chain(ChainCurve(base.d, RESCALED_SCALES), base.r, base.spaces)
+        exact = lls_core.exactness(inst)
+        row = {
+            "validate": _digest(lls_core.validate(inst).to_json()),
+            "exactness": _digest(exact.to_json()),
+            "identity_suite": _digest(lls_core.identity_suite(inst).to_json()),
+            "is_simple": _digest(simple_basis.is_simple(inst).to_json()),
+        }
+        if exact.exact:
+            row["codim_report"] = _digest(lls_core.codim_report(inst).to_json())
+        out[label] = row
+    return out
+
+
+GOLDEN_RESCALED = {
+    'corpus[10]': {
+        'validate': '7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c',
+        'exactness': '0fa8251bd46d8af9bf18a68dd43d71a117e58260c41a2426b56d7ec177312fb6',
+        'identity_suite': 'e0be04a25e612f22ac47fc224fe55d8328377516e1e3f473671af7b8ec8f5b64',
+        'is_simple': 'd7a19f7c5cd3ca678364c992dce8fe2b8ab78b9cf2d19de56d682d5babbb9457',
+        'codim_report': 'ba645e172ebd90a926642e957d27aeef65db1775e61f93178a9f5e9ee53954b0',
+    },
+    'corpus[20]': {
+        'validate': '7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c',
+        'exactness': '887d037591f1fedebee7861fa1b5f5eda2136bccd37cb014c81a0617b34e2229',
+        'identity_suite': '79c3ece09ca62af50cdb63c0418be00266255e82a6fd0f97568afdd33a5e439b',
+        'is_simple': '54c4e05af876c1c6cec2f48957026b2e0d81e0f25cd3ca9d27b49629032cda25',
+        'codim_report': 'bc599aa96192825c6f8dc6b34ef439e4c02332d6b602a106d60ecfb5c6288a04',
+    },
+    'corpus[40]': {
+        'validate': '7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c',
+        'exactness': '8b0610a596e8bd7d89a1dc762d31c877a249895d32403152e4ffa64031a9d2cc',
+        'identity_suite': '8574d59057e9b9fade5a91f4111fc9225153dc3cd22fb9f533cb14040498d7a7',
+        'is_simple': '76877608f786bd8bdc7a033a0d6004bd6ed515000145a3ac26b4c233cdb08edb',
+        'codim_report': 'ce5bf7d68f7aebb201a4f4274df0d6d1c5bc69e3e0a0f90647136e6bf311c4b8',
+    },
+    'corpus[55]': {
+        'validate': '7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c',
+        'exactness': 'e81ba81cd0c25cd653a6193114d0ab2e5ed31e2231dd2d163fffc79f97c3b977',
+        'identity_suite': 'cc9ae74e390c653a1b3226ca263f893597baf9b30084b3d3c9e7510056867f63',
+        'is_simple': 'eb8d5a93246d47d033303689fa69e55497a5f590a7d04a46a5099d6bd405b5b7',
+        'codim_report': '5fa2dc1dbe4b7b61e54adadc94730c348563dbb76a5957ae0aa5245082ea4d2a',
+    },
+    'corpus[3]/break-exactness': {
+        'validate': '7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c',
+        'exactness': '3a8d384fff146d7bc435d9fea0b5cf865117812fcc59ce308b564f9ad95b135e',
+        'identity_suite': 'c39483d955645190a453a88957d7c2fcc1c3befe0efc193e429eb0e8e9689f22',
+        'is_simple': '90324144664d6b230593eca76e593947ba0f6b2bdcd822ebd0d5f3a069f1a821',
+    },
+}
+
+
+def test_rescaled_bytes(corpus):
+    assert rescaled_digests(corpus) == GOLDEN_RESCALED
