@@ -6,7 +6,10 @@ X3 carries ``u`` with the X2-X3 node at ``u = 0``.  A section of the
 multidegree-``(i, j, l)`` bundle is a polynomial triple ``(f1, f2, f3)`` of
 degrees at most ``(i, j, l)`` whose values match across the nodes,
 ``f1(0) = f2(0)`` and ``f2(1) = f3(0)``; the glued space has dimension
-``d + 1``.
+``d + 1``.  It is an ``exactla.Subspace`` of the raw coordinates, the
+concatenated ascending coefficients of f1, f2 and f3, and its RREF basis
+is the canonical basis that every twist matrix and vanishing subspace is
+written in.
 
 The six twist maps restrict away one component and multiply by the linear
 form vanishing at the node(s) it meets (one concrete choice of the gluing
@@ -32,24 +35,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .exactla import (
     LinearAlgebraError,
     Matrix,
     Subspace,
     Vector,
-    as_vector,
     image_in,
     kernel,
     preimage,
-    vec_matmul,
 )
 from .lattice import (
     Direction,
     Edge,
     Multidegree,
-    Path,
     all_multidegrees,
     canonical_path,
     classify_steps,
@@ -58,13 +58,14 @@ from .lattice import (
     PathClass,
 )
 
+if TYPE_CHECKING:
+    from .lls_core import LlsInstance
+
 __all__ = [
     "ChainCurve",
-    "SectionSpace",
     "h0_basis",
     "twist_matrix",
     "vanishing_subspace",
-    "composite_matrix",
     "canonical_matrix",
     "SheafSkeleton",
     "skeleton",
@@ -108,50 +109,20 @@ class ChainCurve:
         }[direction]
 
 
-@dataclass(frozen=True)
-class SectionSpace:
-    """Glued global sections at one multidegree.
-
-    ``basis`` rows live in the raw coordinate space of concatenated
-    polynomial coefficients (``i+1`` for f1, then ``j+1`` for f2, then
-    ``l+1`` for f3, each in ascending degree), and form the canonical RREF
-    basis of the solution space of the two gluing equations.
-    """
-
-    multidegree: Multidegree
-    basis: Matrix
-    pivots: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
-    @property
-    def blocks(self) -> tuple[int, int, int]:
-        md = self.multidegree
-        return (md.i + 1, md.j + 1, md.l + 1)
-
-    def split(self, raw: Sequence) -> tuple[Vector, Vector, Vector]:
-        """Split a raw coordinate vector into the three coefficient blocks."""
-        b1, b2, b3 = self.blocks
-        raw = as_vector(raw)
-        return raw[:b1], raw[b1:b1 + b2], raw[b1 + b2:]
-
-    def coords_of(self, raw: Sequence) -> Vector:
-        """Coordinates of a raw vector in this basis (must lie in the span)."""
-        raw = as_vector(raw)
-        coords = tuple(raw[p] for p in self.pivots)
-        if vec_matmul(coords, self.basis) != raw:
-            raise LinearAlgebraError("raw vector is not a glued section")
-        return coords
+def _blocks(md: Multidegree) -> tuple[int, int, int]:
+    """Coefficient counts of f1, f2, f3 at ``md``."""
+    return (md.i + 1, md.j + 1, md.l + 1)
 
 
 @lru_cache(maxsize=None)
-def h0_basis(chain: ChainCurve, md: Multidegree) -> SectionSpace:
-    """Canonical basis of the glued section space at ``md``."""
+def h0_basis(chain: ChainCurve, md: Multidegree) -> Subspace:
+    """Glued global sections at ``md``, as the subspace of raw coordinates
+    (``i+1`` coefficients of f1, then ``j+1`` of f2, then ``l+1`` of f3,
+    each in ascending degree) solving the two gluing equations; its RREF
+    basis is the canonical basis of the section space."""
     if md.degree != chain.d or min(md) < 0:
         raise ValueError(f"{md} is not a nonnegative multidegree of total degree {chain.d}")
-    b1, b2, b3 = md.i + 1, md.j + 1, md.l + 1
+    b1, b2, b3 = _blocks(md)
     total = b1 + b2 + b3
     # Gluing columns: f1(0) - f2(0) and f2(1) - f3(0).
     rows = []
@@ -164,8 +135,7 @@ def h0_basis(chain: ChainCurve, md: Multidegree) -> SectionSpace:
             col_b = -_ONE
         rows.append((col_a, col_b))
     glue = Matrix.from_rows(rows, cols=2)
-    solutions = kernel(glue)
-    return SectionSpace(md, solutions.basis, solutions.pivots)
+    return kernel(glue)
 
 
 # The module docstring's table: each block's factor per direction, as
@@ -180,20 +150,22 @@ _FACTORS = {
 }
 
 
-def _apply_twist(src: SectionSpace, tgt: SectionSpace, d: Direction, scale: Fraction,
-                 raw: Sequence) -> Vector:
-    """Image of a raw section: each block times its factor, built by adding
-    or subtracting shifted coefficients (factor coefficients are 0 or
-    +-1), then scaled."""
-    out: list[Fraction] = []
-    for coeffs, size, factor in zip(src.split(raw), tgt.blocks, _FACTORS[d]):
-        block = [_ZERO] * size
+def _apply_twist(edge: Edge, raw: Sequence[int]) -> list[int]:
+    """Unscaled image of an integer raw section along ``edge``: each block
+    times its factor, as a sum of shifted coefficient blocks."""
+    out: list[int] = []
+    start = 0
+    for size, target_size, factor in zip(_blocks(edge.source), _blocks(edge.target),
+                                         _FACTORS[edge.direction]):
+        coeffs = raw[start:start + size]
+        start += size
+        block = [0] * target_size
         for shift, sign in enumerate(factor):
             if sign:
                 for k, c in enumerate(coeffs, shift):
-                    block[k] = block[k] + c if sign > 0 else block[k] - c
+                    block[k] += sign * c
         out += block
-    return tuple(scale * e if e else _ZERO for e in out)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -201,16 +173,25 @@ def twist_matrix(chain: ChainCurve, edge: Edge) -> Matrix:
     """Matrix of the twist map along ``edge`` in the canonical bases.
 
     Rows are indexed by the source basis, columns by the target basis; the
-    map acts on coordinate rows by right multiplication.  Every image is
-    checked to satisfy the target gluing (it always does for this backend).
+    map acts on coordinate rows by right multiplication.  Each source basis
+    row is its integer row over the pivot entry, so its image is the
+    twisted integer row over the same entry; every image is checked to lie
+    in the target section space (it always does for this backend), and its
+    coordinates are its entries at the target's pivot columns.
     """
     if edge.source.step(edge.direction) != edge.target:
         raise ValueError(f"{edge} is not a lattice edge")
     src = h0_basis(chain, edge.source)
     tgt = h0_basis(chain, edge.target)
     scale = chain.scale(edge.direction)
-    rows = [tgt.coords_of(_apply_twist(src, tgt, edge.direction, scale, row))
-            for row in src.basis.row_list()]
+    rows = []
+    for row, pivot in zip(src.int_rows, src.pivots):
+        image = _apply_twist(edge, row)
+        if image not in tgt:
+            raise LinearAlgebraError(f"a twisted section along {edge.label} is not glued")
+        lead = row[pivot]
+        rows.append([scale * Fraction(image[p], lead) if image[p] else _ZERO
+                     for p in tgt.pivots])
     return Matrix.from_rows(rows, cols=tgt.dim)
 
 
@@ -224,7 +205,7 @@ def vanishing_subspace(chain: ChainCurve, md: Multidegree,
     if not comps or any(q not in (1, 2, 3) for q in comps):
         raise ValueError("components must be a nonempty subset of {1, 2, 3}")
     space = h0_basis(chain, md)
-    b1, b2, b3 = space.blocks
+    b1, b2, b3 = _blocks(md)
     offsets = {1: (0, b1), 2: (b1, b1 + b2), 3: (b1 + b2, b1 + b2 + b3)}
     cols: list[int] = []
     for q in comps:
@@ -233,17 +214,6 @@ def vanishing_subspace(chain: ChainCurve, md: Multidegree,
         [[space.basis.entry(r, c) for c in cols] for r in range(space.dim)],
         cols=len(cols))
     return kernel(restricted)
-
-
-def composite_matrix(chain: ChainCurve, path: Path) -> Matrix:
-    """Product of the edge matrices along a walk (identity for length 0)."""
-    edges = path.edges()
-    if not edges:
-        return Matrix.identity(h0_basis(chain, path.start).dim)
-    out = twist_matrix(chain, edges[0])
-    for edge in edges[1:]:
-        out = out @ twist_matrix(chain, edge)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -269,13 +239,6 @@ class SheafSkeleton:
     ambient_dim: dict[Multidegree, int]
     maps: dict[tuple[Multidegree, Multidegree], Matrix]
     vanishing: dict[Multidegree, dict[int, Subspace]]
-
-    @property
-    def multidegrees(self) -> tuple[Multidegree, ...]:
-        return all_multidegrees(self.d)
-
-    def directed_edges(self) -> tuple[Edge, ...]:
-        return directed_edges(self.d)
 
 
 @lru_cache(maxsize=None)
@@ -336,8 +299,10 @@ def _first_nonzero_row(m: Matrix) -> Vector | None:
     return None
 
 
-def verify_sheaf_laws(target: ChainCurve | SheafSkeleton) -> LawReport:
-    """Check the ambient twist laws on a skeleton (or a chain's skeleton).
+def verify_sheaf_laws(target: ChainCurve | SheafSkeleton | LlsInstance) -> LawReport:
+    """Check the ambient twist laws on the ambient data (``d``, ``maps``
+    and ``vanishing``) of a skeleton or an instance, or of a chain's
+    skeleton.
 
     Per node and unordered direction pair: if the two-step pattern is
     canonical, both step orders give equal composites; if it is degenerate,
@@ -356,7 +321,7 @@ def verify_sheaf_laws(target: ChainCurve | SheafSkeleton) -> LawReport:
                where: str = "") -> None:
         violations.append(LawViolation(law, at, witness, message, where))
 
-    grid = skel.multidegrees
+    grid = all_multidegrees(skel.d)
     directions = list(Direction)
     for md in grid:
         for a_idx in range(len(directions)):

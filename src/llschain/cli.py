@@ -8,7 +8,8 @@ mathematical check failed, 2 the input was malformed or unreadable.
 
 ``certify`` validates dimensions and linking before deciding simplicity
 and stops with exit 1 on any violation; with ``--certificate FILE`` it
-checks that certificate instead of constructing one.  ``analyze``,
+checks that certificate instead of constructing one.  ``gen --strategy
+degrade`` refuses its input the same way before perturbing it.  ``analyze``,
 ``grid`` and ``laws`` on an instance validate first too, and stop with
 exit 1 before their reports when a space is missing or has the wrong
 dimension.
@@ -88,6 +89,9 @@ def _cmd_gen(args) -> int:
     if not args.input or not args.mode:
         raise InstanceFormatError("gen", "--strategy degrade needs --input and --mode")
     inst = lls_core.load_instance(args.input)
+    validation = lls_core.validate(inst, ambient_laws=False)
+    if not validation.ok:
+        return _refuse(args, validation)
     result = generator.degrade(inst, args.mode, seed=args.seed)
     lls_core.save_instance(args.out, result.instance)
     print(f"wrote {args.out} (injected {args.mode} at {result.at.label})")
@@ -185,7 +189,7 @@ def _cmd_laws(args) -> int:
         validation = lls_core.validate(inst, ambient_laws=False)
         if _wrong_dimension(validation):
             return _refuse(args, validation)
-        law_report = verify_sheaf_laws(lls_core.skeleton_of(inst))
+        law_report = verify_sheaf_laws(inst)
         identities = lls_core.identity_suite(inst)
         data = {"laws": law_report.to_json(), "identities": identities.to_json()}
         ok = law_report.ok and identities.ok

@@ -3,7 +3,7 @@ search for exact series, and negative controls.
 
 All randomness flows through one ``random.Random`` seeded from the spec, so
 a given spec always produces the same instance (and byte-identical files).
-Random rationals are integers in ``[-entry_bound, entry_bound]``; exact
+Random rationals are integers in ``[-ENTRY_BOUND, ENTRY_BOUND]``; exact
 elimination keeps entry growth tame at this scale.
 """
 
@@ -36,6 +36,11 @@ __all__ = [
 
 STRATEGIES = ("from-sections", "exact-search", "degrade")
 DEGRADE_MODES = ("break-linking", "break-exactness", "shrink-V")
+ENTRY_BOUND = 9
+# Candidate spaces the exact search keeps per node, and seeded draws
+# gen_simple tries before giving up.
+MAX_CANDIDATES = 8
+RETRY_LIMIT = 200
 
 
 class GenerationError(RuntimeError):
@@ -49,9 +54,6 @@ class GenSpec:
     strategy: str = "from-sections"
     seed: int = 0
     budget: int = 2000
-    entry_bound: int = 9
-    max_candidates: int = 8
-    retry_limit: int = 200
 
     def __post_init__(self) -> None:
         if self.d < 0:
@@ -64,26 +66,24 @@ class GenSpec:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
-        if self.entry_bound <= 0:
-            raise ValueError("entry bound must be positive")
 
     def provenance(self, **extra) -> dict:
         out = {"d": self.d, "r": self.r, "strategy": self.strategy,
                "seed": self.seed, "budget": self.budget,
-               "entry_bound": self.entry_bound}
+               "entry_bound": ENTRY_BOUND}
         out.update(extra)
         return out
 
 
-def _random_vector(rng: random.Random, length: int, bound: int) -> Vector:
-    return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(length))
+def _random_vector(rng: random.Random, length: int) -> Vector:
+    return tuple(Fraction(rng.randint(-ENTRY_BOUND, ENTRY_BOUND)) for _ in range(length))
 
 
-def _random_subspace(rng: random.Random, ambient: int, dim: int, bound: int,
+def _random_subspace(rng: random.Random, ambient: int, dim: int,
                      tries: int = 64) -> Subspace:
     for _ in range(tries):
         candidate = Subspace.span(
-            [_random_vector(rng, ambient, bound) for _ in range(dim)], ambient)
+            [_random_vector(rng, ambient) for _ in range(dim)], ambient)
         if candidate.dim == dim:
             return candidate
     raise GenerationError("could not draw a random subspace of the requested dimension")
@@ -107,21 +107,18 @@ def _linking_freedom(maps: Mapping[tuple[Multidegree, Multidegree], Matrix],
     return lower, upper
 
 
-def _over_common_denominator(vectors: list[Vector]) -> list[list[int]]:
-    """The vectors times the least common denominator of their entries."""
-    den = lcm(*[e.denominator for v in vectors for e in v])
-    return [[e.numerator * (den // e.denominator) for e in v] for v in vectors]
-
-
-def _draw_in_freedom(rng: random.Random, lower: Subspace, free: list[list[int]],
-                     needed: int, bound: int) -> Subspace:
+def _draw_in_freedom(rng: random.Random, lower: Subspace, free: list[Vector],
+                     needed: int) -> Subspace:
     """Span of ``lower`` and ``needed`` random integer combinations of the
-    ``free`` vectors (integer rows over one common denominator, which a
-    span ignores), coefficients in ``[-bound, bound]``."""
+    ``free`` vectors, coefficients in ``[-ENTRY_BOUND, ENTRY_BOUND]``.  The
+    combinations are taken of the vectors times the least common
+    denominator of their entries, which a span ignores."""
     ambient = lower.ambient_dim
+    den = lcm(*[e.denominator for v in free for e in v])
+    free = [[e.numerator * (den // e.denominator) for e in v] for v in free]
     extra = []
     for _ in range(needed):
-        coeffs = [rng.randint(-bound, bound) for _ in free]
+        coeffs = [rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in free]
         extra.append([sum(c * row[k] for c, row in zip(coeffs, free))
                       for k in range(ambient)])
     return Subspace.span([*lower.int_rows, *extra], ambient)
@@ -152,7 +149,7 @@ def gen_simple(spec: GenSpec) -> GenResult:
     grid = all_multidegrees(spec.d)
     rp1 = spec.r + 1
     walk = partial(chain_model.canonical_matrix, chain)
-    for attempt in range(1, spec.retry_limit + 1):
+    for attempt in range(1, RETRY_LIMIT + 1):
         m = rng.randint(1, rp1)
         support = sorted(rng.sample(range(len(grid)), m))
         cuts = sorted(rng.sample(range(1, rp1), m - 1))
@@ -161,8 +158,7 @@ def gen_simple(spec: GenSpec) -> GenResult:
         ok = True
         for idx, count in zip(support, counts):
             md = grid[idx]
-            vecs = [_random_vector(rng, spec.d + 1, spec.entry_bound)
-                    for _ in range(count)]
+            vecs = [_random_vector(rng, spec.d + 1) for _ in range(count)]
             if Subspace.span(vecs, spec.d + 1).dim != count:
                 ok = False
                 break
@@ -193,12 +189,12 @@ def gen_simple(spec: GenSpec) -> GenResult:
         # extracted instead of drawn.
         full = Subspace.full(spec.d + 1)
         instance = from_chain(chain, spec.r, {md: full for md in grid},
-                              provenance=spec.provenance(attempt=spec.retry_limit,
+                              provenance=spec.provenance(attempt=RETRY_LIMIT,
                                                          series="complete"))
         return GenResult(instance, simple_basis.extract_certificate(instance),
-                         spec.retry_limit)
+                         RETRY_LIMIT)
     raise GenerationError(
-        f"no simple draw found in {spec.retry_limit} attempts (seed {spec.seed})")
+        f"no simple draw found in {RETRY_LIMIT} attempts (seed {spec.seed})")
 
 
 @dataclass(frozen=True)
@@ -219,7 +215,7 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
 
     Nodes are filled in grid order.  At each node the admissible spaces
     sit between the sum of images forced by assigned neighbours and the
-    intersection of preimage constraints; up to ``max_candidates`` random
+    intersection of preimage constraints; up to ``MAX_CANDIDATES`` random
     spaces are sampled inside that freedom, and a candidate is kept only
     if every edge into the assigned region is exact, so a completed
     assignment is exact by construction (and replayed through the full
@@ -230,31 +226,30 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
         raise ValueError("gen_exact_search needs the exact-search strategy")
     rng = random.Random(spec.seed)
     chain = ChainCurve(spec.d)
-    skel = chain_model.skeleton(chain)
     grid = all_multidegrees(spec.d)
     rp1 = spec.r + 1
     expansions = 0
     # The probes derive from one instance, so they share one analysis
     # table, dropped when the search returns.  The found instance is
     # rebuilt below with a table of its own for the postcondition replay.
-    root = LlsInstance(spec.d, spec.r, skel.ambient_dim, skel.maps, skel.vanishing, {})
+    root = from_chain(chain, spec.r, {})
 
     def candidates(md: Multidegree, assigned: dict) -> list[Subspace]:
-        freedom = _linking_freedom(skel.maps, md, spec.d + 1, rp1, assigned)
+        freedom = _linking_freedom(root.maps, md, spec.d + 1, rp1, assigned)
         if freedom is None:
             return []
         lower, upper = freedom
         if lower.dim == rp1:
             trial = [lower]
         else:
-            free = _over_common_denominator(complement_in(lower, upper))
+            free = complement_in(lower, upper)
             needed = rp1 - lower.dim
             trial = []
             seen = set()
-            for _ in range(spec.max_candidates * 6):
-                if len(trial) >= spec.max_candidates:
+            for _ in range(MAX_CANDIDATES * 6):
+                if len(trial) >= MAX_CANDIDATES:
                     break
-                candidate = _draw_in_freedom(rng, lower, free, needed, spec.entry_bound)
+                candidate = _draw_in_freedom(rng, lower, free, needed)
                 if candidate.dim == rp1 and candidate.basis not in seen:
                     seen.add(candidate.basis)
                     trial.append(candidate)
@@ -310,11 +305,6 @@ class DegradeResult:
     at: Multidegree | Edge
     detail: str
 
-    @property
-    def location(self) -> str:
-        """Where the defect is, written as the report locations are."""
-        return self.at.location
-
 
 def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
     """Minimally perturb a valid instance so that exactly the named check
@@ -356,7 +346,7 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
             if not neighbours:
                 continue
             for _ in range(200):
-                candidate = _random_subspace(rng, inst.ambient_dim[md], rp1, 9)
+                candidate = _random_subspace(rng, inst.ambient_dim[md], rp1)
                 out = with_space(md, candidate)
                 report = validate(out, ambient_laws=False)
                 linking = [v for v in report.violations if v.kind == "linking"]
@@ -376,7 +366,7 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
         if needed <= 0:
             continue
         for _ in range(200):
-            candidate = _draw_in_freedom(rng, lower, free, needed, 9)
+            candidate = _draw_in_freedom(rng, lower, free, needed)
             if candidate.dim != rp1 or candidate == inst.space(md):
                 continue
             out = with_space(md, candidate)

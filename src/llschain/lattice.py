@@ -40,7 +40,6 @@ from typing import Iterable, NamedTuple
 __all__ = [
     "Direction",
     "Multidegree",
-    "multidegree",
     "Edge",
     "edge_between",
     "directed_edges",
@@ -52,7 +51,6 @@ __all__ = [
     "classify_steps",
     "canonical_path",
     "component_regions",
-    "edge_split_regions",
 ]
 
 
@@ -114,28 +112,6 @@ class Multidegree(NamedTuple):
             return None
         return Multidegree(i, j, l)
 
-    # Named neighbours, by grid geometry.  The right/up-right/down/left/up
-    # neighbours are the companion multidegrees appearing in the dimension
-    # identities; e.g. ``right`` is the target of the toward-X1 step and
-    # ``down`` maps into this node by a toward-X3 step.
-    def right(self) -> "Multidegree | None":
-        return self.step(Direction.TOWARD_X1)
-
-    def left(self) -> "Multidegree | None":
-        return self.step(Direction.FROM_X1)
-
-    def up(self) -> "Multidegree | None":
-        return self.step(Direction.TOWARD_X3)
-
-    def down(self) -> "Multidegree | None":
-        return self.step(Direction.FROM_X3)
-
-    def down_left(self) -> "Multidegree | None":
-        return self.step(Direction.TOWARD_X2)
-
-    def up_right(self) -> "Multidegree | None":
-        return self.step(Direction.FROM_X2)
-
     def neighbours(self) -> list[tuple[Direction, "Multidegree"]]:
         out = []
         for direction in Direction:
@@ -156,12 +132,6 @@ class Multidegree(NamedTuple):
     def location(self) -> str:
         """Report form ``Multidegree(i=.., j=.., l=..)``."""
         return repr(self)
-
-
-def multidegree(i: int, j: int, l: int) -> Multidegree:
-    if i < 0 or j < 0 or l < 0:
-        raise ValueError(f"negative multidegree ({i},{j},{l})")
-    return Multidegree(i, j, l)
 
 
 @lru_cache(maxsize=None)
@@ -228,22 +198,11 @@ class Path:
         if not self.nodes:
             raise PathError("a path needs at least one node")
 
-    @property
-    def start(self) -> Multidegree:
-        return self.nodes[0]
-
-    @property
-    def end(self) -> Multidegree:
-        return self.nodes[-1]
-
     def steps(self) -> tuple[Direction, ...]:
         out = []
         for a, b in zip(self.nodes, self.nodes[1:]):
             out.append(edge_between(a, b).direction)
         return tuple(out)
-
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(edge_between(a, b) for a, b in zip(self.nodes, self.nodes[1:]))
 
 
 def classify_steps(steps: Iterable[Direction]) -> PathClass:
@@ -327,19 +286,3 @@ def component_regions(md: Multidegree) -> tuple[tuple[Multidegree, ...], ...]:
     r2 = tuple(m for m in grid if m.i >= i and m.l >= l)
     r3 = tuple(m for m in grid if m.l <= l and m.l - l <= m.i - i)
     return r1, r2, r3
-
-
-def edge_split_regions(md: Multidegree) -> tuple[tuple[Multidegree, ...], ...]:
-    """Split the grid across the toward-X1 edge out of ``md``.
-
-    Returns ``(D, E, F)`` in grid order: sources in ``D`` or ``E`` have
-    their canonical map to ``md.right()`` factor through ``md``; sources
-    in ``F`` have their canonical map to ``md`` factor through
-    ``md.right()``.  ``(D u E)`` and ``F`` partition the grid.
-    """
-    grid = all_multidegrees(md.degree)
-    i, l = md.i, md.l
-    dd = tuple(m for m in grid if m.l <= l and m.i - i >= m.l - l)
-    ee = tuple(m for m in grid if m.l >= l and m.i >= i)
-    ff = tuple(m for m in grid if m.i <= i - 1 and m.i - (i - 1) <= m.l - l)
-    return dd, ee, ff

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import chain_model
-from .chain_model import ChainCurve, LawReport, SheafSkeleton, verify_sheaf_laws
+from .chain_model import ChainCurve, LawReport, verify_sheaf_laws
 from .exactla import (
     LinearAlgebraError,
     Matrix,
@@ -56,7 +56,6 @@ from .lattice import (
 __all__ = [
     "LlsInstance",
     "from_chain",
-    "skeleton_of",
     "Violation",
     "ValidationReport",
     "validate",
@@ -79,10 +78,6 @@ __all__ = [
     "instance_from_json",
     "save_instance",
     "load_instance",
-    "skeleton_to_json",
-    "skeleton_from_json",
-    "save_skeleton",
-    "load_skeleton",
 ]
 
 
@@ -174,11 +169,6 @@ def from_chain(chain: ChainCurve, r: int,
                        dict(spaces), provenance)
 
 
-def skeleton_of(inst: LlsInstance) -> SheafSkeleton:
-    return SheafSkeleton(inst.d, dict(inst.ambient_dim), dict(inst.maps),
-                         {md: dict(v) for md, v in inst.vanishing.items()})
-
-
 @dataclass(frozen=True)
 class Violation:
     """One failed validation check at the multidegree or edge ``at``;
@@ -226,7 +216,7 @@ def _ambient_law_report(inst: "LlsInstance") -> LawReport:
     key = (inst.d, inst.ambient_dim, inst.maps, inst.vanishing)
     if _last_laws is not None and _last_laws[0] == key:
         return _last_laws[1]
-    report = verify_sheaf_laws(skeleton_of(inst))
+    report = verify_sheaf_laws(inst)
     _last_laws = (key, report)
     return report
 
@@ -455,9 +445,6 @@ class GridReport:
     inequality_holds: bool
     equivalence_consistent: bool
 
-    def codims(self) -> list[int]:
-        return [c.codim for c in self.cells]
-
     def to_json(self) -> dict:
         return {
             "d": self.d,
@@ -534,9 +521,8 @@ class IdentitySuiteReport:
     def ok(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    def passed(self, identity: str | None = None) -> list[IdentityCheck]:
-        return [c for c in self.checks
-                if c.status == "pass" and (identity is None or c.identity == identity)]
+    def passed(self) -> list[IdentityCheck]:
+        return [c for c in self.checks if c.status == "pass"]
 
     def by_status(self, status: str) -> list[IdentityCheck]:
         return [c for c in self.checks if c.status == status]
@@ -667,7 +653,7 @@ def identity_suite(inst: LlsInstance) -> IdentitySuiteReport:
 # "matrix": [["p/q", ...], ...]}, ...], "vanishing": {"i,l": {"X1": rows,
 # "X2": rows, "X3": rows}}, "V": {"i,l": rows}}.  Keys are "i,l" because j
 # is determined; matrices are row major and act on row vectors from the
-# right.  A skeleton file is the same with "r": null and "V": {}.
+# right.
 # ---------------------------------------------------------------------------
 
 
@@ -750,14 +736,14 @@ def instance_to_json(inst: LlsInstance) -> dict:
     return data
 
 
-def _parse_common(data: dict, need_r: bool):
+def instance_from_json(data: dict) -> LlsInstance:
     if not isinstance(data, dict):
         raise InstanceFormatError("$", "top level must be an object")
     d = data.get("d")
     if not _is_count(d):
         raise InstanceFormatError("d", "must be a nonnegative integer")
     r = data.get("r")
-    if need_r and not _is_count(r):
+    if not _is_count(r):
         raise InstanceFormatError("r", "must be a nonnegative integer")
     ambient_field = data.get("ambient_dim")
     if not isinstance(ambient_field, dict):
@@ -827,11 +813,7 @@ def _parse_common(data: dict, need_r: bool):
     for md in grid:
         if md not in vanishing:
             raise InstanceFormatError("vanishing", f"missing entry for {md}")
-    return d, r, ambient, maps, vanishing
 
-
-def instance_from_json(data: dict) -> LlsInstance:
-    d, r, ambient, maps, vanishing = _parse_common(data, need_r=True)
     v_field = data.get("V")
     if not isinstance(v_field, dict):
         raise InstanceFormatError("V", "must be an object")
@@ -846,19 +828,6 @@ def instance_from_json(data: dict) -> LlsInstance:
     return LlsInstance(d, r, ambient, maps, vanishing, spaces, provenance)
 
 
-def skeleton_to_json(skel: SheafSkeleton) -> dict:
-    inst = LlsInstance(skel.d, 0, skel.ambient_dim, skel.maps, skel.vanishing, {})
-    data = instance_to_json(inst)
-    data["r"] = None
-    data["V"] = {}
-    return data
-
-
-def skeleton_from_json(data: dict) -> SheafSkeleton:
-    d, _, ambient, maps, vanishing = _parse_common(data, need_r=False)
-    return SheafSkeleton(d, ambient, maps, vanishing)
-
-
 def _dump(data: dict) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
@@ -871,13 +840,3 @@ def save_instance(path, inst: LlsInstance) -> None:
 def load_instance(path) -> LlsInstance:
     with open(path, "r", encoding="utf-8") as handle:
         return instance_from_json(json.load(handle))
-
-
-def save_skeleton(path, skel: SheafSkeleton) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_dump(skeleton_to_json(skel)))
-
-
-def load_skeleton(path) -> SheafSkeleton:
-    with open(path, "r", encoding="utf-8") as handle:
-        return skeleton_from_json(json.load(handle))

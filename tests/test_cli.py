@@ -16,7 +16,7 @@ from llschain.cli import main
 from llschain.exactla import Subspace
 from llschain.lattice import Edge, Multidegree
 from llschain.lls_core import instance_from_json, instance_to_json, load_instance, save_instance
-from llschain.generator import GenSpec, degrade, gen_simple
+from llschain.generator import DEGRADE_MODES, GenSpec, degrade, gen_simple
 
 
 def run_cli(*argv):
@@ -96,7 +96,7 @@ class TestValidateAnalyze:
         assert report["grid"]["exact"] is False
         failing = [e for e in report["exactness"]["edges"] if not e["exact"]]
         assert failing
-        loc = broken.location
+        loc = broken.at.location
         assert any(_edge_string(e) == loc for e in failing)
 
     def test_analyze_good_instance_exits_zero(self, worked_files):
@@ -172,7 +172,7 @@ class TestReadableLocations:
         assert "Multidegree" not in out
         linking = [v for v in json.loads(report.read_text())["validation"]["violations"]
                    if v["kind"] == "linking"]
-        assert linking[0]["location"] == result.location
+        assert linking[0]["location"] == result.at.location
 
     def test_ambient_law_violations(self, tmp_path):
         data = instance_to_json(gen_simple(GenSpec(d=2, r=1, seed=91)).instance)
@@ -307,6 +307,18 @@ class TestFrontDoor:
         assert f"linking at {broken.at.label}: " in out
         data = json.loads(report.read_text())
         assert not data["validation"]["ok"] and "verdict" not in data
+
+    @pytest.mark.parametrize("mode", DEGRADE_MODES)
+    def test_degrade_refuses_wrong_dimension(self, tmp_path, worked_instance, mode):
+        data = instance_to_json(worked_instance)
+        data["V"]["0,1"] = [["1", "0"], ["0", "1"]]
+        out_path = tmp_path / "degraded.json"
+        code, out, _ = run_cli("gen", "--d", "1", "--r", "0", "--strategy", "degrade",
+                               "--mode", mode, "--input", str(self.write(tmp_path, data)),
+                               "-o", str(out_path))
+        assert code == 1
+        assert out.startswith("invalid") and "dimension at (0,0,1): dim 2" in out
+        assert not out_path.exists()
 
     def test_missing_vanishing_key_names_field(self, tmp_path, worked_instance):
         data = instance_to_json(worked_instance)

@@ -14,10 +14,10 @@ import json
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from llschain.cli import main
-from llschain.generator import GenSpec, gen_simple
+from llschain.generator import DEGRADE_MODES, GenSpec, gen_simple
 from llschain.lls_core import InstanceFormatError, instance_from_json, instance_to_json
 from llschain.simple_basis import certificate_from_json, certificate_to_json
 
@@ -108,13 +108,25 @@ FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def instance_argv(command, path, workdir):
+    """A command reading the instance file ``path``; a degrade mode stands
+    for ``gen --strategy degrade`` with that mode."""
+    if command in DEGRADE_MODES:
+        return ["gen", "--d", "2", "--r", "1", "--strategy", "degrade", "--mode", command,
+                "--input", str(path), "-o", str(workdir / "degraded.json")]
+    return [command, str(path)]
+
+
 @FUZZ
 @given(doc=mutated(INSTANCE),
-       command=st.sampled_from(["validate", "analyze", "certify", "grid", "laws"]))
+       command=st.sampled_from(["validate", "analyze", "certify", "grid", "laws",
+                                *DEGRADE_MODES]))
+@example(doc={**INSTANCE, "V": {k: v for k, v in INSTANCE["V"].items() if k != "2,0"}},
+         command="shrink-V")
 def test_malformed_instances_exit_two_with_a_field_path(workdir, doc, command):
     path = workdir / "instance.json"
     path.write_text(json.dumps(doc))
-    code, err = run_cli([command, str(path)])
+    code, err = run_cli(instance_argv(command, path, workdir))
     check_front_door(code, err, loads(instance_from_json, doc))
 
 

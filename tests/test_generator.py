@@ -96,6 +96,19 @@ class TestExactSearch:
         if not result.found:
             assert "NotFound" in result.note
 
+    @pytest.mark.parametrize("d", range(4))
+    def test_exact_finds_at_low_degree_are_simple(self, d):
+        """No node at d <= 3 can fail distributivity, so every exact series
+        found there is simple: codim sum r+1, distributive everywhere, and
+        a certificate constructed."""
+        for r in range(d + 1):
+            for seed in range(4):
+                result = gen_exact_search(GenSpec(d=d, r=r, strategy="exact-search", seed=seed))
+                assert result.found, (r, seed, result.note)
+                report = codim_report(result.instance)
+                assert report.codim_sum == r + 1 and report.all_distributive, (r, seed)
+                assert is_simple(result.instance).simple, (r, seed)
+
     def test_strategy_guard(self):
         with pytest.raises(ValueError):
             gen_exact_search(GenSpec(d=1, r=0, seed=1))
@@ -115,7 +128,7 @@ class TestDegrade:
         report = validate(result.instance, ambient_laws=False)
         assert not report.ok
         assert {v.kind for v in report.violations} >= {"dimension"}
-        assert result.location in {v.location for v in report.violations
+        assert result.at.location in {v.location for v in report.violations
                                    if v.kind == "dimension"}
 
     def test_break_linking_names_the_edge(self, base):
@@ -123,7 +136,7 @@ class TestDegrade:
         report = validate(result.instance, ambient_laws=False)
         linking = [v for v in report.violations if v.kind == "linking"]
         assert linking
-        assert result.location in {v.location for v in linking}
+        assert result.at.location in {v.location for v in linking}
         assert not [v for v in report.violations if v.kind == "dimension"]
 
     def test_break_exactness_keeps_validity(self, base):
@@ -132,7 +145,7 @@ class TestDegrade:
         report = exactness(result.instance)
         assert not report.exact
         failing = {f"{e.source}->{e.target}" for e in report.failing_edges()}
-        assert result.location in failing
+        assert result.at.location in failing
 
     def test_unknown_mode(self, base):
         with pytest.raises(ValueError):

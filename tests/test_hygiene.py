@@ -1,0 +1,31 @@
+"""Source-wide checks: no floating point anywhere in the package, and every
+name a module exports in ``__all__`` exists."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import llschain
+
+SOURCES = sorted(Path(llschain.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_floating_point(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Constant):
+            assert not isinstance(node.value, (float, complex)), f"{where}: {node.value!r}"
+        elif isinstance(node, ast.Name):
+            assert node.id != "float", f"{where}: uses float"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_exports_resolve(path):
+    name = "llschain" if path.stem == "__init__" else f"llschain.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names missing {missing}"

@@ -8,11 +8,10 @@ from llschain.lattice import (
     PathClass,
     PathError,
     all_multidegrees,
+    edge_between,
     canonical_path,
     classify_path,
     component_regions,
-    edge_split_regions,
-    multidegree,
 )
 
 
@@ -43,7 +42,7 @@ class TestEnumeration:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            multidegree(1, -1, 0)
+            all_multidegrees(-1)
 
 
 class TestSteps:
@@ -69,12 +68,12 @@ class TestSteps:
 
     def test_named_neighbours(self):
         node = md(2, 1, 1)  # degree 4
-        assert node.right() == md(1, 2, 1)
-        assert node.left() == md(3, 0, 1)
-        assert node.up() == md(2, 2, 0)
-        assert node.down() == md(2, 0, 2)
-        assert node.up_right() == md(1, 3, 0)
-        assert node.down_left() is None  # j would go negative
+        assert node.step(Direction.TOWARD_X1) == md(1, 2, 1)
+        assert node.step(Direction.FROM_X1) == md(3, 0, 1)
+        assert node.step(Direction.TOWARD_X3) == md(2, 2, 0)
+        assert node.step(Direction.FROM_X3) == md(2, 0, 2)
+        assert node.step(Direction.FROM_X2) == md(1, 3, 0)
+        assert node.step(Direction.TOWARD_X2) is None  # j would go negative
 
 
 class TestClassification:
@@ -124,7 +123,7 @@ class TestCanonicalPath:
         for a in grid:
             for b in grid:
                 path = canonical_path(a, b)
-                assert path.start == a and path.end == b
+                assert path.nodes[0] == a and path.nodes[-1] == b
                 assert classify_path(path) is PathClass.VALID_CANONICAL
                 assert all(min(node) >= 0 for node in path.nodes)
 
@@ -147,7 +146,7 @@ class TestCanonicalPath:
     def test_labels(self):
         assert md(3, 0, 0).label == "(3,0,0)"
         path = canonical_path(md(3, 0, 0), md(2, 1, 0))
-        assert path.edges()[0].label == "(3,0,0)->(2,1,0)"
+        assert edge_between(*path.nodes).label == "(3,0,0)->(2,1,0)"
 
 
 class TestRegions:
@@ -172,13 +171,6 @@ class TestRegions:
             r1, r2, r3 = component_regions(node)
             assert set(r1) | set(r2) | set(r3) == set(all_multidegrees(d))
 
-    @pytest.mark.parametrize("d", range(0, 6))
-    def test_edge_split_partitions(self, d):
-        for node in all_multidegrees(d):
-            dd, ee, ff = edge_split_regions(node)
-            assert (set(dd) | set(ee)) & set(ff) == set()
-            assert set(dd) | set(ee) | set(ff) == set(all_multidegrees(d))
-
     @pytest.mark.parametrize("d", range(2, 7))
     def test_interior_region_recurrences(self, d):
         # Removing a node from its own region leaves the union of the two
@@ -187,9 +179,9 @@ class TestRegions:
             if node.i < 1 or node.l < 1 or node.i + node.l > d - 1:
                 continue
             r1, r2, r3 = (set(r) for r in component_regions(node))
-            assert r1 - {node} == (set(component_regions(node.up_right())[0])
-                                   | set(component_regions(node.down())[0]))
-            assert r2 - {node} == (set(component_regions(node.left())[1])
-                                   | set(component_regions(node.down())[1]))
-            assert r3 - {node} == (set(component_regions(node.up_right())[2])
-                                   | set(component_regions(node.left())[2]))
+            assert r1 - {node} == (set(component_regions(node.step(Direction.FROM_X2))[0])
+                                   | set(component_regions(node.step(Direction.FROM_X3))[0]))
+            assert r2 - {node} == (set(component_regions(node.step(Direction.FROM_X1))[1])
+                                   | set(component_regions(node.step(Direction.FROM_X3))[1]))
+            assert r3 - {node} == (set(component_regions(node.step(Direction.FROM_X2))[2])
+                                   | set(component_regions(node.step(Direction.FROM_X1))[2]))

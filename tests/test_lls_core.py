@@ -43,7 +43,7 @@ class TestWorkedInstance:
 
     def test_codims(self, worked_instance):
         report = codim_report(worked_instance)
-        assert report.codims() == [1, 0, 0]
+        assert [c.codim for c in report.cells] == [1, 0, 0]
         assert report.codim_sum == 1 == report.r + 1
         assert report.exact and report.all_distributive
         assert report.simple_by_criterion
@@ -270,8 +270,9 @@ class TestCanonicalMatrices:
                        key=lambda p: -len(canonical_path(*p).nodes))
         for a, b in pairs:
             expected = Matrix.identity(inst.ambient_dim[a])
-            for edge in canonical_path(a, b).edges():
-                expected = expected @ inst.maps[(edge.source, edge.target)]
+            nodes = canonical_path(a, b).nodes
+            for edge in zip(nodes, nodes[1:]):
+                expected = expected @ inst.maps[edge]
             assert canonical_matrix(fresh, a, b) == expected
             assert chain_canonical(chain, a, b) == expected
 
@@ -287,7 +288,7 @@ class TestScaledBackendInvariance:
         # but scalar multiples have identical images, so they are.
         assert validate(scaled).ok
         report = codim_report(scaled)
-        assert report.codims() == plain.codims()
+        assert [c.codim for c in report.cells] == [c.codim for c in plain.cells]
         assert report.exact == plain.exact
         assert report.all_distributive == plain.all_distributive
         assert report.simple_by_criterion == plain.simple_by_criterion
