@@ -185,11 +185,10 @@ def twist_matrix(chain: ChainCurve, edge: Edge) -> Matrix:
     tgt = h0_basis(chain, edge.target)
     scale = chain.scale(edge.direction)
     rows = []
-    for row, pivot in zip(src.int_rows, src.pivots):
+    for row, lead in zip(src.basis.ints, src.basis.dens):
         image = _apply_twist(edge, row)
         if image not in tgt:
             raise LinearAlgebraError(f"a twisted section along {edge.label} is not glued")
-        lead = row[pivot]
         rows.append([scale * Fraction(image[p], lead) if image[p] else _ZERO
                      for p in tgt.pivots])
     return Matrix.from_rows(rows, cols=tgt.dim)

@@ -271,7 +271,8 @@ def main(argv=None) -> int:
         print(f"input error: invalid JSON at line {exc.lineno}, column {exc.colno}",
               file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # A missing, unreadable or directory path, to read or to write.
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (LinearAlgebraError, ValueError) as exc:

@@ -7,27 +7,31 @@ Conventions used by the whole package:
 * a subspace is stored as the reduced row echelon basis of its row space,
   which is the unique canonical representative, so two subspaces are equal
   exactly when their basis matrices are equal;
-* every coefficient is a :class:`fractions.Fraction` (arbitrary precision,
-  lowest terms, positive denominator).  No floating point anywhere.
+* every coefficient a caller sees is a :class:`fractions.Fraction`
+  (arbitrary precision, lowest terms, positive denominator).  No floating
+  point anywhere.
 
-``Fraction`` is the interface and integers the inside.  Each subspace
-operation (``Subspace.span``, ``+``, ``&``, ``apply``, ``<=``, ``in``,
-``kernel``, ``image``, ``image_in``, ``preimage``) reads its operands once
-per call: a subspace through ``int_rows``, the primitive integer multiple
-of each canonical basis row (pivot entry positive) that the elimination
-making it left behind, and a matrix as rows ``ints_k / den_k``.  Residuals,
-products and relation rows are ``int``; a relation (kernel) computation
-eliminates ``[ints_k | den_k·e_k]`` once, so the transform carries each
-row's own denominator.  One fraction-free elimination, ``_eliminate``,
-serves them and ``rref``, and ``Fraction`` entries are made once, for the
-canonical result.
+``Fraction`` is the interface and integers the inside.  A :class:`Matrix`
+stores integer rows: row ``k`` is ``ints[k] / dens[k]``, where ``dens[k]``
+is the least common denominator of that row's entries, the least positive
+integer that clears them.  Each rational row has exactly one such form, so
+two matrices are equal exactly when their ``ints`` and ``dens`` tuples are,
+and equality and hashing compare tuples of ``int``.  A subspace's basis
+comes straight from the fraction-free elimination, ``_eliminate``: each of
+its rows is a primitive integer row over its positive pivot entry, which is
+already that form: ``D * row / lead`` is integral exactly when ``lead``
+divides ``D`` times the row's content, which is 1.
 
-``Matrix.__matmul__`` and ``vec_matmul`` stay on ``Fraction``: their
-operands are mostly sparse twist maps and one-off composites, and
-converting both operands on every call measured slower than the few
-``Fraction`` adds a product needs.  A product lists the nonzero
-``(column, value)`` pairs of each row of ``B`` once per call and walks only
-those; the lists are dropped with the call, never kept on a matrix.
+Every operation (``@``, ``vec_matmul``, ``is_zero``, ``to_strings``,
+``Subspace.span``, ``+``, ``&``, ``apply``, ``<=``, ``in``, ``kernel``,
+``image``, ``image_in``, ``preimage``, ``complement_in``) reads these rows
+as they are stored; residuals, products and relation rows are ``int``.  A
+relation (kernel) computation eliminates ``[ints_k | den_k·e_k]`` once, so
+the transform carries each row's own denominator.  ``Fraction`` values
+appear only at the edge: the constructor and ``from_rows`` read them, and
+``entries``, ``row``, ``row_list``, ``entry``, ``vec_matmul`` and
+``complement_in`` build them for the caller.  Nothing derived is kept on a
+matrix beyond its hash.
 
 Rationals serialize as ``"p/q"``, or ``"p"`` when the denominator is one,
 with the sign carried by the numerator; this is exactly ``str(Fraction)``.
@@ -45,6 +49,7 @@ from typing import Iterable, Sequence
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
+IntRow = tuple[int, ...]
 
 __all__ = [
     "Rational",
@@ -65,7 +70,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class LinearAlgebraError(ValueError):
@@ -108,30 +112,85 @@ def as_vector(entries: Iterable) -> Vector:
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
-def _unit_vector(size: int, position: int) -> Vector:
-    return tuple(_ONE if k == position else _ZERO for k in range(size))
+def _integer_row(entries: Sequence) -> tuple[IntRow, int]:
+    """``(ints, den)`` with ``entries == ints / den``, where ``den`` is the
+    least common denominator of the entries (``int`` entries are over 1)."""
+    try:
+        nums = [e.numerator for e in entries]
+        denoms = [e.denominator for e in entries]
+    except AttributeError:
+        return _integer_row(as_vector(entries))
+    den = lcm(*denoms)
+    if den == 1:
+        return tuple(nums), 1
+    return tuple(p * (den // q) for p, q in zip(nums, denoms)), den
 
 
-@dataclass(frozen=True)
+def _lowest(row: Sequence[int], den: int) -> tuple[IntRow, int]:
+    """The stored form of the rational row ``row / den`` (``den > 0``)."""
+    g = gcd(den, *row)
+    if g == 1:
+        return tuple(row), den
+    return tuple(e // g for e in row), den // g
+
+
+def _fractions(row: IntRow, den: int) -> Vector:
+    if den == 1:
+        return tuple(map(Fraction, row))
+    return tuple(Fraction(e, den) if e else _ZERO for e in row)
+
+
+def _common(matrix: "Matrix") -> tuple[Sequence[IntRow], int]:
+    """The rows of ``matrix`` over one denominator: ``(rows, den)`` with
+    row ``k`` equal to ``rows[k] / den``."""
+    den = lcm(*matrix.dens)
+    if den == 1:
+        return matrix.ints, 1
+    return [[(den // d) * e for e in row] for row, d in zip(matrix.ints, matrix.dens)], den
+
+
+@dataclass(frozen=True, init=False)
 class Matrix:
-    """Immutable dense matrix with row-major rational entries."""
+    """Immutable dense rational matrix, stored as integer rows: row ``k`` is
+    ``ints[k] / dens[k]``, with ``dens[k]`` the least common denominator of
+    the row.  ``Matrix(rows, cols, entries)`` takes the entries row-major."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    ints: tuple[IntRow, ...]
+    dens: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence) -> None:
+        if rows < 0 or cols < 0:
             raise LinearAlgebraError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise LinearAlgebraError("entry count does not match dimensions")
+        pairs = [_integer_row(entries[k * cols:(k + 1) * cols]) for k in range(rows)]
+        self._set(rows, cols, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+
+    def _set(self, rows: int, cols: int, ints: tuple[IntRow, ...],
+             dens: tuple[int, ...]) -> None:
+        # Set one by one, never through ``__dict__``: reading ``__dict__``
+        # gives the instance a dict of its own, about 90 bytes per matrix.
+        setattr_ = object.__setattr__
+        setattr_(self, "rows", rows)
+        setattr_(self, "cols", cols)
+        setattr_(self, "ints", ints)
+        setattr_(self, "dens", dens)
+
+    @classmethod
+    def _stored(cls, cols: int, ints: tuple[IntRow, ...], dens: tuple[int, ...]) -> "Matrix":
+        """A matrix from rows already in the stored form."""
+        matrix = cls.__new__(cls)
+        matrix._set(len(ints), cols, ints, dens)
+        return matrix
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
-        data = [as_vector(r) for r in rows]
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
+        pairs = [_integer_row(r) for r in rows]
+        if pairs:
+            width = len(pairs[0][0])
+            if any(len(ints) != width for ints, _ in pairs):
                 raise LinearAlgebraError("ragged rows")
             if cols is not None and cols != width:
                 raise LinearAlgebraError("rows do not match requested width")
@@ -139,110 +198,91 @@ class Matrix:
             if cols is None:
                 raise LinearAlgebraError("empty matrix needs an explicit width")
             width = cols
-        return Matrix(len(data), width, tuple(itertools.chain.from_iterable(data)))
+        return Matrix._stored(width, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
+        return Matrix._stored(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+                              (1,) * n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, (_ZERO,) * (rows * cols))
+        return Matrix._stored(cols, ((0,) * cols,) * rows, (1,) * rows)
+
+    @property
+    def entries(self) -> Vector:
+        return tuple(itertools.chain.from_iterable(self.row_list()))
 
     def row(self, k: int) -> Vector:
-        return self.entries[k * self.cols:(k + 1) * self.cols]
+        return _fractions(self.ints[k], self.dens[k])
 
     def row_list(self) -> list[Vector]:
-        return [self.row(k) for k in range(self.rows)]
+        return list(map(_fractions, self.ints, self.dens))
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return Fraction(self.ints[i][j], self.dens[i])
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(map(any, self.ints))
 
     def __hash__(self) -> int:
-        # Subspaces key the analysis table, so each matrix hashes its
-        # entries once and keeps the value.
+        # Subspaces key the analysis table, so each matrix hashes its rows
+        # once and keeps the value.
         try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            value = self.__dict__["_hash"] = hash((self.rows, self.cols, self.entries))
+            return self._hash
+        except AttributeError:
+            value = hash((self.rows, self.cols, self.ints, self.dens))
+            object.__setattr__(self, "_hash", value)
             return value
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise LinearAlgebraError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # The nonzero (column, value) pairs of each row of ``other``, built
-        # once per product: the twist maps are about 8% nonzero, so a row
-        # of the product is a handful of adds.  Nothing is kept on the
-        # operands.
-        width, entries = other.cols, other.entries
-        sparse = [[(j, e) for j, e in enumerate(entries[k * width:(k + 1) * width]) if e]
-                  for k in range(other.rows)]
-        out: list[Fraction] = []
-        for i in range(self.rows):
-            acc = [_ZERO] * width
-            for coeff, pairs in zip(self.row(i), sparse):
-                if coeff:
-                    for j, e in pairs:
-                        acc[j] += coeff * e
-            out.extend(acc)
-        return Matrix(self.rows, width, tuple(out))
+        # The twist maps are about 8% nonzero, so most rows of ``self`` are
+        # zero (one shared zero row) or a single term (see ``_combination``).
+        width = other.cols
+        rows, scale = _common(other)
+        zero = (0,) * width
+        ints, dens = [], []
+        for arow, aden in zip(self.ints, self.dens):
+            if not any(arow):
+                ints.append(zero)
+                dens.append(1)
+                continue
+            acc, den = _combination(arow, rows, width), aden * scale
+            if den != 1:
+                acc, den = _lowest(acc, den)
+            ints.append(tuple(acc))
+            dens.append(den)
+        return Matrix._stored(width, tuple(ints), tuple(dens))
 
     def with_entry(self, i: int, j: int, value) -> "Matrix":
         """Copy with one entry replaced (handy for perturbation tests)."""
         entries = list(self.entries)
         entries[i * self.cols + j] = Fraction(value)
-        return Matrix(self.rows, self.cols, tuple(entries))
+        return Matrix(self.rows, self.cols, entries)
 
     def to_strings(self) -> list[list[str]]:
-        return [[format_rational(e) for e in self.row(k)] for k in range(self.rows)]
+        return [list(map(str, row if den == 1 else _fractions(row, den)))
+                for row, den in zip(self.ints, self.dens)]
 
 
 def vec_matmul(v: Sequence, m: Matrix) -> Vector:
     """Row vector times matrix."""
-    vv = as_vector(v)
-    if len(vv) != m.rows:
-        raise LinearAlgebraError(f"vector of length {len(vv)} times {m.rows}x{m.cols} matrix")
-    acc = [_ZERO] * m.cols
-    for k, coeff in enumerate(vv):
-        if not coeff:
-            continue
-        for j, e in enumerate(m.row(k)):
-            if e:
-                acc[j] += coeff * e
-    return tuple(acc)
-
-
-def _clear(entries: Sequence, nrows: int, width: int) -> tuple[list[list[int]], list[int]]:
-    """Integer rows and denominators of ``nrows`` rows of ``width`` entries
-    laid end to end: row ``k`` is ``rows[k] / dens[k]``, where ``dens[k]``
-    is the least common denominator of its entries."""
-    try:
-        nums = [e.numerator for e in entries]
-        denoms = [e.denominator for e in entries]
-    except AttributeError:
-        return _clear(as_vector(entries), nrows, width)
-    rows, dens = [], []
-    for k in range(nrows):
-        start, stop = k * width, (k + 1) * width
-        den = lcm(*denoms[start:stop])
-        rows.append(nums[start:stop] if den == 1 else
-                    [p * (den // q) for p, q in zip(nums[start:stop], denoms[start:stop])])
-        dens.append(den)
-    return rows, dens
-
-
-def _int_rows(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
-    return _clear(matrix.entries, matrix.rows, matrix.cols)
+    ints, vden = _integer_row(v)
+    if len(ints) != m.rows:
+        raise LinearAlgebraError(f"vector of length {len(ints)} times {m.rows}x{m.cols} matrix")
+    rows, scale = _common(m)
+    acc = _combination(ints, rows, m.cols)
+    return _fractions(acc, vden * scale)
 
 
 def _eliminate(rows: list[Sequence[int]], width: int) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place;
-    returns the pivot columns, all among the first ``width`` (any further
-    columns ride along, e.g. a transform).
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place on
+    the list (the rows themselves are never written, so they may be shared
+    tuples); returns the pivot columns, all among the first ``width`` (any
+    further columns ride along, e.g. a transform).
 
     Each row is divided by its content on entry and after every update
     ``(lead/g)*row - (f/g)*pivot_row``, so it stays primitive and a nonzero
@@ -289,28 +329,15 @@ def _eliminate(rows: list[Sequence[int]], width: int) -> list[int]:
     return pivots
 
 
-# Reduced entries repeat a few small values across eliminations, so the
-# immutable Fractions are shared instead of rebuilt (and re-reduced).
-@functools.lru_cache(maxsize=256)
-def _ratio(num: int, den: int) -> Fraction:
-    return Fraction(num, den)
-
-
-def _over_pivots(rows: list[Sequence[int]], pivots: list[int]) -> list[Fraction]:
-    """The entries of eliminated ``rows``, each pivot row divided by its
-    pivot entry and the rows past the rank as they are."""
-    leads = [row[pc] for row, pc in zip(rows, pivots)] + [1] * (len(rows) - len(pivots))
-    return [_ratio(e, lead) if e else _ZERO for row, lead in zip(rows, leads) for e in row]
-
-
-def _augment(rows: list[Sequence[int]], scales: Sequence[int]) -> list[list[int]]:
+def _augment(rows: Sequence[Sequence[int]], scales: Sequence[int]) -> list[list[int]]:
     """``[rows[k] | scales[k]·e_k]`` for every ``k``."""
     n = len(rows)
     return [[*row, *[0] * k, s, *[0] * (n - 1 - k)]
             for k, (row, s) in enumerate(zip(rows, scales))]
 
 
-def _relations(rows: list[Sequence[int]], scales: Sequence[int], width: int) -> list[list[int]]:
+def _relations(rows: Sequence[Sequence[int]], scales: Sequence[int],
+               width: int) -> list[list[int]]:
     """Integer rows spanning ``{y : sum_k (y_k / scales[k]) * rows[k] = 0}``
     for integer ``rows`` of ``width`` columns: the transform parts of the
     rows of ``[rows | scales[k]·e_k]`` that elimination clears."""
@@ -319,30 +346,38 @@ def _relations(rows: list[Sequence[int]], scales: Sequence[int], width: int) -> 
     return [row[width:] for row in augmented[rank:]]
 
 
-def _combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list[int]:
-    """``sum_k coeffs[k] * rows[k]``."""
-    acc = [0] * width
+def _combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]],
+                 width: int) -> Sequence[int]:
+    """``sum_k coeffs[k] * rows[k]``; a single term with coefficient 1 is
+    that row itself (rows are never written, see ``_eliminate``)."""
+    acc = None
     for c, row in zip(coeffs, rows):
         if c:
-            acc = [a + c * e for a, e in zip(acc, row)]
-    return acc
+            if acc is None:
+                acc = row if c == 1 else [c * e for e in row]
+            else:
+                acc = [a + c * e for a, e in zip(acc, row)]
+    return [0] * width if acc is None else acc
 
 
 def _subspace(rows: list[Sequence[int]], ambient_dim: int) -> "Subspace":
     """The span of integer rows in canonical form: every ``Subspace`` is
-    made here, and only here are its ``Fraction`` entries made."""
+    made here, its basis rows the eliminated primitive rows, each over its
+    pivot entry."""
     pivots = _eliminate(rows, ambient_dim)
-    rows = rows[:len(pivots)]
-    return Subspace(ambient_dim, Matrix(len(rows), ambient_dim, tuple(_over_pivots(rows, pivots))),
-                    tuple(pivots), tuple(map(tuple, rows)))
+    basis = tuple(map(tuple, rows[:len(pivots)]))
+    return Subspace(ambient_dim,
+                    Matrix._stored(ambient_dim, basis,
+                                   tuple(row[p] for row, p in zip(basis, pivots))),
+                    tuple(pivots))
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form, pivot columns, and rank."""
-    rows, _ = _int_rows(matrix)
+    rows = list(matrix.ints)
     pivots = _eliminate(rows, matrix.cols)
-    return (Matrix(matrix.rows, matrix.cols, tuple(_over_pivots(rows, pivots))),
-            tuple(pivots), len(pivots))
+    dens = [row[p] for row, p in zip(rows, pivots)] + [1] * (len(rows) - len(pivots))
+    return Matrix._stored(matrix.cols, tuple(map(tuple, rows)), tuple(dens)), tuple(pivots), len(pivots)
 
 
 def rref_with_transform(matrix: Matrix) -> tuple[Matrix, Matrix, tuple[int, ...]]:
@@ -350,37 +385,37 @@ def rref_with_transform(matrix: Matrix) -> tuple[Matrix, Matrix, tuple[int, ...]
 
     Row ``k`` of the matrix is ``ints_k / den_k``, so eliminating
     ``[ints_k | den_k·e_k]`` keeps every row of the form ``[y @ matrix | y]``."""
-    n, cols = matrix.rows, matrix.cols
-    rows, dens = _int_rows(matrix)
-    augmented = _augment(rows, dens)
+    cols = matrix.cols
+    augmented = _augment(matrix.ints, matrix.dens)
     pivots = _eliminate(augmented, cols)
-    both = Matrix(n, cols + n, tuple(_over_pivots(augmented, pivots)))
-    reduced = Matrix(n, cols, tuple(e for k in range(n) for e in both.row(k)[:cols]))
-    transform = Matrix(n, n, tuple(e for k in range(n) for e in both.row(k)[cols:]))
-    return reduced, transform, tuple(pivots)
+    leads = [row[p] for row, p in zip(augmented, pivots)] + [1] * (len(augmented) - len(pivots))
+    reduced = [_lowest(row[:cols], lead) for row, lead in zip(augmented, leads)]
+    transform = [_lowest(row[cols:], lead) for row, lead in zip(augmented, leads)]
+    return (Matrix._stored(cols, tuple(r for r, _ in reduced), tuple(d for _, d in reduced)),
+            Matrix._stored(matrix.rows, tuple(r for r, _ in transform),
+                           tuple(d for _, d in transform)),
+            tuple(pivots))
 
 
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace of Q^n in canonical (RREF basis) form, with the
-    pivot column of each basis row and the primitive integer multiple of
-    each basis row, pivot entry positive (``int_rows``), which the
-    operations read instead of the ``Fraction`` basis."""
+    pivot column of each basis row.  The basis stores each row as its
+    primitive integer multiple over the (positive) pivot entry."""
 
     ambient_dim: int
     basis: Matrix
     pivots: tuple[int, ...] = field(compare=False, repr=False)
-    int_rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @staticmethod
     def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        vectors = list(vectors)
+        rows = []
         for v in vectors:
             if len(v) != ambient_dim:
                 raise LinearAlgebraError(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}")
-        entries = list(itertools.chain.from_iterable(vectors))
-        return _subspace(_clear(entries, len(vectors), ambient_dim)[0], ambient_dim)
+            rows.append(_integer_row(v)[0])
+        return _subspace(rows, ambient_dim)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -399,12 +434,12 @@ class Subspace:
         """Residuals of integer vectors modulo this space, on its non-pivot
         columns (the pivot columns of a residual are zero), all scaled by
         the one factor ``L``, the lcm of the pivot entries, so the map
-        stays linear: ``L*v - sum_k v[p_k] * (L / lead_k) * int_rows[k]``."""
-        pivots, int_rows = self.pivots, self.int_rows
+        stays linear: ``L*v - sum_k v[p_k] * (L / lead_k) * ints[k]``."""
+        pivots, basis = self.pivots, self.basis
         free = [j for j in range(self.ambient_dim) if j not in pivots]
-        scale = lcm(*[row[p] for row, p in zip(int_rows, pivots)])
-        steps = [(p, [(scale // row[p]) * row[j] for j in free])
-                 for row, p in zip(int_rows, pivots)]
+        scale = lcm(*basis.dens)
+        steps = [(p, [(scale // lead) * row[j] for j in free])
+                 for row, lead, p in zip(basis.ints, basis.dens, pivots)]
         out = []
         for v in vectors:
             res = [scale * v[j] for j in free]
@@ -422,11 +457,11 @@ class Subspace:
     def __contains__(self, vector: Sequence) -> bool:
         if len(vector) != self.ambient_dim:
             raise LinearAlgebraError("ambient dimension mismatch")
-        return self._holds(_clear(vector, 1, self.ambient_dim)[0])
+        return self._holds([_integer_row(vector)[0]])
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return _subspace([*self.int_rows, *other.int_rows], self.ambient_dim)
+        return _subspace([*self.basis.ints, *other.basis.ints], self.ambient_dim)
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Intersection through a residual kernel of the smaller space.
@@ -441,24 +476,22 @@ class Subspace:
         n = self.ambient_dim
         if small.dim == 0 or large.dim == n:
             return small
-        relations = _relations(large._residuals(small.int_rows), [1] * small.dim, n - large.dim)
+        rows = small.basis.ints
+        relations = _relations(large._residuals(rows), [1] * small.dim, n - large.dim)
         if len(relations) == small.dim:
             return small
-        return _subspace([_combination(x, small.int_rows, n) for x in relations], n)
+        return _subspace([_combination(x, rows, n) for x in relations], n)
 
     def __le__(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return self.dim <= other.dim and other._holds(self.int_rows)
+        return self.dim <= other.dim and other._holds(self.basis.ints)
 
     def apply(self, matrix: Matrix) -> "Subspace":
         """Image of this subspace under the map ``v -> v @ matrix``."""
         if matrix.rows != self.ambient_dim:
             raise LinearAlgebraError("map domain does not match ambient dimension")
-        rows, dens = _int_rows(matrix)
-        common = lcm(*dens)
-        if common != 1:
-            rows = [[(common // den) * e for e in row] for row, den in zip(rows, dens)]
-        return _subspace([_combination(a, rows, matrix.cols) for a in self.int_rows],
+        rows, _ = _common(matrix)
+        return _subspace([_combination(a, rows, matrix.cols) for a in self.basis.ints],
                          matrix.cols)
 
     def _check_ambient(self, other: "Subspace") -> None:
@@ -472,20 +505,19 @@ class Subspace:
 
 def kernel(matrix: Matrix) -> Subspace:
     """Left kernel ``{v : v @ matrix = 0}`` as a subspace of Q^rows."""
-    rows, dens = _int_rows(matrix)
-    return _subspace(_relations(rows, dens, matrix.cols), matrix.rows)
+    return _subspace(_relations(matrix.ints, matrix.dens, matrix.cols), matrix.rows)
 
 
 def image(matrix: Matrix) -> Subspace:
     """Row space of the matrix, i.e. the image of the full domain."""
-    return _subspace(_int_rows(matrix)[0], matrix.cols)
+    return _subspace(list(matrix.ints), matrix.cols)
 
 
 def image_in(matrix: Matrix, target: Subspace) -> bool:
     """Whether ``image(matrix) <= target``, read off the rows directly."""
     if matrix.cols != target.ambient_dim:
         raise LinearAlgebraError("map codomain does not match target ambient")
-    return target._holds(_int_rows(matrix)[0])
+    return target._holds(matrix.ints)
 
 
 def preimage(matrix: Matrix, target: Subspace) -> Subspace:
@@ -494,8 +526,8 @@ def preimage(matrix: Matrix, target: Subspace) -> Subspace:
         raise LinearAlgebraError("map codomain does not match target ambient")
     # ``v @ matrix`` lies in the target exactly when its residual modulo
     # the target vanishes, and the residual is linear in ``v``.
-    rows, dens = _int_rows(matrix)
-    return _subspace(_relations(target._residuals(rows), dens, matrix.cols - target.dim),
+    return _subspace(_relations(target._residuals(matrix.ints), matrix.dens,
+                                matrix.cols - target.dim),
                      matrix.rows)
 
 
@@ -512,21 +544,22 @@ def complement_in(inner: Subspace, outer: Subspace,
     if not inner <= outer:
         raise LinearAlgebraError("inner subspace is not contained in outer")
     n = outer.ambient_dim
+    for v in preferred:
+        if len(v) != n:
+            raise LinearAlgebraError("ambient dimension mismatch")
     extension: list[Vector] = []
     span = inner
     candidates = itertools.chain(
-        (as_vector(v) for v in preferred),
-        outer.basis.row_list(),
-        (_unit_vector(n, j) for j in range(n)),
+        map(_integer_row, preferred),
+        zip(outer.basis.ints, outer.basis.dens),
+        ((tuple(int(k == j) for k in range(n)), 1) for j in range(n)),
     )
-    for cand in candidates:
+    for ints, den in candidates:
         if span.dim == outer.dim:
             break
-        if cand not in outer:
-            continue
-        if cand not in span:
-            extension.append(cand)
-            span = span + Subspace.span([cand], n)
+        if outer._holds([ints]) and not span._holds([ints]):
+            extension.append(_fractions(ints, den))
+            span = _subspace([*span.basis.ints, ints], n)
     if span != outer:
         raise LinearAlgebraError("failed to complete the basis (candidate exhaustion)")
     return extension

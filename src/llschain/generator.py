@@ -107,21 +107,27 @@ def _linking_freedom(maps: Mapping[tuple[Multidegree, Multidegree], Matrix],
     return lower, upper
 
 
-def _draw_in_freedom(rng: random.Random, lower: Subspace, free: list[Vector],
+def _free_rows(lower: Subspace, upper: Subspace) -> list[list[int]]:
+    """Integer rows completing ``lower`` to ``upper``: the vectors of
+    ``complement_in`` times the least common denominator of all their
+    entries, which a span ignores.  A node's draws all read this one list."""
+    free = complement_in(lower, upper)
+    den = lcm(*[e.denominator for v in free for e in v])
+    return [[e.numerator * (den // e.denominator) for e in v] for v in free]
+
+
+def _draw_in_freedom(rng: random.Random, lower: Subspace, free: list[list[int]],
                      needed: int) -> Subspace:
     """Span of ``lower`` and ``needed`` random integer combinations of the
-    ``free`` vectors, coefficients in ``[-ENTRY_BOUND, ENTRY_BOUND]``.  The
-    combinations are taken of the vectors times the least common
-    denominator of their entries, which a span ignores."""
+    integer rows ``free`` (see ``_free_rows``), coefficients in
+    ``[-ENTRY_BOUND, ENTRY_BOUND]``."""
     ambient = lower.ambient_dim
-    den = lcm(*[e.denominator for v in free for e in v])
-    free = [[e.numerator * (den // e.denominator) for e in v] for v in free]
     extra = []
     for _ in range(needed):
         coeffs = [rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in free]
         extra.append([sum(c * row[k] for c, row in zip(coeffs, free))
                       for k in range(ambient)])
-    return Subspace.span([*lower.int_rows, *extra], ambient)
+    return Subspace.span([*lower.basis.ints, *extra], ambient)
 
 
 @dataclass(frozen=True)
@@ -242,7 +248,7 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
         if lower.dim == rp1:
             trial = [lower]
         else:
-            free = complement_in(lower, upper)
+            free = _free_rows(lower, upper)
             needed = rp1 - lower.dim
             trial = []
             seen = set()
@@ -361,7 +367,7 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
         if freedom is None or freedom[0].dim == freedom[1].dim:
             continue
         lower, upper = freedom
-        free = complement_in(lower, upper)
+        free = _free_rows(lower, upper)
         needed = rp1 - lower.dim
         if needed <= 0:
             continue

@@ -229,6 +229,17 @@ class TestExitCodes:
         code, _, err = run_cli("validate", "/nonexistent/file.json")
         assert code == 2
 
+    @pytest.mark.parametrize("where", ["instance", "--report", "--certificate-out"])
+    def test_directory_path_is_io_error(self, worked_files, tmp_path, where):
+        _, inst_path = worked_files
+        paths = {"instance": str(inst_path), "--report": str(tmp_path / "r.json"),
+                 "--certificate-out": str(tmp_path / "c.json")}
+        paths[where] = str(tmp_path)
+        code, _, err = run_cli("certify", paths["instance"], "--report", paths["--report"],
+                               "--certificate-out", paths["--certificate-out"])
+        assert code == 2
+        assert err.startswith("input error:") and "directory" in err
+
     def test_malformed_json_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")

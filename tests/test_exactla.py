@@ -65,13 +65,31 @@ sparse_entries = st.one_of(st.sampled_from([Fraction(0), Fraction(0), Fraction(1
 
 @st.composite
 def product_operands(draw, max_dim=5):
-    """``(A, B)`` with ``A.cols == B.rows``; any of the three sizes may be 0."""
+    """``(A, B)`` with ``A.cols == B.rows``; any of the three sizes may be 0,
+    and any row may be zero."""
     rows, inner, cols = (draw(st.integers(0, max_dim)) for _ in range(3))
 
     def matrix(r, c):
-        return Matrix(r, c, tuple(draw(st.lists(sparse_entries, min_size=r * c,
-                                                max_size=r * c))))
+        entries = draw(st.lists(sparse_entries, min_size=r * c, max_size=r * c))
+        for k in draw(st.sets(st.integers(0, r - 1))) if r else ():
+            entries[k * c:(k + 1) * c] = [Fraction(0)] * c
+        return Matrix(r, c, tuple(entries))
     return matrix(rows, inner), matrix(inner, cols)
+
+
+@st.composite
+def same_shape_pairs(draw):
+    """Two matrices of one shape: the first, possibly with one entry
+    changed, rebuilt along another path (entries, rows, a product with the
+    identity on either side) to give the second."""
+    a, _ = draw(product_operands())
+    b = a
+    if a.rows and a.cols and draw(st.booleans()):
+        b = a.with_entry(draw(st.integers(0, a.rows - 1)), draw(st.integers(0, a.cols - 1)),
+                         draw(sparse_entries))
+    rebuilt = [Matrix(b.rows, b.cols, b.entries), Matrix.from_rows(b.row_list(), cols=b.cols),
+               b @ Matrix.identity(b.cols), Matrix.identity(b.rows) @ b]
+    return a, draw(st.sampled_from(rebuilt))
 
 
 def reference_product(a, b):
@@ -172,9 +190,26 @@ class TestProduct:
         with pytest.raises(LinearAlgebraError):
             Matrix.identity(2) @ Matrix.identity(3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(same_shape_pairs())
+    def test_equality_and_hash_follow_the_entries(self, pair):
+        a, b = pair
+        assert (a == b) == (a.entries == b.entries)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(product_operands())
+    def test_readers_agree_with_the_entries(self, operands):
+        for m in operands:
+            assert m.to_strings() == [[str(e) for e in row] for row in m.row_list()]
+            assert m.is_zero() == (not any(m.entries))
+            assert all(type(e) is Fraction for e in m.entries)
+
     def test_operands_keep_no_derived_state(self):
         """Products and subspace operations leave each matrix holding its
-        fields and at most its cached hash: nothing per row is kept."""
+        one stored form (integer rows and their denominators) and at most
+        its cached hash: nothing per row is kept, no ``Fraction`` copy."""
         rng = random.Random(3)
         a, b = random_matrix(rng, 4, 5, bound=2), random_matrix(rng, 5, 5, bound=1)
         s = image(random_matrix(rng, 3, 5, bound=2))
@@ -185,7 +220,7 @@ class TestProduct:
         s.apply(b)
         s & t
         for m in (a, b, s.basis, t.basis):
-            assert set(vars(m)) <= {"rows", "cols", "entries", "_hash"}
+            assert set(vars(m)) <= {"rows", "cols", "ints", "dens", "_hash"}
 
 
 class TestKernel:
@@ -379,14 +414,15 @@ def mixed_pairs(draw):
 
 
 def assert_canonical(space):
-    """The carried integer rows: primitive, pivot entry positive, and each
-    its basis row times the row's least common denominator."""
-    assert len(space.int_rows) == space.dim
-    for k, (ints, p) in enumerate(zip(space.int_rows, space.pivots)):
-        row = space.basis.row(k)
+    """The stored basis rows: primitive, each over its positive pivot
+    entry, which is the least common denominator of its basis row."""
+    basis = space.basis
+    assert len(basis.ints) == len(basis.dens) == space.dim
+    for k, (ints, den, p) in enumerate(zip(basis.ints, basis.dens, space.pivots)):
+        row = basis.row(k)
         assert type(ints) is tuple and all(type(e) is int for e in ints)
-        assert gcd(*ints) == 1 and ints[p] > 0
-        den = lcm(*(e.denominator for e in row))
+        assert gcd(*ints) == 1 and ints[p] == den > 0
+        assert den == lcm(*(e.denominator for e in row))
         assert ints == tuple(e * den for e in row)
     return space
 

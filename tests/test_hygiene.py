@@ -21,6 +21,10 @@ def test_no_floating_point(path):
             assert not isinstance(node.value, (float, complex)), f"{where}: {node.value!r}"
         elif isinstance(node, ast.Name):
             assert node.id != "float", f"{where}: uses float"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            # On the integer rows inside exactla, ``a / b`` would silently
+            # make a float: exact code divides with ``//`` or ``Fraction``.
+            assert not isinstance(node.op, ast.Div), f"{where}: true division"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
