@@ -112,9 +112,11 @@ def as_vector(entries: Iterable) -> Vector:
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
-def _integer_row(entries: Sequence) -> tuple[IntRow, int]:
+def _integer_row(entries: Iterable) -> tuple[IntRow, int]:
     """``(ints, den)`` with ``entries == ints / den``, where ``den`` is the
     least common denominator of the entries (``int`` entries are over 1)."""
+    if type(entries) is not tuple and type(entries) is not list:
+        entries = tuple(entries)  # read twice below
     try:
         nums = [e.numerator for e in entries]
         denoms = [e.denominator for e in entries]

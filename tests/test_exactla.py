@@ -206,6 +206,12 @@ class TestProduct:
             assert m.is_zero() == (not any(m.entries))
             assert all(type(e) is Fraction for e in m.entries)
 
+    def test_rows_may_be_iterators(self):
+        half = Fraction(1, 2)
+        m = Matrix.from_rows([(half for _ in range(2)), iter([1, "1/3"])], cols=2)
+        assert m.row_list() == [(half, half), (1, Fraction(1, 3))]
+        assert vec_matmul((half for _ in range(2)), m) == (Fraction(3, 4), Fraction(5, 12))
+
     def test_operands_keep_no_derived_state(self):
         """Products and subspace operations leave each matrix holding its
         one stored form (integer rows and their denominators) and at most
