@@ -2,7 +2,9 @@ import pytest
 
 from llschain import ChainCurve, GenSpec, all_multidegrees, from_chain, gen_simple
 from llschain.chain_model import canonical_matrix
-from llschain.exactla import Subspace
+from llschain.exactla import Matrix, Subspace
+from llschain.lattice import Multidegree
+from llschain.lls_core import LlsInstance
 
 # (d, r) combinations for the seeded corpus: d = 1..5, r = 0..min(2, d).
 CORPUS_COMBOS = [(d, r) for d in range(1, 6) for r in range(0, min(2, d) + 1)]
@@ -38,3 +40,35 @@ def worked_instance():
         for md in grid
     }
     return from_chain(chain, 0, spaces)
+
+
+def one_node_instance(a: Subspace, b: Subspace, c: Subspace) -> LlsInstance:
+    """A degree-0 series with ``a, b, c`` as the vanishing spaces of its one
+    node and the whole space as the chosen one; with no edges, it is exact
+    and only the node's sums and meets are left to compute."""
+    n = a.ambient_dim
+    node = Multidegree(0, 0, 0)
+    return LlsInstance(0, n - 1, {node: n}, {}, {node: {1: a, 2: b, 3: c}},
+                       {node: Subspace.full(n)})
+
+
+def abstract_nondistributive_instance() -> LlsInstance:
+    """Hand-made abstract data (not from the chain backend, and not
+    law-consistent): exact along every edge, but the three vanishing lines
+    at (1, 0, 0) are distinct lines of a plane, so distributivity fails
+    there.  Exercises the refusal paths of the constructions."""
+    a, b, c = all_multidegrees(1)
+    u, v, uv = (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)
+    plane = Subspace.span([u, v], 4)
+    full = Subspace.full(4)
+    zero_map = Matrix.zeros(4, 4)
+    ident = Matrix.identity(4)
+    maps = {(a, b): ident, (b, a): zero_map, (b, c): ident, (c, b): zero_map}
+    vanishing = {
+        a: {1: Subspace.span([u], 4), 2: Subspace.span([v], 4),
+            3: Subspace.span([uv], 4)},
+        b: {1: full, 2: Subspace.zero(4), 3: Subspace.zero(4)},
+        c: {1: full, 2: full, 3: Subspace.zero(4)},
+    }
+    return LlsInstance(1, 1, {node: 4 for node in (a, b, c)}, maps, vanishing,
+                       {a: plane, b: plane, c: plane})

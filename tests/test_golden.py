@@ -4,7 +4,8 @@ degradations of one of its members.  Any drift in the bytes a user sees
 (file format, canonical bases, witnesses, verdicts) fails here.  The
 complement systems of the same corpus members are pinned the same way, and
 so is the identity suite, together with its failing checks on the hand-made
-non-distributive fixture.
+non-distributive fixture.  The grid report and identity suite of two exact,
+non-distributive series pin the strict side of the codim-sum criterion.
 """
 
 import hashlib
@@ -14,10 +15,10 @@ from fractions import Fraction
 import pytest
 
 from llschain import ChainCurve, from_chain, lls_core, simple_basis
+from llschain.exactla import Subspace
 from llschain.generator import degrade
 
-from conftest import CORPUS_SIZE
-from test_simple_basis import _abstract_nondistributive_instance
+from conftest import CORPUS_SIZE, abstract_nondistributive_instance, one_node_instance
 
 GOLDEN_INDICES = range(0, CORPUS_SIZE, 5)  # 20 instances, every (d, r) combo
 DEGRADED_FROM = 3  # a d=2, r=1 corpus member
@@ -508,7 +509,7 @@ def identity_digests(corpus) -> dict[str, str]:
     out = {label: _digest(lls_core.identity_suite(inst).to_json())
            for label, inst in golden_instances(corpus)}
     out["abstract-nondistributive"] = _digest(
-        lls_core.identity_suite(_abstract_nondistributive_instance()).to_json())
+        lls_core.identity_suite(abstract_nondistributive_instance()).to_json())
     return out
 
 
@@ -542,6 +543,37 @@ GOLDEN_IDENTITIES = {
 
 def test_identity_bytes(corpus):
     assert identity_digests(corpus) == GOLDEN_IDENTITIES
+
+
+def strict_instances() -> dict[str, object]:
+    """Exact series that are not distributive, so their codim sum exceeds
+    ``r+1``: the hand-made fixture and a degree-0 node whose vanishing
+    spaces are three distinct lines of a plane in Q^3."""
+    lines = [Subspace.span([v], 3) for v in ((1, 0, 0), (0, 1, 0), (1, 1, 0))]
+    return {"abstract-nondistributive": abstract_nondistributive_instance(),
+            "one-node-lines": one_node_instance(*lines)}
+
+
+def strict_digests() -> dict[str, dict[str, str]]:
+    return {label: {"codim_report": _digest(lls_core.codim_report(inst).to_json()),
+                    "identity_suite": _digest(lls_core.identity_suite(inst).to_json())}
+            for label, inst in strict_instances().items()}
+
+
+GOLDEN_STRICT = {
+    'abstract-nondistributive': {
+        'codim_report': '466596f80915c11430494ce06b9f3bfe534cfb457fd89fe017bbfba6a76e38fd',
+        'identity_suite': '25f418c39932ed3a11026031d7ecd25074bc15bb84f96155c890a052fa651d60',
+    },
+    'one-node-lines': {
+        'codim_report': '52142aebaf35783a4f09053553bae4b919bdde70bf0e3288ee7774a597ba5e86',
+        'identity_suite': '498f52b7eb81d166ca8418ff7df30809a34dc2edb7880b5656bb20801387b095',
+    },
+}
+
+
+def test_strict_side_bytes():
+    assert strict_digests() == GOLDEN_STRICT
 
 
 # Golden members rebuilt over a chain whose toward maps are rescaled by

@@ -28,6 +28,8 @@ from llschain.simple_basis import (
     verify_certificate,
 )
 
+from conftest import abstract_nondistributive_instance
+
 
 def md(i, j, l):
     return Multidegree(i, j, l)
@@ -145,7 +147,7 @@ class TestIsSimple:
         assert verdict.witness is not None
 
     def test_not_distributive_verdict_on_abstract_instance(self):
-        inst = _abstract_nondistributive_instance()
+        inst = abstract_nondistributive_instance()
         verdict = is_simple(inst)
         assert not verdict.simple
         assert verdict.reason == "not-distributive"
@@ -163,36 +165,10 @@ class TestIsSimple:
         assert err.value.edge is not None
 
 
-def _abstract_nondistributive_instance() -> LlsInstance:
-    """Hand-made abstract data (not from the chain backend, and not
-    law-consistent): exact along every edge, but the three vanishing lines
-    at (1, 0, 0) are distinct lines of a plane, so distributivity fails
-    there.  Exercises the refusal paths of the constructions."""
-    d, r = 1, 1
-    a, b, c = all_multidegrees(1)
-    ambient = {node: 4 for node in (a, b, c)}
-    u = (ONE, Fraction(0), Fraction(0), Fraction(0))
-    v = (Fraction(0), ONE, Fraction(0), Fraction(0))
-    uv = tuple(x + y for x, y in zip(u, v))
-    plane = Subspace.span([u, v], 4)
-    full = Subspace.full(4)
-    zero_map = Matrix.zeros(4, 4)
-    ident = Matrix.identity(4)
-    maps = {(a, b): ident, (b, a): zero_map, (b, c): ident, (c, b): zero_map}
-    vanishing = {
-        a: {1: Subspace.span([u], 4), 2: Subspace.span([v], 4),
-            3: Subspace.span([uv], 4)},
-        b: {1: full, 2: Subspace.zero(4), 3: Subspace.zero(4)},
-        c: {1: full, 2: full, 3: Subspace.zero(4)},
-    }
-    spaces = {a: plane, b: plane, c: plane}
-    return LlsInstance(d, r, ambient, maps, vanishing, spaces)
-
-
 class TestAbstractNondistributiveFixture:
     def test_fixture_is_exact_but_not_distributive(self):
         from llschain.lls_core import distributive_at, exactness
-        inst = _abstract_nondistributive_instance()
+        inst = abstract_nondistributive_instance()
         assert exactness(inst).exact
         assert not distributive_at(inst, md(1, 0, 0))
         assert distributive_at(inst, md(0, 1, 0))
