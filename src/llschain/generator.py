@@ -164,12 +164,12 @@ def gen_simple(spec: GenSpec) -> GenResult:
         ok = True
         for idx, count in zip(support, counts):
             md = grid[idx]
-            vecs = [_random_vector(rng, spec.d + 1) for _ in range(count)]
-            if Subspace.span(vecs, spec.d + 1).dim != count:
+            drawn = Subspace.span([_random_vector(rng, spec.d + 1) for _ in range(count)],
+                                  spec.d + 1)
+            if drawn.dim != count:
                 ok = False
                 break
-            normalised = Subspace.span(vecs, spec.d + 1).basis.row_list()
-            sections[md] = tuple(normalised)
+            sections[md] = tuple(drawn.basis.row_list())
         if not ok:
             continue
         support_mds = tuple(grid[idx] for idx in support)

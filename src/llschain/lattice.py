@@ -236,7 +236,7 @@ def canonical_path(start: Multidegree, end: Multidegree) -> Path:
     * ``0 < b < a``: toward-X2 diagonal, then from-X1.
 
     Every intermediate node stays in the lattice and the step set avoids
-    the three degeneration patterns (asserted).  A zero displacement gives
+    the three degeneration patterns (checked).  A zero displacement gives
     the single-node path, whose composite is the identity.
     """
     if start.degree != end.degree:
@@ -266,7 +266,8 @@ def canonical_path(start: Multidegree, end: Multidegree) -> Path:
             raise PathError(f"canonical recipe left the lattice at {nodes[-1]} via {s.label}")
         nodes.append(node)
     path = Path(tuple(nodes))
-    assert classify_path(path) is PathClass.VALID_CANONICAL
+    if classify_path(path) is not PathClass.VALID_CANONICAL:
+        raise PathError(f"canonical recipe from {start} to {end} is not canonical")
     return path
 
 

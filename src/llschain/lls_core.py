@@ -7,12 +7,14 @@ edge, the ambient single-component vanishing subspaces, and a chosen
 may come from :mod:`llschain.chain_model` or be loaded from a file.
 
 Everything the checks derive from that data lives in one analysis table,
-``LlsInstance.table``: the subspaces ``V ∩ Van_S``, each node's sums and
-distributivity verdict (:class:`NodeRow`), each edge's pushed image and
-exactness record, each vertical edge's pushed-complement check, and the
-canonical-walk matrices.  An entry is computed the first time any report
-reads it and kept for every later read, so the reports share their work
-and a check that reads little computes little.
+``LlsInstance.table``: the meets ``V_S = V ∩ Van_S`` for every nonempty
+set ``S`` of components, each node's triple sum ``V_1 + V_2 + V_3`` and
+distributivity defect (every other number a report reads at a node is a
+dimension count on these), each edge's pushed image and exactness record,
+each vertical edge's pushed-complement check, and the canonical-walk
+matrices.  An entry is computed the first time any report reads it and
+kept for every later read, so the reports share their work and a check
+that reads little computes little.
 
 A key holds the filler's arguments and the chosen spaces the entry reads
 (none for a walk matrix).  :meth:`LlsInstance.derive` builds an instance
@@ -31,6 +33,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from . import chain_model
@@ -42,7 +45,6 @@ from .exactla import (
     Vector,
     complement_in,
     parse_rational,
-    vec_matmul,
 )
 from .lattice import (
     Direction,
@@ -282,58 +284,45 @@ def _vanishing(inst: LlsInstance, md: Multidegree, comps: tuple[int, ...]) -> Su
     return _vanishing(inst, md, comps[:-1]) & _vanishing(inst, md, comps[-1:])
 
 
-_PAIRS = ((1, 2), (1, 3), (2, 3))
-
-
-@dataclass(frozen=True, slots=True)
-class NodeRow:
-    """Sums and the distributivity test at one node, ``V_q = V ∩ Van_q``.
-
-    ``pairwise`` holds the dimensions of ``V_b + V_c`` for the pairs in
-    ``_PAIRS`` order.  For ``a = 1, 2, 3`` with ``b, c`` the other two,
-    ``spread[a-1]`` is the dimension of ``V_a ∩ (V_b + V_c)`` and
-    ``meet[a-1]`` that of ``V_a ∩ V_b + V_a ∩ V_c``.
-    """
-
-    triple: Subspace
-    pairwise: tuple[int, int, int]
-    spread: tuple[int, int, int]
-    meet: tuple[int, int, int]
-    distributive: bool
-
-    def sum_dim(self, comps: tuple[int, ...]) -> int:
-        """Dimension of the sum of ``V_q`` over two or all three ``q``."""
-        return self.triple.dim if len(comps) == 3 else self.pairwise[_PAIRS.index(comps)]
+def _dim(inst: LlsInstance, md: Multidegree, *comps: int) -> int:
+    """``dim V_S`` for the components ``S``, listed in increasing order."""
+    return _vanishing(inst, md, comps).dim
 
 
 @_tabled(lambda md: (md,))
-def _node_row(inst: LlsInstance, md: Multidegree) -> NodeRow:
-    """The node's table row.  Distributivity: each vanishing subspace must
-    distribute over the other two; the three permuted statements are
-    equivalent for any triple of subspaces, so all are evaluated and must
-    agree."""
-    v = {q: vanishing_in_v(inst, md, (q,)) for q in (1, 2, 3)}
-    sums = {(b, c): v[b] + v[c] for b, c in _PAIRS}
-    spread, meet, verdicts = [], [], []
-    for a, b, c in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
-        lhs = v[a] & sums[(b, c)]
-        rhs = vanishing_in_v(inst, md, (a, b)) + vanishing_in_v(inst, md, (a, c))
-        spread.append(lhs.dim)
-        meet.append(rhs.dim)
-        verdicts.append(lhs == rhs)
-    assert verdicts[0] == verdicts[1] == verdicts[2], \
-        "distributivity must be symmetric in the three subspaces"
-    return NodeRow(sums[(1, 2)] + v[3], tuple(sums[p].dim for p in _PAIRS),
-                   tuple(spread), tuple(meet), verdicts[0])
+def _triple_sum(inst: LlsInstance, md: Multidegree) -> Subspace:
+    v1, v2, v3 = (_vanishing(inst, md, (q,)) for q in (1, 2, 3))
+    return v1 + v2 + v3
+
+
+def _pair_sum_dim(inst: LlsInstance, md: Multidegree, comps: tuple[int, int]) -> int:
+    """``dim(V_b + V_c) = dim V_b + dim V_c - dim V_bc``."""
+    b, c = comps
+    return _dim(inst, md, b) + _dim(inst, md, c) - _dim(inst, md, b, c)
+
+
+def _meet(inst: LlsInstance, md: Multidegree, a: int) -> int:
+    """``dim(V_a ∩ V_b + V_a ∩ V_c)`` for ``b, c`` the other two components."""
+    return (sum(_dim(inst, md, *sorted((a, x))) for x in _other_components(a))
+            - _dim(inst, md, 1, 2, 3))
+
+
+@_tabled(lambda md: (md,))
+def _defect(inst: LlsInstance, md: Multidegree) -> int:
+    """``dim V_a ∩ (V_b + V_c) - dim(V_a ∩ V_b + V_a ∩ V_c)``, the same for
+    every ``a``: ``Σ dim V_q - Σ dim V_bc + dim V_123 - dim(V_1 + V_2 + V_3)``."""
+    return (sum(_dim(inst, md, q) for q in (1, 2, 3))
+            - sum(_dim(inst, md, *p) for p in combinations((1, 2, 3), 2))
+            + _dim(inst, md, 1, 2, 3) - _triple_sum(inst, md).dim)
 
 
 def vanishing_sum(inst: LlsInstance, md: Multidegree,
                   components: Sequence[int] = (1, 2, 3)) -> Subspace:
     """Sum of the single-component vanishing subspaces of the chosen space;
-    the sum of all three is the one kept in the node's table row."""
+    the sum of all three is the one kept in the analysis table."""
     comps = tuple(components)
     if sorted(comps) == [1, 2, 3]:
-        return _node_row(inst, md).triple
+        return _triple_sum(inst, md)
     out = Subspace.zero(inst.space(md).ambient_dim)
     for q in comps:
         out = out + vanishing_in_v(inst, md, (q,))
@@ -403,8 +392,14 @@ def exactness(inst: LlsInstance) -> ExactnessReport:
 
 
 def distributive_at(inst: LlsInstance, md: Multidegree) -> bool:
-    """Whether each vanishing subspace distributes over the other two."""
-    return _node_row(inst, md).distributive
+    """Whether each ``V_a = V ∩ Van_a`` distributes over the other two:
+    ``V_a ∩ (V_b + V_c) = V_a ∩ V_b + V_a ∩ V_c``.
+
+    The right side always lies in the left, so they are equal exactly when
+    their dimensions are.  By ``dim(X ∩ Y) = dim X + dim Y - dim(X + Y)``
+    the gap is ``Σ dim V_q - Σ dim V_bc + dim V_123 - dim(V_1 + V_2 + V_3)``,
+    which is symmetric in the three spaces, so one ``a`` decides for all."""
+    return _defect(inst, md) == 0
 
 
 @dataclass(frozen=True)
@@ -471,12 +466,11 @@ def codim_report(inst: LlsInstance) -> GridReport:
     """
     cells = []
     for md in inst.multidegrees:
-        row = _node_row(inst, md)
+        triple = _triple_sum(inst, md).dim
         cells.append(GridCell(
-            md, inst.space(md).dim,
-            tuple(vanishing_in_v(inst, md, (q,)).dim for q in (1, 2, 3)),
-            row.pairwise, row.triple.dim, inst.r + 1 - row.triple.dim,
-            distributive_at(inst, md)))
+            md, inst.space(md).dim, tuple(_dim(inst, md, q) for q in (1, 2, 3)),
+            tuple(_pair_sum_dim(inst, md, p) for p in combinations((1, 2, 3), 2)),
+            triple, inst.r + 1 - triple, distributive_at(inst, md)))
     cells = tuple(cells)
     codim_sum = sum(c.codim for c in cells)
     exact = exactness(inst).exact
@@ -533,8 +527,8 @@ class IdentitySuiteReport:
 
 def _dim_gap(inst: LlsInstance, source: Multidegree, target: Multidegree,
              q: int) -> tuple[bool, str]:
-    lhs = inst.r + 1 - _node_row(inst, source).sum_dim(_other_components(q))
-    rhs = vanishing_in_v(inst, target, (q,)).dim - _node_row(inst, target).meet[q - 1]
+    lhs = inst.r + 1 - _pair_sum_dim(inst, source, _other_components(q))
+    rhs = _dim(inst, target, q) - _meet(inst, target, q)
     return lhs == rhs, f"{lhs} == {rhs}"
 
 
@@ -545,9 +539,7 @@ def _pushed_complement(inst: LlsInstance, down: Multidegree, md: Multidegree,
     vertical edge to an independent complement of vanish-on-X2 inside
     vanish-on-X2 + vanish-on-X3 at ``md``."""
     vectors = complement_in(vanishing_in_v(inst, down, (2,)), inst.space(down))
-    matrix = inst.maps[(down, md)]
-    pushed = Subspace.span([vec_matmul(vec, matrix) for vec in vectors],
-                           inst.ambient_dim[md])
+    pushed = Subspace.span(vectors, inst.ambient_dim[down]).apply(inst.maps[(down, md)])
     v2_here = vanishing_in_v(inst, md, (2,))
     ok = (pushed.dim == len(vectors) and (pushed & v2_here).dim == 0
           and (v2_here + pushed) == vanishing_sum(inst, md, (2, 3)))
@@ -556,27 +548,27 @@ def _pushed_complement(inst: LlsInstance, down: Multidegree, md: Multidegree,
 
 def _vanishing_dim_step(inst: LlsInstance, down: Multidegree, md: Multidegree,
                         q: int) -> tuple[bool, str]:
-    lhs = vanishing_in_v(inst, down, (2,)).dim - vanishing_in_v(inst, md, (2,)).dim
-    rhs = inst.r + 1 - _node_row(inst, md).sum_dim((2, 3))
+    lhs = _dim(inst, down, 2) - _dim(inst, md, 2)
+    rhs = inst.r + 1 - _pair_sum_dim(inst, md, (2, 3))
     return lhs == rhs, f"{lhs} == {rhs}"
 
 
 def _quotient_splitting(inst: LlsInstance, source: Multidegree, target: Multidegree,
                         q: int) -> tuple[bool, str]:
-    others, row = _other_components(q), _node_row(inst, target)
-    lhs = inst.r + 1 - _node_row(inst, source).sum_dim(others)
-    part1 = row.triple.dim - row.sum_dim(others)
-    defect = row.spread[q - 1] - row.meet[q - 1]
+    others = _other_components(q)
+    lhs = inst.r + 1 - _pair_sum_dim(inst, source, others)
+    part1 = _triple_sum(inst, target).dim - _pair_sum_dim(inst, target, others)
+    defect = _defect(inst, target)
     return lhs == part1 + defect, f"{lhs} == {part1} + {defect}"
 
 
 def _distributivity_dim_test(inst: LlsInstance, source: Multidegree, target: Multidegree,
                              q: int) -> tuple[bool, str]:
-    others, row = _other_components(q), _node_row(inst, target)
-    gap_closed = (_node_row(inst, source).sum_dim(others) - row.sum_dim(others)
-                  == inst.r + 1 - row.triple.dim)
-    return (row.distributive == gap_closed,
-            f"distributive={row.distributive} gap_closed={gap_closed}")
+    others, distributive = _other_components(q), distributive_at(inst, target)
+    gap_closed = (_pair_sum_dim(inst, source, others) - _pair_sum_dim(inst, target, others)
+                  == inst.r + 1 - _triple_sum(inst, target).dim)
+    return (distributive == gap_closed,
+            f"distributive={distributive} gap_closed={gap_closed}")
 
 
 _IDENTITIES = {

@@ -1,5 +1,6 @@
-"""Source-wide checks: no floating point anywhere in the package, and every
-name a module exports in ``__all__`` exists."""
+"""Source-wide checks: no floating point anywhere in the package, no
+``assert`` statement, and every name a module exports in ``__all__``
+exists."""
 
 import ast
 import importlib
@@ -25,6 +26,15 @@ def test_no_floating_point(path):
             # On the integer rows inside exactla, ``a / b`` would silently
             # make a float: exact code divides with ``//`` or ``Fraction``.
             assert not isinstance(node.op, ast.Div), f"{where}: true division"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # ``python -O`` strips asserts, so a check the package relies on must
+    # raise explicitly.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert statements on lines {lines}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

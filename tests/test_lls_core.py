@@ -3,7 +3,7 @@ import json
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from llschain import lls_core
 
@@ -30,6 +30,8 @@ from llschain.lls_core import (
 from llschain.generator import DEGRADE_MODES, GenSpec, degrade, gen_simple
 from llschain.simple_basis import is_simple
 
+from conftest import one_node_instance
+from oracles import sympy_intersection, sympy_rowspace
 from test_golden import GOLDEN_INDICES
 
 
@@ -186,6 +188,52 @@ class TestDistributivityCondition:
         assert distributive_at(inst, node)
 
 
+@st.composite
+def three_subspaces(draw):
+    """An ambient dimension ``n <= 5`` and three lists of integer rows in Q^n."""
+    n = draw(st.integers(1, 5))
+    vector = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    return (n, *(draw(st.lists(vector, max_size=n)) for _ in range(3)))
+
+
+class TestDistributivityByDimension:
+    """On one node whose vanishing spaces are ``A, B, C`` and whose chosen
+    space is the whole of Q^n, the node's counts match sympy: all three
+    permuted distributive laws, the defect, ``meet[a]`` and the sums."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(three_subspaces())
+    @example((3, [[1, 0, 0]], [[0, 1, 0]], [[1, 1, 0]]))  # three lines of a plane
+    @example((3, [[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]))  # independent lines
+    def test_counts_match_the_oracle(self, spaces):
+        n, *rows = spaces
+        inst = one_node_instance(*(Subspace.span(r, n) for r in rows))
+        node = md(0, 0, 0)
+        v = dict(zip((1, 2, 3), (sympy_rowspace(r, n) for r in rows)))
+
+        def plus(*parts):
+            return sympy_rowspace([row for part in parts for row in part], n)
+
+        def meet(x, y):
+            return sympy_intersection(x, y, n)
+
+        verdicts, gaps = set(), set()
+        for a in (1, 2, 3):
+            b, c = (q for q in (1, 2, 3) if q != a)
+            spread = meet(v[a], plus(v[b], v[c]))
+            meets = plus(meet(v[a], v[b]), meet(v[a], v[c]))
+            verdicts.add(spread == meets)
+            gaps.add(len(spread) - len(meets))
+            assert lls_core._meet(inst, node, a) == len(meets)
+        assert len(verdicts) == len(gaps) == 1
+        assert distributive_at(inst, node) == verdicts.pop()
+        assert lls_core._defect(inst, node) == gaps.pop()
+        cell, = codim_report(inst).cells
+        assert cell.dim_pairwise == tuple(len(plus(v[b], v[c]))
+                                          for b, c in ((1, 2), (1, 3), (2, 3)))
+        assert cell.dim_triple == len(plus(v[1], v[2], v[3]))
+
+
 class TestIdentityHypotheses:
     def test_skipped_when_edge_not_exact(self):
         result = gen_simple(GenSpec(d=2, r=1, seed=5))
@@ -336,7 +384,9 @@ class TestAnalysisTable:
         fresh = LlsInstance(inst.d, inst.r, inst.ambient_dim, inst.maps,
                             inst.vanishing, inst.spaces)
         assert validate(fresh, ambient_laws=False).ok
-        assert not any(key[0] == "_node_row" for key in fresh.table)
+        assert not any(key[0] in ("_triple_sum", "_defect") for key in fresh.table)
+        codim_report(fresh)
+        assert {key[0] for key in fresh.table} >= {"_triple_sum", "_defect"}
         first = exactness(fresh).edges
         assert all(a is b for a, b in zip(first, exactness(fresh).edges))
         assert canonical_matrix(fresh, md(4, 0, 0), md(0, 0, 4)) is \
@@ -423,9 +473,9 @@ class TestSharedTable:
         new_keys = set(parent.table) - before
         assert new_keys and all(replacement in key for key in new_keys)
         # One push per edge leaving the node; at the node, three single
-        # intersections, three pairs, and three in the distributivity test.
+        # meets, three pair meets and one triple meet.
         out_edges = [e for e in lls_core.directed_edges(parent.d) if e.source == node]
-        assert calls == {"apply": len(out_edges), "and": 9}
+        assert calls == {"apply": len(out_edges), "and": 7}
         assert sum(key[0] == "_pushed" for key in new_keys) == len(out_edges)
 
 
