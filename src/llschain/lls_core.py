@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from . import chain_model
@@ -284,8 +283,11 @@ def _vanishing(inst: LlsInstance, md: Multidegree, comps: tuple[int, ...]) -> Su
     return _vanishing(inst, md, comps[:-1]) & _vanishing(inst, md, comps[-1:])
 
 
-def _dim(inst: LlsInstance, md: Multidegree, *comps: int) -> int:
-    """``dim V_S`` for the components ``S``, listed in increasing order."""
+def _dim(inst: LlsInstance, md: Multidegree, comps: tuple[int, ...]) -> int:
+    """``dim V_S`` for the components ``S``, a tuple in increasing order.
+
+    Callers pass literal tuples where they can: the table key keeps the
+    tuple, and a literal is one object shared by every node's key."""
     return _vanishing(inst, md, comps).dim
 
 
@@ -298,22 +300,22 @@ def _triple_sum(inst: LlsInstance, md: Multidegree) -> Subspace:
 def _pair_sum_dim(inst: LlsInstance, md: Multidegree, comps: tuple[int, int]) -> int:
     """``dim(V_b + V_c) = dim V_b + dim V_c - dim V_bc``."""
     b, c = comps
-    return _dim(inst, md, b) + _dim(inst, md, c) - _dim(inst, md, b, c)
+    return _dim(inst, md, (b,)) + _dim(inst, md, (c,)) - _dim(inst, md, comps)
 
 
 def _meet(inst: LlsInstance, md: Multidegree, a: int) -> int:
     """``dim(V_a ∩ V_b + V_a ∩ V_c)`` for ``b, c`` the other two components."""
-    return (sum(_dim(inst, md, *sorted((a, x))) for x in _other_components(a))
-            - _dim(inst, md, 1, 2, 3))
+    return (sum(_dim(inst, md, p) for p in ((1, 2), (1, 3), (2, 3)) if a in p)
+            - _dim(inst, md, (1, 2, 3)))
 
 
 @_tabled(lambda md: (md,))
 def _defect(inst: LlsInstance, md: Multidegree) -> int:
     """``dim V_a ∩ (V_b + V_c) - dim(V_a ∩ V_b + V_a ∩ V_c)``, the same for
-    every ``a``: ``Σ dim V_q - Σ dim V_bc + dim V_123 - dim(V_1 + V_2 + V_3)``."""
-    return (sum(_dim(inst, md, q) for q in (1, 2, 3))
-            - sum(_dim(inst, md, *p) for p in combinations((1, 2, 3), 2))
-            + _dim(inst, md, 1, 2, 3) - _triple_sum(inst, md).dim)
+    every ``a`` (see :func:`distributive_at`)."""
+    return (sum(_dim(inst, md, (q,)) for q in (1, 2, 3))
+            - sum(_dim(inst, md, p) for p in ((1, 2), (1, 3), (2, 3)))
+            + _dim(inst, md, (1, 2, 3)) - _triple_sum(inst, md).dim)
 
 
 def vanishing_sum(inst: LlsInstance, md: Multidegree,
@@ -468,8 +470,8 @@ def codim_report(inst: LlsInstance) -> GridReport:
     for md in inst.multidegrees:
         triple = _triple_sum(inst, md).dim
         cells.append(GridCell(
-            md, inst.space(md).dim, tuple(_dim(inst, md, q) for q in (1, 2, 3)),
-            tuple(_pair_sum_dim(inst, md, p) for p in combinations((1, 2, 3), 2)),
+            md, inst.space(md).dim, tuple(_dim(inst, md, (q,)) for q in (1, 2, 3)),
+            tuple(_pair_sum_dim(inst, md, p) for p in ((1, 2), (1, 3), (2, 3))),
             triple, inst.r + 1 - triple, distributive_at(inst, md)))
     cells = tuple(cells)
     codim_sum = sum(c.codim for c in cells)
@@ -528,7 +530,7 @@ class IdentitySuiteReport:
 def _dim_gap(inst: LlsInstance, source: Multidegree, target: Multidegree,
              q: int) -> tuple[bool, str]:
     lhs = inst.r + 1 - _pair_sum_dim(inst, source, _other_components(q))
-    rhs = _dim(inst, target, q) - _meet(inst, target, q)
+    rhs = _dim(inst, target, (q,)) - _meet(inst, target, q)
     return lhs == rhs, f"{lhs} == {rhs}"
 
 
@@ -548,7 +550,7 @@ def _pushed_complement(inst: LlsInstance, down: Multidegree, md: Multidegree,
 
 def _vanishing_dim_step(inst: LlsInstance, down: Multidegree, md: Multidegree,
                         q: int) -> tuple[bool, str]:
-    lhs = _dim(inst, down, 2) - _dim(inst, md, 2)
+    lhs = _dim(inst, down, (2,)) - _dim(inst, md, (2,))
     rhs = inst.r + 1 - _pair_sum_dim(inst, md, (2, 3))
     return lhs == rhs, f"{lhs} == {rhs}"
 
