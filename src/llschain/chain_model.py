@@ -32,10 +32,9 @@ rank, kernel, or subspace comparison verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exactla import (
     LinearAlgebraError,
@@ -78,20 +77,23 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class ChainCurve:
+class _ChainFields(NamedTuple):
+    d: int
+    toward_scales: tuple[Fraction, Fraction, Fraction]
+
+
+class ChainCurve(_ChainFields):
     """Chain X1 - X2 - X3 of rational curves carrying degree-``d`` bundles."""
 
-    d: int
-    toward_scales: tuple[Fraction, Fraction, Fraction] = (_ONE, _ONE, _ONE)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 0:
+    def __new__(cls, d: int, toward_scales: Sequence = (_ONE, _ONE, _ONE)) -> "ChainCurve":
+        if d < 0:
             raise ValueError("total degree must be nonnegative")
-        scales = tuple(Fraction(c) for c in self.toward_scales)
+        scales = tuple(Fraction(c) for c in toward_scales)
         if any(c == 0 for c in scales):
             raise ValueError("twist scales must be nonzero")
-        object.__setattr__(self, "toward_scales", scales)
+        return super().__new__(cls, d, scales)
 
     def scale(self, direction: Direction) -> Fraction:
         """Scalar multiplying one edge map as a whole.  A from-Xq step has
@@ -229,8 +231,7 @@ def canonical_matrix(chain: ChainCurve, start: Multidegree, end: Multidegree) ->
     return last if len(nodes) == 2 else canonical_matrix(chain, start, nodes[-2]) @ last
 
 
-@dataclass(frozen=True)
-class SheafSkeleton:
+class SheafSkeleton(NamedTuple):
     """Ambient data of one degree: dimensions, twist matrices, and the
     single-component vanishing subspaces at every multidegree."""
 
@@ -251,8 +252,7 @@ def skeleton(chain: ChainCurve) -> SheafSkeleton:
     return SheafSkeleton(chain.d, ambient, maps, vanishing)
 
 
-@dataclass(frozen=True)
-class LawViolation:
+class LawViolation(NamedTuple):
     """One failed ambient law at the node or edge ``at``; ``where`` is the
     rest of its location (a direction pair or a component), so the JSON
     ``location`` and the compact text ``label`` differ only in ``at``."""
@@ -272,8 +272,7 @@ class LawViolation:
         return self.at.label + self.where
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(NamedTuple):
     violations: tuple[LawViolation, ...]
 
     @property

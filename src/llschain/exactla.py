@@ -30,8 +30,10 @@ relation (kernel) computation eliminates ``[ints_k | den_k·e_k]`` once, so
 the transform carries each row's own denominator.  ``Fraction`` values
 appear only at the edge: the constructor and ``from_rows`` read them, and
 ``entries``, ``row``, ``row_list``, ``entry``, ``vec_matmul`` and
-``complement_in`` build them for the caller.  Nothing derived is kept on a
-matrix beyond its hash.
+``complement_in`` build them for the caller.  ``Matrix`` and ``Subspace``
+are slotted classes with no ``__dict__``: a matrix holds its shape, its
+``ints`` and ``dens`` and, once asked, its hash, and nothing else derived;
+a subspace holds its ambient dimension, basis and pivot columns.
 
 Rationals serialize as ``"p/q"``, or ``"p"`` when the denominator is one,
 with the sign carried by the numerator; this is exactly ``str(Fraction)``.
@@ -42,7 +44,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -151,16 +152,12 @@ def _common(matrix: "Matrix") -> tuple[Sequence[IntRow], int]:
     return [[(den // d) * e for e in row] for row, d in zip(matrix.ints, matrix.dens)], den
 
 
-@dataclass(frozen=True, init=False)
 class Matrix:
     """Immutable dense rational matrix, stored as integer rows: row ``k`` is
     ``ints[k] / dens[k]``, with ``dens[k]`` the least common denominator of
     the row.  ``Matrix(rows, cols, entries)`` takes the entries row-major."""
 
-    rows: int
-    cols: int
-    ints: tuple[IntRow, ...]
-    dens: tuple[int, ...]
+    __slots__ = ("rows", "cols", "ints", "dens", "_hash", "__weakref__")
 
     def __init__(self, rows: int, cols: int, entries: Sequence) -> None:
         if rows < 0 or cols < 0:
@@ -172,13 +169,10 @@ class Matrix:
 
     def _set(self, rows: int, cols: int, ints: tuple[IntRow, ...],
              dens: tuple[int, ...]) -> None:
-        # Set one by one, never through ``__dict__``: reading ``__dict__``
-        # gives the instance a dict of its own, about 90 bytes per matrix.
-        setattr_ = object.__setattr__
-        setattr_(self, "rows", rows)
-        setattr_(self, "cols", cols)
-        setattr_(self, "ints", ints)
-        setattr_(self, "dens", dens)
+        self.rows = rows
+        self.cols = cols
+        self.ints = ints
+        self.dens = dens
 
     @classmethod
     def _stored(cls, cols: int, ints: tuple[IntRow, ...], dens: tuple[int, ...]) -> "Matrix":
@@ -227,15 +221,23 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.ints))
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.ints == other.ints and self.dens == other.dens)
+
     def __hash__(self) -> int:
         # Subspaces key the analysis table, so each matrix hashes its rows
         # once and keeps the value.
         try:
             return self._hash
         except AttributeError:
-            value = hash((self.rows, self.cols, self.ints, self.dens))
-            object.__setattr__(self, "_hash", value)
-            return value
+            self._hash = hash((self.rows, self.cols, self.ints, self.dens))
+            return self._hash
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows}, cols={self.cols}, ints={self.ints}, dens={self.dens})"
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -399,15 +401,26 @@ def rref_with_transform(matrix: Matrix) -> tuple[Matrix, Matrix, tuple[int, ...]
             tuple(pivots))
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A linear subspace of Q^n in canonical (RREF basis) form, with the
     pivot column of each basis row.  The basis stores each row as its
     primitive integer multiple over the (positive) pivot entry."""
 
-    ambient_dim: int
-    basis: Matrix
-    pivots: tuple[int, ...] = field(compare=False, repr=False)
+    __slots__ = ("ambient_dim", "basis", "pivots")
+
+    def __init__(self, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]) -> None:
+        self.ambient_dim, self.basis, self.pivots = ambient_dim, basis, pivots
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self) -> str:
+        return f"Subspace(ambient_dim={self.ambient_dim}, basis={self.basis!r})"
 
     @staticmethod
     def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":

@@ -10,11 +10,10 @@ elimination keeps entry growth tame at this scale.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import chain_model, lls_core, simple_basis
 from .chain_model import ChainCurve
@@ -47,15 +46,19 @@ class GenerationError(RuntimeError):
     """Retry or search budget exhausted."""
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class _GenSpecFields(NamedTuple):
     d: int
     r: int
     strategy: str = "from-sections"
     seed: int = 0
     budget: int = 2000
 
-    def __post_init__(self) -> None:
+
+class GenSpec(_GenSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "GenSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if self.d < 0:
             raise ValueError("d must be nonnegative")
         if self.r < 0:
@@ -66,6 +69,7 @@ class GenSpec:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
+        return self
 
     def provenance(self, **extra) -> dict:
         out = {"d": self.d, "r": self.r, "strategy": self.strategy,
@@ -130,8 +134,7 @@ def _draw_in_freedom(rng: random.Random, lower: Subspace, free: list[list[int]],
     return Subspace.span([*lower.basis.ints, *extra], ambient)
 
 
-@dataclass(frozen=True)
-class GenResult:
+class GenResult(NamedTuple):
     instance: LlsInstance
     certificate: simple_basis.SimpleCertificate
     attempts: int
@@ -203,8 +206,7 @@ def gen_simple(spec: GenSpec) -> GenResult:
         f"no simple draw found in {RETRY_LIMIT} attempts (seed {spec.seed})")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     instance: LlsInstance | None
     expansions: int
     distributive: bool | None
@@ -304,8 +306,7 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
                         report.codim_sum, note)
 
 
-@dataclass(frozen=True)
-class DegradeResult:
+class DegradeResult(NamedTuple):
     instance: LlsInstance
     mode: str
     at: Multidegree | Edge

@@ -33,7 +33,6 @@ map, so :func:`canonical_path` may fix any deterministic recipe.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -190,13 +189,21 @@ class PathClass(enum.Enum):
     VIOLATES_III = "violates (III)"
 
 
-@dataclass(frozen=True)
 class Path:
-    nodes: tuple[Multidegree, ...]
+    """A lattice walk; two paths are equal when their nodes are."""
 
-    def __post_init__(self) -> None:
-        if not self.nodes:
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: tuple[Multidegree, ...]) -> None:
+        if not nodes:
             raise PathError("a path needs at least one node")
+        self.nodes = nodes
+
+    def __eq__(self, other: object) -> bool:
+        return self.nodes == other.nodes if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.nodes,))
 
     def steps(self) -> tuple[Direction, ...]:
         out = []

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import chain_model
 from .chain_model import ChainCurve, LawReport, verify_sheaf_laws
@@ -112,7 +111,6 @@ def _tabled(reads):
     return wrap
 
 
-@dataclass(eq=False)
 class LlsInstance:
     """One series: ambient data plus the chosen subspaces.
 
@@ -129,21 +127,23 @@ class LlsInstance:
     place would leave the table describing the old series.
     """
 
-    d: int
-    r: int
-    ambient_dim: Mapping[Multidegree, int]
-    maps: Mapping[tuple[Multidegree, Multidegree], Matrix]
-    vanishing: Mapping[Multidegree, Mapping[int, Subspace]]
-    spaces: Mapping[Multidegree, Subspace]
-    provenance: dict | None = None
+    def __init__(self, d: int, r: int, ambient_dim: Mapping[Multidegree, int],
+                 maps: Mapping[tuple[Multidegree, Multidegree], Matrix],
+                 vanishing: Mapping[Multidegree, Mapping[int, Subspace]],
+                 spaces: Mapping[Multidegree, Subspace],
+                 provenance: dict | None = None) -> None:
+        self.d = d
+        self.r = r
+        self.ambient_dim = ambient_dim
+        self.maps = maps
+        self.vanishing = vanishing
+        self.spaces = spaces
+        self.provenance = provenance
+        self.table: dict = {}
 
     @property
     def multidegrees(self) -> tuple[Multidegree, ...]:
         return all_multidegrees(self.d)
-
-    @functools.cached_property
-    def table(self) -> dict:
-        return {}
 
     def space(self, md: Multidegree) -> Subspace:
         try:
@@ -170,8 +170,7 @@ def from_chain(chain: ChainCurve, r: int,
                        dict(spaces), provenance)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed validation check at the multidegree or edge ``at``;
     ``where`` is the rest of an ambient-law location.  The JSON writes the
     ``location``, text output the compact ``label``."""
@@ -194,8 +193,7 @@ class Violation:
         return {"kind": self.kind, "location": self.location, "message": self.message}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -331,8 +329,7 @@ def vanishing_sum(inst: LlsInstance, md: Multidegree,
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeExactness:
+class EdgeExactness(NamedTuple):
     edge: Edge
     image: Subspace
     constraint: Subspace
@@ -349,8 +346,7 @@ class EdgeExactness:
         }
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
+class ExactnessReport(NamedTuple):
     edges: tuple[EdgeExactness, ...]
 
     @property
@@ -404,8 +400,7 @@ def distributive_at(inst: LlsInstance, md: Multidegree) -> bool:
     return _defect(inst, md) == 0
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     multidegree: Multidegree
     dim_v: int
     dim_vanish: tuple[int, int, int]
@@ -430,8 +425,7 @@ class GridCell:
         }
 
 
-@dataclass(frozen=True)
-class GridReport:
+class GridReport(NamedTuple):
     d: int
     r: int
     cells: tuple[GridCell, ...]
@@ -497,8 +491,7 @@ def canonical_matrix(inst: LlsInstance, start: Multidegree, end: Multidegree) ->
     return last if len(nodes) == 2 else canonical_matrix(inst, start, nodes[-2]) @ last
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     identity: str
     location: str
     status: str  # "pass" | "fail" | "hypothesis-not-met"
@@ -509,8 +502,7 @@ class IdentityCheck:
                 "status": self.status, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class IdentitySuiteReport:
+class IdentitySuiteReport(NamedTuple):
     checks: tuple[IdentityCheck, ...]
 
     @property
@@ -542,9 +534,13 @@ def _pushed_complement(inst: LlsInstance, down: Multidegree, md: Multidegree,
     vanish-on-X2 + vanish-on-X3 at ``md``."""
     vectors = complement_in(vanishing_in_v(inst, down, (2,)), inst.space(down))
     pushed = Subspace.span(vectors, inst.ambient_dim[down]).apply(inst.maps[(down, md)])
-    v2_here = vanishing_in_v(inst, md, (2,))
-    ok = (pushed.dim == len(vectors) and (pushed & v2_here).dim == 0
-          and (v2_here + pushed) == vanishing_sum(inst, md, (2, 3)))
+    # ``V_2 + pushed`` is direct when its dimension is the sum of the two,
+    # and it is ``V_2 + V_3`` when it holds ``V_3`` and has that dimension.
+    v2_here = _vanishing(inst, md, (2,))
+    both = v2_here + pushed
+    ok = (pushed.dim == len(vectors) and both.dim == v2_here.dim + pushed.dim
+          and _vanishing(inst, md, (3,)) <= both
+          and both.dim == _pair_sum_dim(inst, md, (2, 3)))
     return ok, f"{len(vectors)} complement vectors push to an independent complement"
 
 

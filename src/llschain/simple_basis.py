@@ -20,9 +20,8 @@ producing something that silently fails to be a complement.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exactla import Matrix, Subspace, Vector, as_vector, complement_in, vec_matmul
 from .lattice import (
@@ -111,8 +110,7 @@ def _require_distributive(inst: LlsInstance) -> None:
             raise DistributivityRequired(md)
 
 
-@dataclass
-class ComplementSystem:
+class ComplementSystem(NamedTuple):
     """Per-multidegree complement bases for one component's vanishing space."""
 
     component: int
@@ -237,15 +235,13 @@ def growth_report(inst: LlsInstance, system: ComplementSystem,
     return out
 
 
-@dataclass(frozen=True)
-class StructureCheck:
+class StructureCheck(NamedTuple):
     item: str
     multidegree: Multidegree
     ok: bool
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     checks: tuple[StructureCheck, ...]
 
     @property
@@ -296,8 +292,7 @@ def structure_report(inst: LlsInstance,
     return StructureReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class SimpleCertificate:
+class SimpleCertificate(NamedTuple):
     """Support multidegrees and section lists witnessing simplicity.
 
     Sections are stored in canonical coordinates; per support multidegree
@@ -343,8 +338,7 @@ def extract_certificate(inst: LlsInstance) -> SimpleCertificate:
     return cert
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(NamedTuple):
     ok: bool
     failing_multidegree: Multidegree | None
     message: str
@@ -397,8 +391,7 @@ def verify_certificate(inst: LlsInstance, cert: SimpleCertificate) -> Certificat
     return CertificateCheck(True, None, "certificate verified")
 
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
+class SimplicityVerdict(NamedTuple):
     simple: bool
     certificate: SimpleCertificate | None = None
     reason: str | None = None  # "not-exact" | "not-distributive"

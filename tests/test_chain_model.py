@@ -36,6 +36,22 @@ def md(i, j, l):
     return Multidegree(i, j, l)
 
 
+class TestChainCurve:
+    @pytest.mark.parametrize("args", [(-1,), (2, (1, 0, 1))])
+    def test_invalid_curves_are_refused(self, args):
+        with pytest.raises(ValueError):
+            ChainCurve(*args)
+
+    def test_scales_normalise_to_one_cache_key(self):
+        plain, spelled = ChainCurve(2), ChainCurve(2, (1, 1, 1))
+        assert plain == spelled and hash(plain) == hash(spelled)
+        assert all(type(c) is Fraction for c in spelled.toward_scales)
+        before = skeleton.cache_info()
+        assert skeleton(plain) is skeleton(spelled)
+        assert skeleton.cache_info().currsize - before.currsize <= 1
+        assert skeleton.cache_info().hits - before.hits >= 1
+
+
 class TestSections:
     def test_worked_basis_at_degree_one(self):
         space = h0_basis(ChainCurve(1), md(1, 0, 0))

@@ -198,6 +198,15 @@ class TestProduct:
         if a == b:
             assert hash(a) == hash(b)
 
+    def test_hashes_and_equality_read_the_stored_fields(self):
+        m = Matrix.from_rows([[1, "1/2"], [0, 3]])
+        assert hash(m) == hash((2, 2, ((2, 1), (0, 3)), (2, 1)))
+        assert m != (m.rows, m.cols, m.ints, m.dens)
+        s = image(m)
+        assert hash(s) == hash((2, s.basis))
+        # The pivots follow from the basis, so they sit outside both.
+        assert Subspace(2, s.basis, ()) == s and s != (2, s.basis)
+
     @settings(max_examples=100, deadline=None)
     @given(product_operands())
     def test_readers_agree_with_the_entries(self, operands):
@@ -225,8 +234,9 @@ class TestProduct:
         vec_matmul(a.row(0), b)
         s.apply(b)
         s & t
+        assert set(Matrix.__slots__) == {"rows", "cols", "ints", "dens", "_hash", "__weakref__"}
         for m in (a, b, s.basis, t.basis):
-            assert set(vars(m)) <= {"rows", "cols", "ints", "dens", "_hash"}
+            assert not hasattr(m, "__dict__")
 
 
 class TestKernel:

@@ -1,9 +1,12 @@
 """Source-wide checks: no floating point anywhere in the package, no
-``assert`` statement, and every name a module exports in ``__all__``
-exists."""
+``assert`` statement, every name a module exports in ``__all__`` exists,
+and importing the package leaves the slow-to-load standard modules out."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,14 @@ def test_exports_resolve(path):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing {missing}"
+
+
+def test_import_skips_slow_stdlib_modules():
+    # Every CLI stage is a fresh process that pays for this import first.
+    # ``-S`` keeps the environment's ``site`` imports out of the picture.
+    code = ("import llschain, sys; "
+            "print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(llschain.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -102,6 +102,16 @@ class TestClassification:
     def test_single_node_path_is_canonical(self):
         assert classify_path(Path((md(1, 0, 0),))) is PathClass.VALID_CANONICAL
 
+    def test_empty_path_is_refused(self):
+        with pytest.raises(PathError):
+            Path(())
+
+    def test_paths_compare_by_nodes(self):
+        nodes = (md(2, 0, 0), md(1, 1, 0))
+        assert Path(nodes) == canonical_path(*nodes)
+        assert hash(Path(nodes)) == hash(canonical_path(*nodes))
+        assert Path(nodes) != Path(nodes[:1]) and Path(nodes) != nodes
+
 
 class TestCanonicalPath:
     def test_worked_horizontal_then_vertical(self):

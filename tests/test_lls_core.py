@@ -379,6 +379,23 @@ class TestAnalysisTable:
         assert json.dumps(identity_suite(inst).to_json(), sort_keys=True) == first
         assert not calls
 
+    def test_identity_suite_after_grid_report_intersects_nothing(self, monkeypatch):
+        """The grid report tables every meet the identities read, and the
+        pushed-complement check decides with one sum and dimension counts."""
+        inst = gen_simple(GenSpec(d=8, r=3, seed=1)).instance
+        codim_report(inst)
+        calls = []
+        real_and = Subspace.__and__
+
+        def counted_and(space, other):
+            calls.append(1)
+            return real_and(space, other)
+
+        monkeypatch.setattr(Subspace, "__and__", counted_and)
+        report = identity_suite(inst)
+        assert report.ok and report.by_status("pass")
+        assert not calls
+
     def test_entries_are_kept_and_filled_lazily(self, corpus):
         inst = corpus[10].instance
         fresh = LlsInstance(inst.d, inst.r, inst.ambient_dim, inst.maps,
