@@ -1,10 +1,10 @@
 """Exact-arithmetic limit linear series on a chain of three rational curves.
 
 Layered API: :mod:`llschain.exactla` (rational linear algebra),
-:mod:`llschain.lattice` (multidegrees, walks, regions),
+:mod:`llschain.lattice` (multidegrees and canonical walks),
 :mod:`llschain.chain_model` (section spaces and twist matrices),
 :mod:`llschain.lls_core` (series data model and validators),
-:mod:`llschain.simple_basis` (complement systems and certificates),
+:mod:`llschain.simple_basis` (simple-basis certificates),
 :mod:`llschain.generator` (seeded synthesis and negative controls),
 :mod:`llschain.cli` (command-line front door).
 """
@@ -26,7 +26,6 @@ from .lls_core import (
 )
 from .simple_basis import (
     SimpleCertificate,
-    build_complement_system,
     extract_certificate,
     is_simple,
     verify_certificate,
@@ -45,7 +44,6 @@ __all__ = [
     "SimpleCertificate",
     "Subspace",
     "all_multidegrees",
-    "build_complement_system",
     "canonical_path",
     "codim_report",
     "degrade",

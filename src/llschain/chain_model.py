@@ -68,7 +68,7 @@ __all__ = [
     "canonical_matrix",
     "SheafSkeleton",
     "skeleton",
-    "LawViolation",
+    "Violation",
     "LawReport",
     "verify_sheaf_laws",
 ]
@@ -252,12 +252,13 @@ def skeleton(chain: ChainCurve) -> SheafSkeleton:
     return SheafSkeleton(chain.d, ambient, maps, vanishing)
 
 
-class LawViolation(NamedTuple):
-    """One failed ambient law at the node or edge ``at``; ``where`` is the
-    rest of its location (a direction pair or a component), so the JSON
-    ``location`` and the compact text ``label`` differ only in ``at``."""
+class Violation(NamedTuple):
+    """One failed check of kind ``kind`` at the node or edge ``at``, such as
+    an ambient law; ``where`` is the rest of its location (a direction pair
+    or a component), so the JSON ``location`` and the compact text
+    ``label`` differ only in ``at``."""
 
-    law: str
+    kind: str
     at: Multidegree | Edge
     witness: Vector | None
     message: str
@@ -271,9 +272,12 @@ class LawViolation(NamedTuple):
     def label(self) -> str:
         return self.at.label + self.where
 
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "location": self.location, "message": self.message}
+
 
 class LawReport(NamedTuple):
-    violations: tuple[LawViolation, ...]
+    violations: tuple[Violation, ...]
 
     @property
     def ok(self) -> bool:
@@ -283,7 +287,7 @@ class LawReport(NamedTuple):
         return {
             "ok": self.ok,
             "violations": [
-                {"law": v.law, "location": v.location, "message": v.message}
+                {"law": v.kind, "location": v.location, "message": v.message}
                 for v in self.violations
             ],
         }
@@ -313,11 +317,11 @@ def verify_sheaf_laws(target: ChainCurve | SheafSkeleton | LlsInstance) -> LawRe
     Per from edge: the image vanishes on the two complementary components.
     """
     skel = skeleton(target) if isinstance(target, ChainCurve) else target
-    violations: list[LawViolation] = []
+    violations: list[Violation] = []
 
     def record(law: str, at: Multidegree | Edge, witness: Vector | None, message: str,
                where: str = "") -> None:
-        violations.append(LawViolation(law, at, witness, message, where))
+        violations.append(Violation(law, at, witness, message, where))
 
     grid = all_multidegrees(skel.d)
     directions = list(Direction)

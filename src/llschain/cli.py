@@ -197,7 +197,7 @@ def _cmd_laws(args) -> int:
                  f"identity suite: {'pass' if identities.ok else 'fail'} "
                  f"({len(identities.passed())} pass, "
                  f"{len(identities.by_status('hypothesis-not-met'))} skipped)"]
-        lines += [f"  {v.law} at {v.label}" for v in law_report.violations]
+        lines += [f"  {v.kind} at {v.label}" for v in law_report.violations]
         lines += [f"  {c.identity} at {c.location}: {c.detail}"
                   for c in identities.by_status("fail")]
     else:
@@ -205,7 +205,7 @@ def _cmd_laws(args) -> int:
         data = {"laws": law_report.to_json()}
         ok = law_report.ok
         lines = [f"ambient laws at degree {args.d}: {'pass' if ok else 'fail'}"]
-        lines += [f"  {v.law} at {v.label}" for v in law_report.violations]
+        lines += [f"  {v.kind} at {v.label}" for v in law_report.violations]
     _emit(args, data, lines)
     return 0 if ok else 1
 

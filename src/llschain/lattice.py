@@ -49,7 +49,6 @@ __all__ = [
     "classify_path",
     "classify_steps",
     "canonical_path",
-    "component_regions",
 ]
 
 
@@ -272,25 +271,7 @@ def canonical_path(start: Multidegree, end: Multidegree) -> Path:
         if node is None:
             raise PathError(f"canonical recipe left the lattice at {nodes[-1]} via {s.label}")
         nodes.append(node)
-    path = Path(tuple(nodes))
-    if classify_path(path) is not PathClass.VALID_CANONICAL:
+    if classify_steps(steps) is not PathClass.VALID_CANONICAL:
         raise PathError(f"canonical recipe from {start} to {end} is not canonical")
-    return path
+    return Path(tuple(nodes))
 
-
-def component_regions(md: Multidegree) -> tuple[tuple[Multidegree, ...], ...]:
-    """The three source regions of ``md``: region ``q`` collects the
-    multidegrees whose canonical maps into ``md`` feed the complement of
-    the vanish-on-Xq subspace.  Their union is the whole grid; listed in
-    grid order.  With ``(i, l)`` the coordinates of ``md``:
-
-    * region 1: ``i~ <= i`` and ``i~ - i <= l~ - l``;
-    * region 2: ``i~ >= i`` and ``l~ >= l``;
-    * region 3: ``l~ <= l`` and ``l~ - l <= i~ - i``.
-    """
-    grid = all_multidegrees(md.degree)
-    i, l = md.i, md.l
-    r1 = tuple(m for m in grid if m.i <= i and m.i - i <= m.l - l)
-    r2 = tuple(m for m in grid if m.i >= i and m.l >= l)
-    r3 = tuple(m for m in grid if m.l <= l and m.l - l <= m.i - i)
-    return r1, r2, r3

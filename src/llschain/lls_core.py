@@ -35,12 +35,11 @@ import json
 from typing import Mapping, NamedTuple, Sequence
 
 from . import chain_model
-from .chain_model import ChainCurve, LawReport, verify_sheaf_laws
+from .chain_model import ChainCurve, LawReport, Violation, verify_sheaf_laws
 from .exactla import (
     LinearAlgebraError,
     Matrix,
     Subspace,
-    Vector,
     complement_in,
     parse_rational,
 )
@@ -86,7 +85,7 @@ def _other_components(q: int) -> tuple[int, int]:
 
 
 # The lattice axis of a step, by the step's component; it names the
-# identity-suite checks and the complement systems' growth entries.
+# identity-suite checks.
 _AXIS = {1: "horizontal", 2: "diagonal", 3: "vertical"}
 
 
@@ -170,29 +169,6 @@ def from_chain(chain: ChainCurve, r: int,
                        dict(spaces), provenance)
 
 
-class Violation(NamedTuple):
-    """One failed validation check at the multidegree or edge ``at``;
-    ``where`` is the rest of an ambient-law location.  The JSON writes the
-    ``location``, text output the compact ``label``."""
-
-    kind: str
-    at: Multidegree | Edge
-    witness: Vector | None
-    message: str
-    where: str = ""
-
-    @property
-    def location(self) -> str:
-        return self.at.location + self.where
-
-    @property
-    def label(self) -> str:
-        return self.at.label + self.where
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "location": self.location, "message": self.message}
-
-
 class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
@@ -258,7 +234,7 @@ def validate(inst: LlsInstance, ambient_laws: bool = True) -> ValidationReport:
         law_report = _ambient_law_report(inst)
         for v in law_report.violations:
             violations.append(Violation("ambient-law", v.at, v.witness,
-                                        f"{v.law}: {v.message}", v.where))
+                                        f"{v.kind}: {v.message}", v.where))
     return ValidationReport(tuple(violations))
 
 
@@ -290,7 +266,9 @@ def _dim(inst: LlsInstance, md: Multidegree, comps: tuple[int, ...]) -> int:
 
 
 @_tabled(lambda md: (md,))
-def _triple_sum(inst: LlsInstance, md: Multidegree) -> Subspace:
+def vanishing_sum(inst: LlsInstance, md: Multidegree) -> Subspace:
+    """``V_1 + V_2 + V_3``, the sum of the single-component vanishing
+    subspaces of the chosen space."""
     v1, v2, v3 = (_vanishing(inst, md, (q,)) for q in (1, 2, 3))
     return v1 + v2 + v3
 
@@ -313,20 +291,7 @@ def _defect(inst: LlsInstance, md: Multidegree) -> int:
     every ``a`` (see :func:`distributive_at`)."""
     return (sum(_dim(inst, md, (q,)) for q in (1, 2, 3))
             - sum(_dim(inst, md, p) for p in ((1, 2), (1, 3), (2, 3)))
-            + _dim(inst, md, (1, 2, 3)) - _triple_sum(inst, md).dim)
-
-
-def vanishing_sum(inst: LlsInstance, md: Multidegree,
-                  components: Sequence[int] = (1, 2, 3)) -> Subspace:
-    """Sum of the single-component vanishing subspaces of the chosen space;
-    the sum of all three is the one kept in the analysis table."""
-    comps = tuple(components)
-    if sorted(comps) == [1, 2, 3]:
-        return _triple_sum(inst, md)
-    out = Subspace.zero(inst.space(md).ambient_dim)
-    for q in comps:
-        out = out + vanishing_in_v(inst, md, (q,))
-    return out
+            + _dim(inst, md, (1, 2, 3)) - vanishing_sum(inst, md).dim)
 
 
 class EdgeExactness(NamedTuple):
@@ -462,7 +427,7 @@ def codim_report(inst: LlsInstance) -> GridReport:
     """
     cells = []
     for md in inst.multidegrees:
-        triple = _triple_sum(inst, md).dim
+        triple = vanishing_sum(inst, md).dim
         cells.append(GridCell(
             md, inst.space(md).dim, tuple(_dim(inst, md, (q,)) for q in (1, 2, 3)),
             tuple(_pair_sum_dim(inst, md, p) for p in ((1, 2), (1, 3), (2, 3))),
@@ -555,7 +520,7 @@ def _quotient_splitting(inst: LlsInstance, source: Multidegree, target: Multideg
                         q: int) -> tuple[bool, str]:
     others = _other_components(q)
     lhs = inst.r + 1 - _pair_sum_dim(inst, source, others)
-    part1 = _triple_sum(inst, target).dim - _pair_sum_dim(inst, target, others)
+    part1 = vanishing_sum(inst, target).dim - _pair_sum_dim(inst, target, others)
     defect = _defect(inst, target)
     return lhs == part1 + defect, f"{lhs} == {part1} + {defect}"
 
@@ -564,7 +529,7 @@ def _distributivity_dim_test(inst: LlsInstance, source: Multidegree, target: Mul
                              q: int) -> tuple[bool, str]:
     others, distributive = _other_components(q), distributive_at(inst, target)
     gap_closed = (_pair_sum_dim(inst, source, others) - _pair_sum_dim(inst, target, others)
-                  == inst.r + 1 - _triple_sum(inst, target).dim)
+                  == inst.r + 1 - vanishing_sum(inst, target).dim)
     return (distributive == gap_closed,
             f"distributive={distributive} gap_closed={gap_closed}")
 

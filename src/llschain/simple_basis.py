@@ -1,20 +1,12 @@
-"""Complement systems, simple-basis certificates, and the simplicity decision.
+"""Simple-basis certificates and the simplicity decision.
 
-A *complement system* for component ``q`` assigns to every multidegree an
-ordered basis of a complement of the vanish-on-Xq subspace inside the
-chosen space.  One table, ``_FEEDS``, says which neighbours feed a node of
-the component-``q`` system: its primary neighbours that exist or, when
-none does, its fallback neighbour (this seeds the corner (d, 0, 0) of
-``W^1`` from (d-1, 1, 0) and the corner (0, 0, d) of ``W^3`` from
-(0, 1, d-1)).  The sweep builds every node after its feeders and seeds it
-with their twisted bases, so the bases grow compatibly along the three
-lattice directions; the growth check, the structure identities and the
-region recurrences read the same table.  A *simple-basis certificate* is
-a set of support multidegrees with section lists whose canonical-walk
-images form a basis of the chosen space at every multidegree.  Both
-constructions need the series to be exact and distributive everywhere;
-the functions here refuse other input with a precise witness instead of
-producing something that silently fails to be a complement.
+A *simple-basis certificate* is a set of support multidegrees with section
+lists whose canonical-walk images form a basis of the chosen space at every
+multidegree.  :func:`extract_certificate` builds one for a series that is
+exact and distributive everywhere and refuses other input with a precise
+witness; :func:`verify_certificate` checks any certificate, hand-written
+ones included, by pushing its sections with :func:`push_along_walks`; and
+:func:`is_simple` decides simplicity by the two together.
 """
 
 from __future__ import annotations
@@ -24,17 +16,10 @@ from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exactla import Matrix, Subspace, Vector, as_vector, complement_in, vec_matmul
-from .lattice import (
-    Direction,
-    Edge,
-    Multidegree,
-    all_multidegrees,
-    component_regions,
-)
+from .lattice import Edge, Multidegree
 from .lls_core import (
     InstanceFormatError,
     LlsInstance,
-    _AXIS,
     _dump,
     _parse_md_key,
     _parse_md_triple,
@@ -42,7 +27,6 @@ from .lls_core import (
     canonical_matrix,
     distributive_at,
     exactness,
-    vanishing_in_v,
     vanishing_sum,
 )
 
@@ -51,12 +35,6 @@ __all__ = [
     "DistributivityRequired",
     "CertificateError",
     "ConstructionError",
-    "ComplementSystem",
-    "build_complement_system",
-    "growth_report",
-    "StructureCheck",
-    "StructureReport",
-    "structure_report",
     "SimpleCertificate",
     "extract_certificate",
     "CertificateCheck",
@@ -64,8 +42,6 @@ __all__ = [
     "SimplicityVerdict",
     "is_simple",
     "push_along_walks",
-    "certificate_complement_systems",
-    "certificate_push_candidates",
     "certificate_to_json",
     "certificate_from_json",
     "save_certificate",
@@ -108,188 +84,6 @@ def _require_distributive(inst: LlsInstance) -> None:
     for md in inst.multidegrees:
         if not distributive_at(inst, md):
             raise DistributivityRequired(md)
-
-
-class ComplementSystem(NamedTuple):
-    """Per-multidegree complement bases for one component's vanishing space."""
-
-    component: int
-    basis: dict[Multidegree, list[Vector]]
-    spans: dict[Multidegree, Subspace]
-
-    def span(self, md: Multidegree) -> Subspace:
-        return self.spans[md]
-
-
-# Which neighbours feed a node of the component-q complement system:
-# q -> (primary steps, fallback step), each step leading from the node to
-# a feeder.  A node is fed by its primary neighbours that exist or, when
-# none does, by its fallback neighbour if that exists.
-_FEEDS = {
-    1: ((Direction.FROM_X2, Direction.FROM_X3), Direction.TOWARD_X1),
-    2: ((Direction.FROM_X1, Direction.FROM_X3), Direction.TOWARD_X2),
-    3: ((Direction.FROM_X2, Direction.FROM_X1), Direction.TOWARD_X3),
-}
-
-
-def _feeders(md: Multidegree, q: int) -> tuple[Multidegree, ...]:
-    primary, fallback = _FEEDS[q]
-    found = tuple(n for n in map(md.step, primary) if n is not None)
-    if found:
-        return found
-    source = md.step(fallback)
-    return () if source is None else (source,)
-
-
-def _complete_node(inst: LlsInstance, md: Multidegree, q: int,
-                   seeds: list[Vector], preferred: Mapping | None) -> list[Vector]:
-    van = vanishing_in_v(inst, md, (q,))
-    seed_span = Subspace.span(seeds, inst.ambient_dim[md])
-    if seed_span.dim != len(seeds):
-        raise ConstructionError(f"seed images at {md} are dependent")
-    if (seed_span & van).dim != 0:
-        raise ConstructionError(f"seed images at {md} meet the vanishing subspace")
-    wanted = preferred.get(md, ()) if preferred else ()
-    return seeds + complement_in(van + seed_span, inst.space(md), preferred=wanted)
-
-
-def _checked_system(inst: LlsInstance, q: int,
-                    basis: dict[Multidegree, list[Vector]]) -> ComplementSystem:
-    """``basis`` as the component-``q`` system, once it is an independent
-    complement of the vanish-on-Xq subspace at every node and grows
-    verbatim along every table edge; both constructions end here."""
-    spans = {}
-    for md in inst.multidegrees:
-        span = spans[md] = Subspace.span(basis[md], inst.ambient_dim[md])
-        van = vanishing_in_v(inst, md, (q,))
-        if span.dim != len(basis[md]) or (span & van).dim != 0 \
-                or span.dim + van.dim != inst.space(md).dim:
-            raise ConstructionError(f"component-{q} bases are no complement at {md}")
-    system = ComplementSystem(q, basis, spans)
-    failures = [entry for entry in growth_report(inst, system) if not entry[3]]
-    if failures:
-        raise ConstructionError(f"directional growth fails: {failures[0][:3]}")
-    return system
-
-
-def build_complement_system(inst: LlsInstance, q: int,
-                            preferred: Mapping[Multidegree, Sequence] | None = None,
-                            ) -> ComplementSystem:
-    """Build the component-``q`` complement system by the inductive sweep.
-
-    Every node is built after its feeders in ``_FEEDS`` (components 1, 2, 3
-    are fed from the up-right and lower, the left and lower, and the
-    up-right and left neighbours; where none of those exists, from the
-    right, down-left and upper neighbour).  Its seeds are the feeders'
-    bases pushed along the edges into it, with repeats dropped when two
-    feeders meet, and its basis extends the seeds to a complement of the
-    vanish-on-Xq subspace.
-
-    ``preferred`` optionally injects favourite complement vectors per
-    multidegree (scanned before the default candidates), which makes the
-    choice steps reproduce externally supplied bases, e.g. pushed
-    certificate sections.
-
-    Requires the series to be exact and distributive at every multidegree;
-    raises :class:`ExactnessRequired` or :class:`DistributivityRequired`
-    with a witness otherwise.
-    """
-    if q not in (1, 2, 3):
-        raise ValueError("component must be 1, 2, or 3")
-    _require_exact(inst)
-    _require_distributive(inst)
-    basis: dict[Multidegree, list[Vector]] = {}
-
-    def build(md: Multidegree) -> list[Vector]:
-        if md not in basis:
-            sources = _feeders(md, q)
-            seeds = [vec_matmul(v, inst.maps[(source, md)])
-                     for source in sources for v in build(source)]
-            if len(sources) == 2:
-                seeds = list(dict.fromkeys(seeds))
-            basis[md] = _complete_node(inst, md, q, seeds, preferred)
-        return basis[md]
-
-    for md in inst.multidegrees:
-        build(md)
-    return _checked_system(inst, q, basis)
-
-
-def growth_report(inst: LlsInstance, system: ComplementSystem,
-                  ) -> list[tuple[str, Multidegree, Multidegree, bool]]:
-    """Evaluate directional growth of one system at every node: along the
-    edge from each neighbour its three table steps reach, the pushed basis
-    must reappear verbatim in the node's basis.  Entries are labelled by
-    the axis of the step."""
-    primary, fallback = _FEEDS[system.component]
-    out = []
-    for md in inst.multidegrees:
-        for step in (*primary, fallback):
-            source = md.step(step)
-            if source is None:
-                continue
-            matrix = inst.maps[(source, md)]
-            pushed = {vec_matmul(v, matrix) for v in system.basis[source]}
-            out.append((_AXIS[step.component], source, md,
-                        pushed <= set(system.basis[md])))
-    return out
-
-
-class StructureCheck(NamedTuple):
-    item: str
-    multidegree: Multidegree
-    ok: bool
-
-
-class StructureReport(NamedTuple):
-    checks: tuple[StructureCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok,
-                "checks": [{"item": c.item, "multidegree": c.multidegree.to_json(),
-                            "ok": c.ok} for c in self.checks]}
-
-
-def structure_report(inst: LlsInstance,
-                     systems: Sequence[ComplementSystem]) -> StructureReport:
-    """Check that the sum of the three vanishing subspaces decomposes
-    through pushed complements: at every node it equals the sum over ``q``
-    of ``W^q`` pushed from the node's component-``q`` feeders.
-
-    Each check is labelled by the node's grid position:
-    ``corner-bottom-right`` (0, 0, d), ``corner-top-left`` (d, 0, 0),
-    ``anti-diagonal-edge`` (i + l = d), ``right-column`` (i = 0),
-    ``top-row`` (l = 0) or ``interior``.
-    """
-    s1, s2, s3 = systems
-    if (s1.component, s2.component, s3.component) != (1, 2, 3):
-        raise ValueError("systems must be given in component order 1, 2, 3")
-    d = inst.d
-    checks: list[StructureCheck] = []
-    if d == 0:
-        return StructureReport(())
-    for md in inst.multidegrees:
-        i, l = md.i, md.l
-        if i == 0 and l == d:
-            item = "corner-bottom-right"
-        elif i == d:
-            item = "corner-top-left"
-        elif l == d - i:
-            item = "anti-diagonal-edge"
-        elif i == 0 or l == 0:
-            item = "right-column" if i == 0 else "top-row"
-        else:
-            item = "interior"
-        pushed = [vec_matmul(v, inst.maps[(source, md)]) for system in systems
-                  for source in _feeders(md, system.component)
-                  for v in system.basis[source]]
-        rhs = Subspace.span(pushed, inst.ambient_dim[md])
-        checks.append(StructureCheck(item, md, vanishing_sum(inst, md) == rhs))
-    return StructureReport(tuple(checks))
 
 
 class SimpleCertificate(NamedTuple):
@@ -438,56 +232,6 @@ def push_along_walks(walk: Callable[[Multidegree, Multidegree], Matrix],
         matrix = walk(source, target)
         out.extend(vec_matmul(s, matrix) for s in sections[source])
     return out
-
-
-def certificate_push_candidates(inst: LlsInstance, cert: SimpleCertificate,
-                                ) -> dict[Multidegree, list[Vector]]:
-    """All canonical pushes of the certificate sections, per multidegree,
-    in support order; useful as ``preferred`` complement candidates."""
-    walk = partial(canonical_matrix, inst)
-    return {md: push_along_walks(walk, cert.sections, cert.support, md)
-            for md in inst.multidegrees}
-
-
-def certificate_complement_systems(inst: LlsInstance, cert: SimpleCertificate,
-                                   ) -> tuple[ComplementSystem, ...]:
-    """The three complement systems read off a certificate directly.
-
-    The component-``q`` basis at a node consists of the pushed sections
-    whose support multidegree lies in the node's component-``q`` source
-    region.  The systems are checked against every invariant the sweep
-    construction guarantees (complement property and directional growth),
-    and the region recurrences feeding the induction are re-verified on
-    the lattice.
-    """
-    check = verify_certificate(inst, cert)
-    if not check.ok:
-        raise CertificateError("sections", f"invalid certificate: {check.message}")
-    walk = partial(canonical_matrix, inst)
-    systems = []
-    for q in (1, 2, 3):
-        basis: dict[Multidegree, list[Vector]] = {}
-        for md in inst.multidegrees:
-            region = set(component_regions(md)[q - 1])
-            sources = [s for s in cert.support if s in region]
-            basis[md] = push_along_walks(walk, cert.sections, sources, md)
-        systems.append(_checked_system(inst, q, basis))
-    _check_region_recurrences(inst.d)
-    return tuple(systems)
-
-
-def _check_region_recurrences(d: int) -> None:
-    """Recurrences of the source regions: wherever both primary feeders of
-    a node exist, removing the node from its component-``q`` region leaves
-    the union of the feeders' component-``q`` regions."""
-    for md in all_multidegrees(d):
-        for q in (1, 2, 3):
-            fed = _feeders(md, q)
-            if len(fed) < 2:
-                continue
-            parts = set().union(*(component_regions(f)[q - 1] for f in fed))
-            if set(component_regions(md)[q - 1]) - {md} != parts:
-                raise ConstructionError(f"region recurrence fails at {md}")
 
 
 def certificate_to_json(cert: SimpleCertificate) -> dict:

@@ -234,7 +234,7 @@ class TestLawSuite:
                                 {k: dict(v) for k, v in skel.vanishing.items()})
         report = verify_sheaf_laws(mutated)
         assert not report.ok
-        laws = {v.law for v in report.violations}
+        laws = {v.kind for v in report.violations}
         assert laws & {"zero-composition", "square-commutation", "kernel-vanishing",
                        "vanishing-transport", "image-containment",
                        "degenerate-composition"}

@@ -19,6 +19,13 @@ from llschain.exactla import Subspace
 from llschain.generator import degrade
 
 from conftest import CORPUS_SIZE, abstract_nondistributive_instance, one_node_instance
+from complements import (
+    build_complement_system,
+    certificate_complement_systems,
+    certificate_push_candidates,
+    growth_report,
+    structure_report,
+)
 
 GOLDEN_INDICES = range(0, CORPUS_SIZE, 5)  # 20 instances, every (d, r) combo
 DEGRADED_FROM = 3  # a d=2, r=1 corpus member
@@ -246,21 +253,21 @@ def complement_digests(corpus) -> dict[str, dict[str, str]]:
     for k in GOLDEN_INDICES:
         inst = corpus[k].instance
         cert = simple_basis.extract_certificate(inst)
-        preferred = simple_basis.certificate_push_candidates(inst, cert)
-        built = [simple_basis.build_complement_system(inst, q) for q in (1, 2, 3)]
+        preferred = certificate_push_candidates(inst, cert)
+        built = [build_complement_system(inst, q) for q in (1, 2, 3)]
         row = {}
         for system in built:
             q = system.component
             row[f"W{q}"] = _digest(_system_json(inst, system))
-            favoured = simple_basis.build_complement_system(inst, q, preferred=preferred)
+            favoured = build_complement_system(inst, q, preferred=preferred)
             row[f"W{q}-preferred"] = _digest(_system_json(inst, favoured))
-        read_off = simple_basis.certificate_complement_systems(inst, cert)
+        read_off = certificate_complement_systems(inst, cert)
         row["certificate"] = _digest({f"W{s.component}": _system_json(inst, s)
                                       for s in read_off})
-        row["structure"] = _digest(simple_basis.structure_report(inst, built).to_json())
+        row["structure"] = _digest(structure_report(inst, built).to_json())
         growth = sorted([s.component, label, source.to_json(), target.to_json(), ok]
                         for s in built
-                        for label, source, target, ok in simple_basis.growth_report(inst, s))
+                        for label, source, target, ok in growth_report(inst, s))
         row["growth"] = _digest({"entries": growth})
         out[f"corpus[{k}]"] = row
     return out

@@ -11,8 +11,9 @@ from llschain.lattice import (
     edge_between,
     canonical_path,
     classify_path,
-    component_regions,
 )
+
+from complements import _feeders, component_regions
 
 
 def md(i, j, l):
@@ -181,17 +182,25 @@ class TestRegions:
             r1, r2, r3 = component_regions(node)
             assert set(r1) | set(r2) | set(r3) == set(all_multidegrees(d))
 
-    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize("d", range(1, 7))
     def test_interior_region_recurrences(self, d):
-        # Removing a node from its own region leaves the union of the two
-        # feeding neighbours' regions, component by component.
+        # Wherever both primary feeders of a node exist (the interior, and
+        # the boundary nodes where one component still has two, such as
+        # q = 2 on the top row and the right column), removing the node
+        # from its component-q region leaves the union of the feeders'
+        # component-q regions.
+        checked = set()
         for node in all_multidegrees(d):
-            if node.i < 1 or node.l < 1 or node.i + node.l > d - 1:
-                continue
-            r1, r2, r3 = (set(r) for r in component_regions(node))
-            assert r1 - {node} == (set(component_regions(node.step(Direction.FROM_X2))[0])
-                                   | set(component_regions(node.step(Direction.FROM_X3))[0]))
-            assert r2 - {node} == (set(component_regions(node.step(Direction.FROM_X1))[1])
-                                   | set(component_regions(node.step(Direction.FROM_X3))[1]))
-            assert r3 - {node} == (set(component_regions(node.step(Direction.FROM_X2))[2])
-                                   | set(component_regions(node.step(Direction.FROM_X1))[2]))
+            regions = component_regions(node)
+            for q in (1, 2, 3):
+                feeders = _feeders(node, q)
+                if len(feeders) < 2:
+                    continue
+                parts = set().union(*(component_regions(f)[q - 1] for f in feeders))
+                assert set(regions[q - 1]) - {node} == parts, (node, q)
+                checked.add((node, q))
+        grid = all_multidegrees(d)
+        interior = {(node, q) for node in grid for q in (1, 2, 3)
+                    if node.i >= 1 and node.l >= 1 and node.i + node.l <= d - 1}
+        borders = {(node, 2) for node in grid if 0 in (node.i, node.l) and node.j >= 1}
+        assert checked == interior | borders

@@ -25,7 +25,6 @@ from llschain.lls_core import (
     save_instance,
     validate,
     vanishing_in_v,
-    vanishing_sum,
 )
 from llschain.generator import DEGRADE_MODES, GenSpec, degrade, gen_simple
 from llschain.simple_basis import is_simple
@@ -79,7 +78,8 @@ class TestWorkedInstance:
         total = 0
         for l in range(inst.d + 1):
             node = md(0, inst.d - l, l)
-            total += inst.r + 1 - vanishing_sum(inst, node, (2, 3)).dim
+            pair = vanishing_in_v(inst, node, (2,)) + vanishing_in_v(inst, node, (3,))
+            total += inst.r + 1 - pair.dim
         assert total == inst.r + 1
 
 
@@ -401,9 +401,9 @@ class TestAnalysisTable:
         fresh = LlsInstance(inst.d, inst.r, inst.ambient_dim, inst.maps,
                             inst.vanishing, inst.spaces)
         assert validate(fresh, ambient_laws=False).ok
-        assert not any(key[0] in ("_triple_sum", "_defect") for key in fresh.table)
+        assert not any(key[0] in ("vanishing_sum", "_defect") for key in fresh.table)
         codim_report(fresh)
-        assert {key[0] for key in fresh.table} >= {"_triple_sum", "_defect"}
+        assert {key[0] for key in fresh.table} >= {"vanishing_sum", "_defect"}
         first = exactness(fresh).edges
         assert all(a is b for a, b in zip(first, exactness(fresh).edges))
         assert canonical_matrix(fresh, md(4, 0, 0), md(0, 0, 4)) is \

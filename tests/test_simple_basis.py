@@ -6,28 +6,29 @@ from llschain.exactla import Matrix, Subspace, vec_matmul
 from llschain.lattice import Direction, Multidegree, all_multidegrees
 from llschain.lls_core import LlsInstance, canonical_matrix, validate
 from llschain.generator import GenSpec, degrade, gen_simple
-from llschain import simple_basis
 from llschain.simple_basis import (
     CertificateError,
-    ComplementSystem,
     ConstructionError,
     DistributivityRequired,
     ExactnessRequired,
     SimpleCertificate,
-    build_complement_system,
-    certificate_complement_systems,
     certificate_from_json,
-    certificate_push_candidates,
     certificate_to_json,
     extract_certificate,
-    growth_report,
     is_simple,
     load_certificate,
     save_certificate,
-    structure_report,
     verify_certificate,
 )
 
+import complements
+from complements import (
+    build_complement_system,
+    certificate_complement_systems,
+    certificate_push_candidates,
+    growth_report,
+    structure_report,
+)
 from conftest import abstract_nondistributive_instance
 
 
@@ -228,18 +229,18 @@ class TestSharedChecker:
         node = next(n for n in inst.multidegrees if system.basis[n])
         basis = {**system.basis, node: system.basis[node][1:]}
         with pytest.raises(ConstructionError, match="no complement"):
-            simple_basis._checked_system(inst, 1, basis)
+            complements._checked_system(inst, 1, basis)
 
     def test_rescaled_seed_keeps_the_span_but_breaks_growth(self):
         inst, system = self.built()
         node, source = next((n, s) for n in inst.multidegrees
-                            for s in simple_basis._feeders(n, 1) if system.basis[s])
+                            for s in complements._feeders(n, 1) if system.basis[s])
         seed = vec_matmul(system.basis[source][0], inst.maps[(source, node)])
         vectors = list(system.basis[node])
         vectors[vectors.index(seed)] = tuple(2 * e for e in seed)
         assert Subspace.span(vectors, inst.ambient_dim[node]) == system.span(node)
         with pytest.raises(ConstructionError, match="directional growth"):
-            simple_basis._checked_system(inst, 1, {**system.basis, node: vectors})
+            complements._checked_system(inst, 1, {**system.basis, node: vectors})
 
 
 class TestMirrorSymmetry:
