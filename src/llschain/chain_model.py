@@ -73,10 +73,6 @@ __all__ = [
     "verify_sheaf_laws",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 class _ChainFields(NamedTuple):
     d: int
     toward_scales: tuple[Fraction, Fraction, Fraction]
@@ -87,7 +83,7 @@ class ChainCurve(_ChainFields):
 
     __slots__ = ()
 
-    def __new__(cls, d: int, toward_scales: Sequence = (_ONE, _ONE, _ONE)) -> "ChainCurve":
+    def __new__(cls, d: int, toward_scales: Sequence = (1, 1, 1)) -> "ChainCurve":
         if d < 0:
             raise ValueError("total degree must be nonnegative")
         scales = tuple(Fraction(c) for c in toward_scales)
@@ -123,21 +119,16 @@ def h0_basis(chain: ChainCurve, md: Multidegree) -> Subspace:
     each in ascending degree) solving the two gluing equations; its RREF
     basis is the canonical basis of the section space."""
     if md.degree != chain.d or min(md) < 0:
-        raise ValueError(f"{md} is not a nonnegative multidegree of total degree {chain.d}")
+        raise ValueError(f"{md.label} is not a nonnegative multidegree of total degree {chain.d}")
     b1, b2, b3 = _blocks(md)
     total = b1 + b2 + b3
     # Gluing columns: f1(0) - f2(0) and f2(1) - f3(0).
     rows = []
     for k in range(total):
-        col_a = _ONE if k == 0 else (-_ONE if k == b1 else _ZERO)
-        col_b = _ZERO
-        if b1 <= k < b1 + b2:
-            col_b = _ONE
-        elif k == b1 + b2:
-            col_b = -_ONE
+        col_a = 1 if k == 0 else (-1 if k == b1 else 0)
+        col_b = 1 if b1 <= k < b1 + b2 else (-1 if k == b1 + b2 else 0)
         rows.append((col_a, col_b))
-    glue = Matrix.from_rows(rows, cols=2)
-    return kernel(glue)
+    return kernel(Matrix.from_ints(rows, (1,) * total, 2))
 
 
 # The module docstring's table: each block's factor per direction, as
@@ -179,21 +170,22 @@ def twist_matrix(chain: ChainCurve, edge: Edge) -> Matrix:
     row is its integer row over the pivot entry, so its image is the
     twisted integer row over the same entry; every image is checked to lie
     in the target section space (it always does for this backend), and its
-    coordinates are its entries at the target's pivot columns.
+    coordinates are its entries at the target's pivot columns, times the
+    edge's scale.
     """
     if edge.source.step(edge.direction) != edge.target:
-        raise ValueError(f"{edge} is not a lattice edge")
+        raise ValueError(f"{edge.label} is not a lattice edge")
     src = h0_basis(chain, edge.source)
     tgt = h0_basis(chain, edge.target)
     scale = chain.scale(edge.direction)
     rows = []
-    for row, lead in zip(src.basis.ints, src.basis.dens):
+    for row in src.basis.ints:
         image = _apply_twist(edge, row)
         if image not in tgt:
             raise LinearAlgebraError(f"a twisted section along {edge.label} is not glued")
-        rows.append([scale * Fraction(image[p], lead) if image[p] else _ZERO
-                     for p in tgt.pivots])
-    return Matrix.from_rows(rows, cols=tgt.dim)
+        rows.append([scale.numerator * image[p] for p in tgt.pivots])
+    return Matrix.from_ints(rows, [scale.denominator * lead for lead in src.basis.dens],
+                            tgt.dim)
 
 
 @lru_cache(maxsize=None)
@@ -211,10 +203,8 @@ def vanishing_subspace(chain: ChainCurve, md: Multidegree,
     cols: list[int] = []
     for q in comps:
         cols.extend(range(*offsets[q]))
-    restricted = Matrix.from_rows(
-        [[space.basis.entry(r, c) for c in cols] for r in range(space.dim)],
-        cols=len(cols))
-    return kernel(restricted)
+    restricted = [[row[c] for c in cols] for row in space.basis.ints]
+    return kernel(Matrix.from_ints(restricted, space.basis.dens, len(cols)))
 
 
 @lru_cache(maxsize=None)

@@ -28,12 +28,16 @@ Every operation (``@``, ``vec_matmul``, ``is_zero``, ``to_strings``,
 as they are stored; residuals, products and relation rows are ``int``.  A
 relation (kernel) computation eliminates ``[ints_k | den_k·e_k]`` once, so
 the transform carries each row's own denominator.  ``Fraction`` values
-appear only at the edge: the constructor and ``from_rows`` read them, and
-``entries``, ``row``, ``row_list``, ``entry``, ``vec_matmul`` and
-``complement_in`` build them for the caller.  ``Matrix`` and ``Subspace``
-are slotted classes with no ``__dict__``: a matrix holds its shape, its
-``ints`` and ``dens`` and, once asked, its hash, and nothing else derived;
-a subspace holds its ambient dimension, basis and pivot columns.
+appear only at the edge: ``from_rows``, ``Subspace.span``, ``in``,
+``vec_matmul`` and the ``preferred`` rows of ``complement_in`` read them,
+and ``entries``, ``row``, ``row_list``, ``to_strings`` and ``vec_matmul``
+build them for the caller.  Library code keeps to integer rows:
+``from_ints`` takes them over any positive denominators, and
+``complement_in`` returns its choice as a stored-form matrix.  ``Matrix``
+and ``Subspace`` are slotted classes with no ``__dict__``: a matrix holds
+its shape, its ``ints`` and ``dens`` and, once asked, its hash, and
+nothing else derived; a subspace holds its ambient dimension, basis and
+pivot columns.
 
 Rationals serialize as ``"p/q"``, or ``"p"`` when the denominator is one,
 with the sign carried by the numerator; this is exactly ``str(Fraction)``.
@@ -155,30 +159,16 @@ def _common(matrix: "Matrix") -> tuple[Sequence[IntRow], int]:
 class Matrix:
     """Immutable dense rational matrix, stored as integer rows: row ``k`` is
     ``ints[k] / dens[k]``, with ``dens[k]`` the least common denominator of
-    the row.  ``Matrix(rows, cols, entries)`` takes the entries row-major."""
+    the row.  Build one with ``from_rows`` (rational entries), ``from_ints``
+    (integer rows over denominators), ``identity`` or ``zeros``."""
 
     __slots__ = ("rows", "cols", "ints", "dens", "_hash", "__weakref__")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence) -> None:
-        if rows < 0 or cols < 0:
-            raise LinearAlgebraError("negative matrix dimensions")
-        if len(entries) != rows * cols:
-            raise LinearAlgebraError("entry count does not match dimensions")
-        pairs = [_integer_row(entries[k * cols:(k + 1) * cols]) for k in range(rows)]
-        self._set(rows, cols, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-
-    def _set(self, rows: int, cols: int, ints: tuple[IntRow, ...],
-             dens: tuple[int, ...]) -> None:
-        self.rows = rows
-        self.cols = cols
-        self.ints = ints
-        self.dens = dens
 
     @classmethod
     def _stored(cls, cols: int, ints: tuple[IntRow, ...], dens: tuple[int, ...]) -> "Matrix":
         """A matrix from rows already in the stored form."""
         matrix = cls.__new__(cls)
-        matrix._set(len(ints), cols, ints, dens)
+        matrix.rows, matrix.cols, matrix.ints, matrix.dens = len(ints), cols, ints, dens
         return matrix
 
     @staticmethod
@@ -195,6 +185,16 @@ class Matrix:
                 raise LinearAlgebraError("empty matrix needs an explicit width")
             width = cols
         return Matrix._stored(width, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+
+    @staticmethod
+    def from_ints(rows: Sequence[Sequence[int]], dens: Sequence[int], cols: int) -> "Matrix":
+        """The matrix whose row ``k`` is ``rows[k] / dens[k]``, for integer
+        rows of ``cols`` entries over positive integers ``dens``."""
+        if (len(rows) != len(dens) or any(len(row) != cols for row in rows)
+                or any(den <= 0 for den in dens)):
+            raise LinearAlgebraError("rows, denominators and width do not match")
+        pairs = list(map(_lowest, rows, dens))
+        return Matrix._stored(cols, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -214,9 +214,6 @@ class Matrix:
 
     def row_list(self) -> list[Vector]:
         return list(map(_fractions, self.ints, self.dens))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.ints[i][j], self.dens[i])
 
     def is_zero(self) -> bool:
         return not any(map(any, self.ints))
@@ -260,12 +257,6 @@ class Matrix:
             ints.append(tuple(acc))
             dens.append(den)
         return Matrix._stored(width, tuple(ints), tuple(dens))
-
-    def with_entry(self, i: int, j: int, value) -> "Matrix":
-        """Copy with one entry replaced (handy for perturbation tests)."""
-        entries = list(self.entries)
-        entries[i * self.cols + j] = Fraction(value)
-        return Matrix(self.rows, self.cols, entries)
 
     def to_strings(self) -> list[list[str]]:
         return [list(map(str, row if den == 1 else _fractions(row, den)))
@@ -547,8 +538,9 @@ def preimage(matrix: Matrix, target: Subspace) -> Subspace:
 
 
 def complement_in(inner: Subspace, outer: Subspace,
-                  preferred: Sequence[Sequence] = ()) -> list[Vector]:
-    """Vectors extending a basis of ``inner`` to one of ``outer``.
+                  preferred: Sequence[Sequence] = ()) -> Matrix:
+    """Rows extending a basis of ``inner`` to one of ``outer``, in the stored
+    form, one matrix row per chosen vector.
 
     Candidates are scanned in a fixed order (any ``preferred`` vectors, then
     the RREF basis rows of ``outer``, then standard basis vectors) and taken
@@ -562,19 +554,21 @@ def complement_in(inner: Subspace, outer: Subspace,
     for v in preferred:
         if len(v) != n:
             raise LinearAlgebraError("ambient dimension mismatch")
-    extension: list[Vector] = []
+    ints: list[IntRow] = []
+    dens: list[int] = []
     span = inner
     candidates = itertools.chain(
         map(_integer_row, preferred),
         zip(outer.basis.ints, outer.basis.dens),
         ((tuple(int(k == j) for k in range(n)), 1) for j in range(n)),
     )
-    for ints, den in candidates:
+    for row, den in candidates:
         if span.dim == outer.dim:
             break
-        if outer._holds([ints]) and not span._holds([ints]):
-            extension.append(_fractions(ints, den))
-            span = _subspace([*span.basis.ints, ints], n)
+        if outer._holds([row]) and not span._holds([row]):
+            ints.append(row)
+            dens.append(den)
+            span = _subspace([*span.basis.ints, row], n)
     if span != outer:
         raise LinearAlgebraError("failed to complete the basis (candidate exhaustion)")
-    return extension
+    return Matrix._stored(n, tuple(ints), tuple(dens))

@@ -10,7 +10,6 @@ elimination keeps entry growth tame at this scale.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import partial
 from math import lcm
 from typing import Mapping, NamedTuple
@@ -79,8 +78,8 @@ class GenSpec(_GenSpecFields):
         return out
 
 
-def _random_vector(rng: random.Random, length: int) -> Vector:
-    return tuple(Fraction(rng.randint(-ENTRY_BOUND, ENTRY_BOUND)) for _ in range(length))
+def _random_vector(rng: random.Random, length: int) -> tuple[int, ...]:
+    return tuple(rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(length))
 
 
 def _random_subspace(rng: random.Random, ambient: int, dim: int,
@@ -112,12 +111,12 @@ def _linking_freedom(maps: Mapping[tuple[Multidegree, Multidegree], Matrix],
 
 
 def _free_rows(lower: Subspace, upper: Subspace) -> list[list[int]]:
-    """Integer rows completing ``lower`` to ``upper``: the vectors of
-    ``complement_in`` times the least common denominator of all their
-    entries, which a span ignores.  A node's draws all read this one list."""
+    """Integer rows completing ``lower`` to ``upper``: the rows of
+    ``complement_in`` over their least common denominator, which a span
+    ignores.  A node's draws all read this one list."""
     free = complement_in(lower, upper)
-    den = lcm(*[e.denominator for v in free for e in v])
-    return [[e.numerator * (den // e.denominator) for e in v] for v in free]
+    den = lcm(*free.dens)
+    return [[(den // d) * e for e in row] for row, d in zip(free.ints, free.dens)]
 
 
 def _draw_in_freedom(rng: random.Random, lower: Subspace, free: list[list[int]],
@@ -341,11 +340,10 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
 
     if mode == "shrink-V":
         md = grid[0]
-        shrunk = Subspace.span(inst.space(md).basis.row_list()[1:],
-                               inst.ambient_dim[md])
+        shrunk = Subspace.span(inst.space(md).basis.ints[1:], inst.ambient_dim[md])
         out = with_space(md, shrunk)
         return DegradeResult(out, mode, md,
-                             f"dropped one basis vector at {md}")
+                             f"dropped one basis vector at {md.label}")
 
     if mode == "break-linking":
         for md in grid:
@@ -359,7 +357,7 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
                 linking = [v for v in report.violations if v.kind == "linking"]
                 if linking and not any(v.kind == "dimension" for v in report.violations):
                     return DegradeResult(out, mode, linking[0].at,
-                                         f"replaced the space at {md}")
+                                         f"replaced the space at {md.label}")
         raise GenerationError("break-linking found no perturbation")
 
     # break-exactness, phase 1: perturb one node inside its linking freedom.
@@ -388,7 +386,7 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
                     first = touched[0]
                     return DegradeResult(
                         out, mode, first,
-                        f"replaced the space at {md} within its linking freedom")
+                        f"replaced the space at {md.label} within its linking freedom")
 
     # Phase 2: some exact instances are rigid (every node pinned by its
     # neighbours), so redraw the whole assignment under the linking
@@ -417,7 +415,7 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
                 first = failing[0]
                 return DegradeResult(out, mode, first,
                                      "redrew the assignment with a degenerate bias "
-                                     f"around {a}->{b}")
+                                     f"around {a.label}->{b.label}")
     raise GenerationError("break-exactness found no perturbation")
 
 
@@ -433,12 +431,10 @@ def _biased_linked_draw(inst: LlsInstance,
         if freedom is None:
             return None
         lower, upper = freedom
-        preferred = ()
-        if md in bias:
-            preferred = (bias[md] & upper).basis.row_list()
+        preferred = (bias[md] & upper).basis.ints if md in bias else ()
         extension = complement_in(lower, upper, preferred=preferred)
-        vectors = list(lower.basis.row_list()) + extension[:rp1 - lower.dim]
-        candidate = Subspace.span(vectors, ambient)
+        candidate = Subspace.span([*lower.basis.ints, *extension.ints[:rp1 - lower.dim]],
+                                  ambient)
         if candidate.dim != rp1:
             return None
         assigned[md] = candidate

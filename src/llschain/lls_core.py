@@ -41,6 +41,7 @@ from .exactla import (
     Matrix,
     Subspace,
     complement_in,
+    image,
     parse_rational,
 )
 from .lattice import (
@@ -498,15 +499,15 @@ def _pushed_complement(inst: LlsInstance, down: Multidegree, md: Multidegree,
     vertical edge to an independent complement of vanish-on-X2 inside
     vanish-on-X2 + vanish-on-X3 at ``md``."""
     vectors = complement_in(vanishing_in_v(inst, down, (2,)), inst.space(down))
-    pushed = Subspace.span(vectors, inst.ambient_dim[down]).apply(inst.maps[(down, md)])
+    pushed = image(vectors).apply(inst.maps[(down, md)])
     # ``V_2 + pushed`` is direct when its dimension is the sum of the two,
     # and it is ``V_2 + V_3`` when it holds ``V_3`` and has that dimension.
     v2_here = _vanishing(inst, md, (2,))
     both = v2_here + pushed
-    ok = (pushed.dim == len(vectors) and both.dim == v2_here.dim + pushed.dim
+    ok = (pushed.dim == vectors.rows and both.dim == v2_here.dim + pushed.dim
           and _vanishing(inst, md, (3,)) <= both
           and both.dim == _pair_sum_dim(inst, md, (2, 3)))
-    return ok, f"{len(vectors)} complement vectors push to an independent complement"
+    return ok, f"{vectors.rows} complement vectors push to an independent complement"
 
 
 def _vanishing_dim_step(inst: LlsInstance, down: Multidegree, md: Multidegree,
@@ -724,7 +725,7 @@ def instance_from_json(data: dict) -> LlsInstance:
         ambient[md] = value
     for md in grid:
         if md not in ambient:
-            raise InstanceFormatError("ambient_dim", f"missing entry for {md}")
+            raise InstanceFormatError("ambient_dim", f"missing entry for {md.label}")
 
     maps_field = data.get("maps")
     if not isinstance(maps_field, list):
@@ -745,7 +746,7 @@ def instance_from_json(data: dict) -> LlsInstance:
         maps[(src, tgt)] = Matrix.from_rows(rows, cols=ambient[tgt])
     for edge in directed_edges(d):
         if (edge.source, edge.target) not in maps:
-            raise InstanceFormatError("maps", f"missing edge {edge.source}->{edge.target}")
+            raise InstanceFormatError("maps", f"missing edge {edge.label}")
 
     vanishing_field = data.get("vanishing")
     if not isinstance(vanishing_field, dict):
@@ -767,7 +768,7 @@ def instance_from_json(data: dict) -> LlsInstance:
         vanishing[md] = per
     for md in grid:
         if md not in vanishing:
-            raise InstanceFormatError("vanishing", f"missing entry for {md}")
+            raise InstanceFormatError("vanishing", f"missing entry for {md.label}")
 
     v_field = data.get("V")
     if not isinstance(v_field, dict):

@@ -15,7 +15,7 @@ import json
 from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .exactla import Matrix, Subspace, Vector, as_vector, complement_in, vec_matmul
+from .exactla import Matrix, Subspace, Vector, complement_in, image, vec_matmul
 from .lattice import Edge, Multidegree
 from .lls_core import (
     InstanceFormatError,
@@ -54,7 +54,7 @@ class ExactnessRequired(ValueError):
 
     def __init__(self, edge: Edge):
         self.edge = edge
-        super().__init__(f"series is not exact at {edge.source}->{edge.target}")
+        super().__init__(f"series is not exact at {edge.label}")
 
 
 class DistributivityRequired(ValueError):
@@ -62,7 +62,7 @@ class DistributivityRequired(ValueError):
 
     def __init__(self, multidegree: Multidegree):
         self.multidegree = multidegree
-        super().__init__(f"distributivity fails at {multidegree}")
+        super().__init__(f"distributivity fails at {multidegree.label}")
 
 
 class CertificateError(InstanceFormatError):
@@ -118,9 +118,7 @@ def extract_certificate(inst: LlsInstance) -> SimpleCertificate:
         if vsum.dim == inst.r + 1:
             continue
         support.append(md)
-        vectors = complement_in(vsum, inst.space(md))
-        normalised = Subspace.span(vectors, inst.ambient_dim[md]).basis.row_list()
-        sections[md] = tuple(normalised)
+        sections[md] = tuple(image(complement_in(vsum, inst.space(md))).basis.row_list())
     total = sum(len(v) for v in sections.values())
     if total != inst.r + 1:
         raise ConstructionError(
@@ -156,17 +154,17 @@ def verify_certificate(inst: LlsInstance, cert: SimpleCertificate) -> Certificat
     grid = set(inst.multidegrees)
     for k, md in enumerate(cert.support):
         if md not in grid:
-            raise CertificateError(f"support[{k}]", f"{md} is not on the grid")
+            raise CertificateError(f"support[{k}]", f"{md.label} is not on the grid")
         where = f"sections.{md.i},{md.l}"
         secs = cert.sections.get(md, ())
         if not secs:
-            raise CertificateError(where, f"support multidegree {md} carries no sections")
+            raise CertificateError(where, f"support multidegree {md.label} carries no sections")
         space = inst.space(md)
         for s_idx, s in enumerate(secs):
             if len(s) != space.ambient_dim:
                 raise CertificateError(f"{where}[{s_idx}]",
                                        f"rows must have length {space.ambient_dim}")
-            if as_vector(s) not in space:
+            if s not in space:
                 raise CertificateError(f"{where}[{s_idx}]", "lies outside the chosen space")
     if len(set(cert.support)) != len(cert.support):
         raise CertificateError("support", "duplicate support multidegrees")
@@ -259,7 +257,7 @@ def certificate_from_json(data: dict, d: int) -> SimpleCertificate:
     for key, rows in sections_field.items():
         md = _parse_md_key(key, d, f"sections.{key}")
         parsed = _parse_rows(rows, f"sections.{key}")
-        sections[md] = tuple(as_vector(row) for row in parsed)
+        sections[md] = tuple(map(tuple, parsed))
     if set(sections) != set(support):
         raise InstanceFormatError("sections", "keys must match the support set")
     return SimpleCertificate(support, sections)

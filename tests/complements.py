@@ -81,7 +81,7 @@ def _complete_node(inst: LlsInstance, md: Multidegree, q: int,
     if (seed_span & van).dim != 0:
         raise ConstructionError(f"seed images at {md} meet the vanishing subspace")
     wanted = preferred.get(md, ()) if preferred else ()
-    return seeds + complement_in(van + seed_span, inst.space(md), preferred=wanted)
+    return seeds + complement_in(van + seed_span, inst.space(md), preferred=wanted).row_list()
 
 
 def _checked_system(inst: LlsInstance, q: int,

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from llschain import ChainCurve, GenSpec, all_multidegrees, from_chain, gen_simple
@@ -40,6 +42,13 @@ def worked_instance():
         for md in grid
     }
     return from_chain(chain, 0, spaces)
+
+
+def with_entry(m: Matrix, i: int, j: int, value) -> Matrix:
+    """Copy of ``m`` with entry ``(i, j)`` replaced (for perturbation tests)."""
+    rows = m.row_list()
+    rows[i] = (*rows[i][:j], Fraction(value), *rows[i][j + 1:])
+    return Matrix.from_rows(rows, cols=m.cols)
 
 
 def one_node_instance(a: Subspace, b: Subspace, c: Subspace) -> LlsInstance:

@@ -29,6 +29,7 @@ from llschain.lattice import (
     directed_edges,
 )
 
+from conftest import with_entry
 from oracles import all_walk_composites, random_walk
 
 
@@ -229,7 +230,7 @@ class TestLawSuite:
         skel = skeleton(ChainCurve(2))
         edge = (md(2, 0, 0), md(1, 1, 0))
         maps = dict(skel.maps)
-        maps[edge] = maps[edge].with_entry(0, 0, Fraction(5))
+        maps[edge] = with_entry(maps[edge], 0, 0, Fraction(5))
         mutated = SheafSkeleton(skel.d, dict(skel.ambient_dim), maps,
                                 {k: dict(v) for k, v in skel.vanishing.items()})
         report = verify_sheaf_laws(mutated)
@@ -253,7 +254,7 @@ class TestLawSuite:
                 back = skel.maps[(b, a)]
                 for r in range(m.rows):
                     for c in range(m.cols):
-                        mutated = m.with_entry(r, c, m.entry(r, c) + 1)
+                        mutated = with_entry(m, r, c, m.row(r)[c] + 1)
                         report = verify_sheaf_laws(SheafSkeleton(
                             d, skel.ambient_dim, {**skel.maps, (a, b): mutated},
                             skel.vanishing))

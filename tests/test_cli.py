@@ -158,6 +158,25 @@ class TestReadableLocations:
         assert code == 0
         assert out.endswith("(injected shrink-V at (2,0,0))\n")
 
+    def test_input_errors_name_compact_locations(self, broken, tmp_path):
+        base, _ = broken
+        data = instance_to_json(base)
+        data["maps"] = [m for m in data["maps"]
+                        if (m["from"], m["to"]) != ([2, 0, 0], [1, 1, 0])]
+        path = tmp_path / "unmapped.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli("validate", str(path))
+        assert code == 2
+        assert err == "input error: maps: missing edge (2,0,0)->(1,1,0)\n"
+        source = tmp_path / "base.json"
+        save_instance(source, base)
+        cert = tmp_path / "empty.cert.json"
+        cert.write_text(json.dumps({"support": [[0, 2, 0]], "sections": {"0,0": []}}))
+        code, _, err = run_cli("certify", str(source), "--certificate", str(cert))
+        assert code == 2
+        assert err == ("input error: sections.0,0: "
+                       "support multidegree (0,2,0) carries no sections\n")
+
 
     def test_analyze_linking_violation(self, tmp_path):
         base = gen_simple(GenSpec(d=2, r=1, seed=91)).instance

@@ -21,6 +21,7 @@ from llschain.exactla import (
     vec_matmul,
 )
 
+from conftest import with_entry
 from oracles import (
     bareiss_rank,
     sympy_intersection,
@@ -73,21 +74,24 @@ def product_operands(draw, max_dim=5):
         entries = draw(st.lists(sparse_entries, min_size=r * c, max_size=r * c))
         for k in draw(st.sets(st.integers(0, r - 1))) if r else ():
             entries[k * c:(k + 1) * c] = [Fraction(0)] * c
-        return Matrix(r, c, tuple(entries))
+        return Matrix.from_rows([entries[k * c:(k + 1) * c] for k in range(r)], cols=c)
     return matrix(rows, inner), matrix(inner, cols)
 
 
 @st.composite
 def same_shape_pairs(draw):
     """Two matrices of one shape: the first, possibly with one entry
-    changed, rebuilt along another path (entries, rows, a product with the
-    identity on either side) to give the second."""
+    changed, rebuilt along another path (integer rows over a multiple of
+    their denominators, rational rows, a product with the identity on
+    either side) to give the second."""
     a, _ = draw(product_operands())
     b = a
     if a.rows and a.cols and draw(st.booleans()):
-        b = a.with_entry(draw(st.integers(0, a.rows - 1)), draw(st.integers(0, a.cols - 1)),
-                         draw(sparse_entries))
-    rebuilt = [Matrix(b.rows, b.cols, b.entries), Matrix.from_rows(b.row_list(), cols=b.cols),
+        b = with_entry(a, draw(st.integers(0, a.rows - 1)), draw(st.integers(0, a.cols - 1)),
+                       draw(sparse_entries))
+    rebuilt = [Matrix.from_ints([[3 * e for e in row] for row in b.ints],
+                                [3 * den for den in b.dens], b.cols),
+               Matrix.from_rows(b.row_list(), cols=b.cols),
                b @ Matrix.identity(b.cols), Matrix.identity(b.rows) @ b]
     return a, draw(st.sampled_from(rebuilt))
 
@@ -334,13 +338,38 @@ class TestComplement:
         outer = Subspace.full(3)
         first = complement_in(inner, outer)
         assert first == complement_in(inner, outer)
-        assert Subspace.span([(1, 0, 0), *first], 3) == outer
+        assert Subspace.span([(1, 0, 0), *first.row_list()], 3) == outer
 
     def test_preferred_candidates_win(self):
         inner = Subspace.zero(2)
         outer = Subspace.full(2)
         picked = complement_in(inner, outer, preferred=[(2, 2), (1, 0)])
-        assert picked[0] == (Fraction(2), Fraction(2))
+        assert picked.ints == ((2, 2), (1, 0)) and picked.dens == (1, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_contract(self, data):
+        """Rows in the stored form, completing ``inner`` to ``outer`` one
+        row per missing dimension, with the usable preferred rows first."""
+        n, a_rows, b_rows = data.draw(mixed_pairs())
+        _, preferred = data.draw(mixed_rows(cols=n))
+        inner = Subspace.span(a_rows, n)
+        outer = inner + Subspace.span(b_rows, n)
+        result = complement_in(inner, outer, preferred=preferred)
+        assert result.cols == n and result.rows == outer.dim - inner.dim
+        assert result == Matrix.from_rows(result.row_list(), cols=n)
+        for ints, den in zip(result.ints, result.dens):
+            assert type(ints) is tuple and all(type(e) is int for e in ints)
+            assert den > 0 and gcd(den, *ints) == 1
+        assert inner + image(result) == outer
+        span, taken = inner, []
+        for v in preferred:
+            if span == outer:
+                break
+            if v in outer and v not in span:
+                taken.append(v)
+                span = span + Subspace.span([v], n)
+        assert result.row_list()[:len(taken)] == taken
 
     def test_rejects_non_nested_input(self):
         inner = Subspace.span([(1, 1)], 2)
@@ -481,7 +510,7 @@ class TestIntegerCore:
         m = data.draw(mixed_matrices())
         _, rows = data.draw(mixed_rows(cols=m.rows))
         space = Subspace.span(rows, m.rows)
-        pushed = [tuple(sum((x * m.entry(k, j) for k, x in enumerate(row)), Fraction(0))
+        pushed = [tuple(sum((x * m.row(k)[j] for k, x in enumerate(row)), Fraction(0))
                         for j in range(m.cols)) for row in rows]
         assert assert_canonical(space.apply(m)).basis.row_list() == \
             sympy_rowspace(pushed, m.cols)
@@ -500,6 +529,34 @@ class TestIntegerCore:
         for v in a_rows:
             assert (v in b) == (bareiss_rank(b_rows + [v]) == rank_b)
         assert all(row in a for row in a_rows)
+
+    def test_from_ints_brings_rows_to_lowest_terms(self):
+        m = Matrix.from_ints([[2, 4], [0, 0]], [6, 5], 2)
+        assert m.ints == ((1, 2), (0, 0)) and m.dens == (3, 1)
+        rational = Matrix.from_rows([[Fraction(1, 3), Fraction(2, 3)], [0, 0]])
+        assert m == rational and hash(m) == hash(rational)
+        for rows, dens, cols in (([[1, 2]], [1], 3), ([[1]], [1, 1], 1), ([[1]], [0], 1),
+                                 ([[1]], [-2], 1)):
+            with pytest.raises(LinearAlgebraError):
+                Matrix.from_ints(rows, dens, cols)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_from_ints_matches_from_rows(self, data):
+        """Scaled integer rows over scaled denominators, as the twist maps
+        build them: the scale may be negative and a row may be zero."""
+        cols = data.draw(st.integers(0, 5))
+        rows = data.draw(st.lists(st.lists(st.integers(-12, 12), min_size=cols,
+                                           max_size=cols), max_size=5))
+        dens = data.draw(st.lists(st.integers(1, 12), min_size=len(rows),
+                                  max_size=len(rows)))
+        scale = data.draw(rationals.filter(bool))
+        m = Matrix.from_ints([[scale.numerator * e for e in row] for row in rows],
+                             [scale.denominator * den for den in dens], cols)
+        rational = Matrix.from_rows([[scale * Fraction(e, den) for e in row]
+                                     for row, den in zip(rows, dens)], cols=cols)
+        assert m == rational and hash(m) == hash(rational)
+        assert m.ints == rational.ints and m.dens == rational.dens
 
     def test_zero_and_full_carry_rows(self):
         for n in range(4):

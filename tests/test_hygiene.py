@@ -1,6 +1,7 @@
 """Source-wide checks: no floating point anywhere in the package, no
 ``assert`` statement, every name a module exports in ``__all__`` exists,
-and importing the package leaves the slow-to-load standard modules out."""
+``fractions`` imported only where rows meet ``Fraction`` values, and
+importing the package leaves the slow-to-load standard modules out."""
 
 import ast
 import importlib
@@ -46,6 +47,22 @@ def test_exports_resolve(path):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing {missing}"
+
+
+# ``exactla`` keeps rows as integers over denominators and reads and builds
+# ``Fraction`` values at its edge; ``chain_model`` normalises its toward
+# scales.  Every other module works on the stored rows.
+FRACTION_MODULES = {"exactla.py", "chain_model.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_fractions_imported_only_at_the_row_boundary(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+    assert "fractions" not in imported or path.name in FRACTION_MODULES, path.name
 
 
 def test_import_skips_slow_stdlib_modules():
