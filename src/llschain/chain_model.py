@@ -82,6 +82,7 @@ class ChainCurve(_ChainFields):
     """Chain X1 - X2 - X3 of rational curves carrying degree-``d`` bundles."""
 
     __slots__ = ()
+    _UNIT_SCALES = (Fraction(1),) * 3
 
     def __new__(cls, d: int, toward_scales: Sequence = (1, 1, 1)) -> "ChainCurve":
         if d < 0:
@@ -89,7 +90,11 @@ class ChainCurve(_ChainFields):
         scales = tuple(Fraction(c) for c in toward_scales)
         if any(c == 0 for c in scales):
             raise ValueError("twist scales must be nonzero")
-        return super().__new__(cls, d, scales)
+        return super().__new__(cls, d, cls._UNIT_SCALES if scales == cls._UNIT_SCALES else scales)
+
+    def __hash__(self) -> int:
+        # Every walk-cache lookup hashes a chain, and ``Fraction`` hashes are slow.
+        return hash(self.d)
 
     def scale(self, direction: Direction) -> Fraction:
         """Scalar multiplying one edge map as a whole.  A from-Xq step has
@@ -283,14 +288,6 @@ class LawReport(NamedTuple):
         }
 
 
-def _first_nonzero_row(m: Matrix) -> Vector | None:
-    for k in range(m.rows):
-        row = m.row(k)
-        if any(row):
-            return row
-    return None
-
-
 def verify_sheaf_laws(target: ChainCurve | SheafSkeleton | LlsInstance) -> LawReport:
     """Check the ambient twist laws on the ambient data (``d``, ``maps``
     and ``vanishing``) of a skeleton or an instance, or of a chain's
@@ -340,7 +337,7 @@ def verify_sheaf_laws(target: ChainCurve | SheafSkeleton | LlsInstance) -> LawRe
                     for product in orders:
                         if not product.is_zero():
                             record("degenerate-composition", md,
-                                   _first_nonzero_row(product),
+                                   next(filter(any, product.row_list()), None),
                                    "degenerate two-step pattern is not zero",
                                    f" via {da.label}/{db.label}")
 
@@ -358,7 +355,7 @@ def verify_sheaf_laws(target: ChainCurve | SheafSkeleton | LlsInstance) -> LawRe
             actual_kernel = kernel(fwd)
             if actual_kernel != expected_kernel:
                 record("kernel-vanishing", edge,
-                       _first_nonzero_row(actual_kernel.basis),
+                       next(filter(any, actual_kernel.basis.row_list()), None),
                        "kernel differs from vanishing on the complementary components")
             for p in complementary:
                 transported = preimage(fwd, skel.vanishing[target_md][p])

@@ -31,9 +31,10 @@ the transform carries each row's own denominator.  ``Fraction`` values
 appear only at the edge: ``from_rows``, ``Subspace.span``, ``in``,
 ``vec_matmul`` and the ``preferred`` rows of ``complement_in`` read them,
 and ``entries``, ``row``, ``row_list``, ``to_strings`` and ``vec_matmul``
-build them for the caller.  Library code keeps to integer rows:
-``from_ints`` takes them over any positive denominators, and
-``complement_in`` returns its choice as a stored-form matrix.  ``Matrix``
+build them for the caller.  The library builds them only for certificate
+sections and witnesses, and pushes sections by ``@`` (``vec_matmul`` is
+for other callers); ``from_ints`` takes integer rows over any positive
+denominators, and ``complement_in`` returns a stored-form matrix.  ``Matrix``
 and ``Subspace`` are slotted classes with no ``__dict__``: a matrix holds
 its shape, its ``ints`` and ``dens`` and, once asked, its hash, and
 nothing else derived; a subspace holds its ambient dimension, basis and
@@ -61,8 +62,6 @@ __all__ = [
     "Vector",
     "LinearAlgebraError",
     "parse_rational",
-    "format_rational",
-    "as_vector",
     "Matrix",
     "rref",
     "rref_with_transform",
@@ -108,15 +107,6 @@ def parse_rational(text: str) -> Fraction:
     return _parse_short(text) if len(text) <= _SHORT_LITERAL else _parse(text)
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical string form, lowest terms, sign on the numerator."""
-    return str(value if type(value) is Fraction else Fraction(value))
-
-
-def as_vector(entries: Iterable) -> Vector:
-    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
-
-
 def _integer_row(entries: Iterable) -> tuple[IntRow, int]:
     """``(ints, den)`` with ``entries == ints / den``, where ``den`` is the
     least common denominator of the entries (``int`` entries are over 1)."""
@@ -125,8 +115,8 @@ def _integer_row(entries: Iterable) -> tuple[IntRow, int]:
     try:
         nums = [e.numerator for e in entries]
         denoms = [e.denominator for e in entries]
-    except AttributeError:
-        return _integer_row(as_vector(entries))
+    except AttributeError:  # entries such as "1/3" are read as ``Fraction``s
+        return _integer_row([Fraction(e) for e in entries])
     den = lcm(*denoms)
     if den == 1:
         return tuple(nums), 1

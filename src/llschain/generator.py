@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple
 
 from . import chain_model, lls_core, simple_basis
 from .chain_model import ChainCurve
-from .exactla import Matrix, Subspace, Vector, complement_in, kernel, preimage
+from .exactla import Matrix, Subspace, complement_in, image, kernel, preimage
 from .lattice import Edge, Multidegree, all_multidegrees, edge_between
 from .lls_core import LlsInstance, exactness, exactness_at, from_chain, validate
 
@@ -162,7 +162,7 @@ def gen_simple(spec: GenSpec) -> GenResult:
         support = sorted(rng.sample(range(len(grid)), m))
         cuts = sorted(rng.sample(range(1, rp1), m - 1))
         counts = [b - a for a, b in zip([0] + cuts, cuts + [rp1])]
-        sections: dict[Multidegree, tuple[Vector, ...]] = {}
+        sections: dict[Multidegree, Matrix] = {}
         ok = True
         for idx, count in zip(support, counts):
             md = grid[idx]
@@ -171,14 +171,13 @@ def gen_simple(spec: GenSpec) -> GenResult:
             if drawn.dim != count:
                 ok = False
                 break
-            sections[md] = tuple(drawn.basis.row_list())
+            sections[md] = drawn.basis
         if not ok:
             continue
         support_mds = tuple(grid[idx] for idx in support)
         spaces: dict[Multidegree, Subspace] = {}
         for md in grid:
-            pushes = simple_basis.push_along_walks(walk, sections, support_mds, md)
-            span = Subspace.span(pushes, spec.d + 1)
+            span = image(simple_basis.push_along_walks(walk, sections, support_mds, md))
             if span.dim != rp1:
                 ok = False
                 break
@@ -187,7 +186,8 @@ def gen_simple(spec: GenSpec) -> GenResult:
             continue
         instance = from_chain(chain, spec.r, spaces,
                               provenance=spec.provenance(attempt=attempt))
-        certificate = simple_basis.SimpleCertificate(support_mds, sections)
+        certificate = simple_basis.SimpleCertificate(
+            support_mds, {md: tuple(basis.row_list()) for md, basis in sections.items()})
         check = simple_basis.verify_certificate(instance, certificate)
         if check.ok:
             return GenResult(instance, certificate, attempt)

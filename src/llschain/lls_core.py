@@ -12,9 +12,9 @@ set ``S`` of components, each node's triple sum ``V_1 + V_2 + V_3`` and
 distributivity defect (every other number a report reads at a node is a
 dimension count on these), each edge's pushed image and exactness record,
 each vertical edge's pushed-complement check, and the canonical-walk
-matrices.  An entry is computed the first time any report reads it and
-kept for every later read, so the reports share their work and a check
-that reads little computes little.
+matrices, but for an instance over the chain backend, which reads them
+from its chain's cache.  An entry is computed the first time any report
+reads it and kept, so the reports share their work.
 
 A key holds the filler's arguments and the chosen spaces the entry reads
 (none for a walk matrix).  :meth:`LlsInstance.derive` builds an instance
@@ -89,6 +89,9 @@ def _other_components(q: int) -> tuple[int, int]:
 # identity-suite checks.
 _AXIS = {1: "horizontal", 2: "diagonal", 3: "vertical"}
 
+# The seven component sets as increasing tuples, which every table key shares.
+_COMPONENT_SETS = {c: c for c in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))}
+
 
 def _tabled(reads):
     """Make ``compute(inst, *args)`` an entry of the instance's analysis
@@ -120,6 +123,7 @@ class LlsInstance:
     the multidegrees the entry depends on.  To change a space, build a new
     instance with :meth:`derive`, which keeps the ambient data and shares
     the table, so only entries reading a changed space are computed again.
+    ``chain`` is the backend of a :func:`from_chain` instance, else ``None``.
     ``derive`` is the only way two instances share a table; an instance
     built any other way starts with an empty one (the exact search builds
     its found instance that way, so its postcondition replay reads a table
@@ -131,7 +135,7 @@ class LlsInstance:
                  maps: Mapping[tuple[Multidegree, Multidegree], Matrix],
                  vanishing: Mapping[Multidegree, Mapping[int, Subspace]],
                  spaces: Mapping[Multidegree, Subspace],
-                 provenance: dict | None = None) -> None:
+                 provenance: dict | None = None, chain: ChainCurve | None = None) -> None:
         self.d = d
         self.r = r
         self.ambient_dim = ambient_dim
@@ -139,6 +143,7 @@ class LlsInstance:
         self.vanishing = vanishing
         self.spaces = spaces
         self.provenance = provenance
+        self.chain = chain
         self.table: dict = {}
 
     @property
@@ -156,7 +161,7 @@ class LlsInstance:
         """Instance with other chosen spaces on this instance's ambient
         data, sharing its analysis table."""
         out = LlsInstance(self.d, self.r, self.ambient_dim, self.maps, self.vanishing,
-                          dict(spaces), provenance)
+                          dict(spaces), provenance, self.chain)
         out.table = self.table
         return out
 
@@ -167,7 +172,7 @@ def from_chain(chain: ChainCurve, r: int,
     """Instance over the chain backend; ambient data is shared and cached."""
     skel = chain_model.skeleton(chain)
     return LlsInstance(chain.d, r, skel.ambient_dim, skel.maps, skel.vanishing,
-                       dict(spaces), provenance)
+                       dict(spaces), provenance, chain)
 
 
 class ValidationReport(NamedTuple):
@@ -245,9 +250,9 @@ def vanishing_in_v(inst: LlsInstance, md: Multidegree,
 
     Several components intersect the single-component entries, which are
     no larger than the chosen space."""
-    comps = tuple(sorted(set(components)))
-    if not comps:
-        raise ValueError("components must be nonempty")
+    comps = _COMPONENT_SETS.get(tuple(sorted(set(components))))
+    if comps is None:
+        raise ValueError("components must be a nonempty subset of {1, 2, 3}")
     return _vanishing(inst, md, comps)
 
 
@@ -255,22 +260,20 @@ def vanishing_in_v(inst: LlsInstance, md: Multidegree,
 def _vanishing(inst: LlsInstance, md: Multidegree, comps: tuple[int, ...]) -> Subspace:
     if len(comps) == 1:
         return inst.space(md) & inst.vanishing[md][comps[0]]
-    return _vanishing(inst, md, comps[:-1]) & _vanishing(inst, md, comps[-1:])
+    return (_vanishing(inst, md, _COMPONENT_SETS[comps[:-1]])
+            & _vanishing(inst, md, _COMPONENT_SETS[comps[-1:]]))
 
 
 def _dim(inst: LlsInstance, md: Multidegree, comps: tuple[int, ...]) -> int:
-    """``dim V_S`` for the components ``S``, a tuple in increasing order.
-
-    Callers pass literal tuples where they can: the table key keeps the
-    tuple, and a literal is one object shared by every node's key."""
-    return _vanishing(inst, md, comps).dim
+    """``dim V_S`` for the components ``S``, a tuple in increasing order."""
+    return _vanishing(inst, md, _COMPONENT_SETS[comps]).dim
 
 
 @_tabled(lambda md: (md,))
 def vanishing_sum(inst: LlsInstance, md: Multidegree) -> Subspace:
     """``V_1 + V_2 + V_3``, the sum of the single-component vanishing
     subspaces of the chosen space."""
-    v1, v2, v3 = (_vanishing(inst, md, (q,)) for q in (1, 2, 3))
+    v1, v2, v3 = (_vanishing(inst, md, q) for q in ((1,), (2,), (3,)))
     return v1 + v2 + v3
 
 
@@ -445,16 +448,22 @@ def codim_report(inst: LlsInstance) -> GridReport:
     )
 
 
-@_tabled(lambda start, end: ())
 def canonical_matrix(inst: LlsInstance, start: Multidegree, end: Multidegree) -> Matrix:
-    """Composite matrix of the canonical walk in this instance's maps: the
-    identity, one edge map, or the tabled composite of the prefix walk
-    (canonical walks are prefix-closed) times the last edge map."""
+    """Composite of the canonical walk: the chain's cached one, else :func:`_walk`."""
+    if inst.chain is not None:
+        return chain_model.canonical_matrix(inst.chain, start, end)
+    return _walk(inst, start, end)
+
+
+@_tabled(lambda start, end: ())
+def _walk(inst: LlsInstance, start: Multidegree, end: Multidegree) -> Matrix:
+    """The identity, one edge map, or the tabled composite of the prefix
+    walk (canonical walks are prefix-closed) times the last edge map."""
     nodes = canonical_path(start, end).nodes
     if len(nodes) == 1:
         return Matrix.identity(inst.ambient_dim[start])
     last = inst.maps[(nodes[-2], end)]
-    return last if len(nodes) == 2 else canonical_matrix(inst, start, nodes[-2]) @ last
+    return last if len(nodes) == 2 else _walk(inst, start, nodes[-2]) @ last
 
 
 class IdentityCheck(NamedTuple):

@@ -6,16 +6,17 @@ multidegree.  :func:`extract_certificate` builds one for a series that is
 exact and distributive everywhere and refuses other input with a precise
 witness; :func:`verify_certificate` checks any certificate, hand-written
 ones included, by pushing its sections with :func:`push_along_walks`; and
-:func:`is_simple` decides simplicity by the two together.
+:func:`is_simple` decides simplicity by the two together.  Sections are
+``Fraction`` rows in a certificate and one stored-form matrix in a push.
 """
 
 from __future__ import annotations
 
 import json
 from functools import partial
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .exactla import Matrix, Subspace, Vector, complement_in, image, vec_matmul
+from .exactla import Matrix, Vector, complement_in, image, image_in
 from .lattice import Edge, Multidegree
 from .lls_core import (
     InstanceFormatError,
@@ -152,6 +153,7 @@ def verify_certificate(inst: LlsInstance, cert: SimpleCertificate) -> Certificat
     the first failing multidegree in grid order.
     """
     grid = set(inst.multidegrees)
+    sections: dict[Multidegree, Matrix] = {}
     for k, md in enumerate(cert.support):
         if md not in grid:
             raise CertificateError(f"support[{k}]", f"{md.label} is not on the grid")
@@ -166,6 +168,7 @@ def verify_certificate(inst: LlsInstance, cert: SimpleCertificate) -> Certificat
                                        f"rows must have length {space.ambient_dim}")
             if s not in space:
                 raise CertificateError(f"{where}[{s_idx}]", "lies outside the chosen space")
+        sections[md] = Matrix.from_rows(secs, space.ambient_dim)
     if len(set(cert.support)) != len(cert.support):
         raise CertificateError("support", "duplicate support multidegrees")
     total = cert.total_sections
@@ -174,11 +177,10 @@ def verify_certificate(inst: LlsInstance, cert: SimpleCertificate) -> Certificat
                                 f"{total} sections cannot form bases of dimension {inst.r + 1}")
     walk = partial(canonical_matrix, inst)
     for md in inst.multidegrees:
-        pushes = push_along_walks(walk, cert.sections, cert.support, md)
-        space = inst.space(md)
-        if any(p not in space for p in pushes):
+        pushed = push_along_walks(walk, sections, cert.support, md)
+        if not image_in(pushed, inst.space(md)):
             return CertificateCheck(False, md, "a pushed section leaves the chosen space")
-        if Subspace.span(pushes, inst.ambient_dim[md]).dim != inst.r + 1:
+        if image(pushed).dim != inst.r + 1:
             return CertificateCheck(False, md, "pushed sections do not span")
     return CertificateCheck(True, None, "certificate verified")
 
@@ -221,15 +223,16 @@ def is_simple(inst: LlsInstance) -> SimplicityVerdict:
 
 
 def push_along_walks(walk: Callable[[Multidegree, Multidegree], Matrix],
-                     sections: Mapping[Multidegree, Sequence[Vector]],
-                     sources: Iterable[Multidegree], target: Multidegree) -> list[Vector]:
-    """Images at ``target`` of every section at each source, pushed by the
-    canonical-walk matrix ``walk(source, target)``; in source order."""
-    out: list[Vector] = []
+                     sections: Mapping[Multidegree, Matrix],
+                     sources: Iterable[Multidegree], target: Multidegree) -> Matrix:
+    """Images at ``target`` of the sections at each source, one stored-form
+    matrix row per section: ``sections[source] @ walk(source, target)``,
+    stacked in source order (a ``0 x 0`` matrix when there is no source)."""
+    ints, dens, cols = (), (), 0
     for source in sources:
-        matrix = walk(source, target)
-        out.extend(vec_matmul(s, matrix) for s in sections[source])
-    return out
+        pushed = sections[source] @ walk(source, target)
+        ints, dens, cols = ints + pushed.ints, dens + pushed.dens, pushed.cols
+    return Matrix._stored(cols, ints, dens)
 
 
 def certificate_to_json(cert: SimpleCertificate) -> dict:

@@ -1,7 +1,8 @@
 """Source-wide checks: no floating point anywhere in the package, no
 ``assert`` statement, every name a module exports in ``__all__`` exists,
-``fractions`` imported only where rows meet ``Fraction`` values, and
-importing the package leaves the slow-to-load standard modules out."""
+``fractions`` imported only where rows meet ``Fraction`` values, no push
+through ``vec_matmul`` outside ``exactla``, and importing the package
+leaves the slow-to-load standard modules out."""
 
 import ast
 import importlib
@@ -63,6 +64,18 @@ def test_fractions_imported_only_at_the_row_boundary(path):
     imported |= {node.module.split(".")[0] for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module and not node.level}
     assert "fractions" not in imported or path.name in FRACTION_MODULES, path.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_pushes_stay_integer(path):
+    # ``vec_matmul`` turns a ``Fraction`` row into integers and builds
+    # ``Fraction``s again; library pushes multiply stored-form matrices.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "vec_matmul" not in names or path.name == "exactla.py", path.name
 
 
 def test_import_skips_slow_stdlib_modules():

@@ -325,6 +325,34 @@ class TestCanonicalMatrices:
             assert chain_canonical(chain, a, b) == expected
 
 
+    def test_chain_instances_share_one_walk_cache(self):
+        """Instances over equal chains, and instances derived from them,
+        read one composite object from the chain's cache and table none."""
+        a = from_chain(ChainCurve(3), 1, {})
+        b = from_chain(ChainCurve(3), 1, {})
+        start, end = md(3, 0, 0), md(0, 0, 3)
+        walk = canonical_matrix(a, start, end)
+        assert canonical_matrix(b, start, end) is walk
+        assert canonical_matrix(a.derive({}), start, end) is walk
+        assert chain_canonical(ChainCurve(3), start, end) is walk
+        assert not any(key[0] == "_walk" for key in a.table)
+
+    def test_loaded_and_hand_built_instances_table_their_own(self, worked_instance,
+                                                             tmp_path):
+        path = tmp_path / "instance.json"
+        save_instance(path, worked_instance)
+        inst = worked_instance
+        built = LlsInstance(inst.d, inst.r, inst.ambient_dim, inst.maps,
+                            inst.vanishing, inst.spaces)
+        start, end = md(1, 0, 0), md(0, 0, 1)
+        for other in (load_instance(path), built):
+            walk = canonical_matrix(other, start, end)
+            assert other.chain is None and ("_walk", start, end) in other.table
+            assert canonical_matrix(other, start, end) is walk
+            assert walk == canonical_matrix(inst, start, end)
+            assert walk is not canonical_matrix(inst, start, end)
+
+
 class TestScaledBackendInvariance:
     def test_verdicts_survive_rescaled_trivialisation(self):
         from fractions import Fraction
@@ -408,6 +436,27 @@ class TestAnalysisTable:
         assert all(a is b for a, b in zip(first, exactness(fresh).edges))
         assert canonical_matrix(fresh, md(4, 0, 0), md(0, 0, 4)) is \
             canonical_matrix(fresh, md(4, 0, 0), md(0, 0, 4))
+
+
+    def test_component_sets_are_shared_key_tuples(self):
+        """Every ``_vanishing`` key holds one of seven shared tuples, however
+        the components were asked for."""
+        inst = gen_simple(GenSpec(d=3, r=1, seed=2)).instance
+        codim_report(inst)
+        identity_suite(inst)
+        first, last = inst.multidegrees[0], inst.multidegrees[-1]
+        vanishing_in_v(inst, first, [3, 2])
+        vanishing_in_v(inst, last, {2, 3})
+        keys = [key for key in inst.table if key[0] == "_vanishing"]
+        shared = {}
+        assert all(shared.setdefault(key[2], key[2]) is key[2] for key in keys)
+        assert len(shared) == 7
+        at_first, at_last = (next(key for key in keys if key[1:3] == (node, (2, 3)))
+                             for node in (first, last))
+        assert at_first[2] is at_last[2]
+        for bad in ((), (4,), (1, 4)):
+            with pytest.raises(ValueError):
+                vanishing_in_v(inst, first, bad)
 
 
 class TestSharedTable:

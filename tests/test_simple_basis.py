@@ -1,7 +1,10 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from llschain.chain_model import ChainCurve, canonical_matrix as chain_canonical
 from llschain.exactla import Matrix, Subspace, vec_matmul
 from llschain.lattice import Direction, Multidegree, all_multidegrees
 from llschain.lls_core import LlsInstance, canonical_matrix, validate
@@ -17,6 +20,7 @@ from llschain.simple_basis import (
     extract_certificate,
     is_simple,
     load_certificate,
+    push_along_walks,
     save_certificate,
     verify_certificate,
 )
@@ -117,6 +121,52 @@ class TestCertificates:
             # (1, 1) is outside the one-dimensional chosen space
             verify_certificate(worked_instance, cert)
 
+    @staticmethod
+    def shared_node_certificate():
+        """The first seeded simple series at d = 4, r = 2 whose certificate
+        has two sections at one support node, and that node."""
+        for seed in range(40):
+            result = gen_simple(GenSpec(d=4, r=2, seed=seed))
+            node = next((n for n in result.certificate.support
+                         if len(result.certificate.sections[n]) >= 2), None)
+            if node is not None:
+                return result.instance, result.certificate, node
+        raise AssertionError("no certificate with two sections at one node")
+
+    def test_dependent_sections_fail_at_the_first_node(self):
+        inst, cert, node = self.shared_node_certificate()
+        first, _, *rest = cert.sections[node]
+        sections = {**cert.sections, node: (first, tuple(2 * e for e in first), *rest)}
+        check = verify_certificate(inst, SimpleCertificate(cert.support, sections))
+        assert not check.ok
+        assert check.failing_multidegree == inst.multidegrees[0]
+        assert check.message == "pushed sections do not span"
+
+    def test_pushes_leaving_a_changed_space_fail_there(self):
+        inst, cert, _ = self.shared_node_certificate()
+        target = next(n for n in inst.multidegrees[1:] if n not in cert.support)
+        other = Subspace.span([[int(j == k) for j in range(inst.d + 1)]
+                               for k in range(inst.r + 1)], inst.d + 1)
+        assert other != inst.space(target)
+        changed = inst.derive({**inst.spaces, target: other})
+        check = verify_certificate(changed, cert)
+        assert not check.ok
+        assert check.failing_multidegree == target
+        assert check.message == "a pushed section leaves the chosen space"
+
+    def test_section_outside_its_space_is_refused_before_any_verdict(self):
+        inst, cert, node = self.shared_node_certificate()
+        outside = next(v for v in Subspace.full(inst.d + 1).basis.row_list()
+                       if v not in inst.space(node))
+        first, *rest = cert.sections[node]
+        moved = tuple(a + b for a, b in zip(first, outside))
+        # One section too many as well, which alone would be a failed check.
+        sections = {**cert.sections, node: (moved, *rest, first)}
+        with pytest.raises(CertificateError) as err:
+            verify_certificate(inst, SimpleCertificate(cert.support, sections))
+        assert err.value.path == f"sections.{node.i},{node.l}[0]"
+        assert "lies outside the chosen space" in str(err.value)
+
     def test_round_trip_files(self, worked_instance, tmp_path):
         cert = extract_certificate(worked_instance)
         path = tmp_path / "certificate.json"
@@ -131,6 +181,41 @@ class TestCertificates:
         from llschain.lls_core import InstanceFormatError
         with pytest.raises(InstanceFormatError):
             certificate_from_json(data, worked_instance.d)
+
+
+SCALES = [(1, 1, 1), (2, 3, 5), (Fraction(-1, 2), 7, Fraction(3, 4))]
+push_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@st.composite
+def push_problems(draw):
+    """A chain, up to three source nodes with up to three rational sections
+    each, and a target node."""
+    chain = ChainCurve(draw(st.integers(0, 4)), toward_scales=draw(st.sampled_from(SCALES)))
+    grid = all_multidegrees(chain.d)
+    sources = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=3, unique=True))
+    row = st.lists(push_rationals, min_size=chain.d + 1, max_size=chain.d + 1)
+    sections = {s: draw(st.lists(row, min_size=1, max_size=3)) for s in sources}
+    return chain, sources, draw(st.sampled_from(grid)), sections
+
+
+class TestPushAlongWalks:
+    @settings(max_examples=80, deadline=None)
+    @given(push_problems())
+    def test_integer_pushes_equal_vector_pushes(self, problem):
+        """Row for row, the stored-form product equals pushing each
+        ``Fraction`` section alone with ``vec_matmul``, in source order."""
+        chain, sources, target, sections = problem
+        walk = partial(chain_canonical, chain)
+        matrices = {s: Matrix.from_rows(rows) for s, rows in sections.items()}
+        pushed = push_along_walks(walk, matrices, sources, target)
+        expected = [vec_matmul(v, walk(s, target)) for s in sources for v in sections[s]]
+        assert pushed.row_list() == expected
+        assert pushed == Matrix.from_rows(expected, cols=chain.d + 1)
+
+    def test_no_source_pushes_nothing(self):
+        walk = partial(chain_canonical, ChainCurve(2))
+        assert push_along_walks(walk, {}, (), md(1, 1, 0)).row_list() == []
 
 
 class TestIsSimple:
