@@ -54,6 +54,7 @@ from .lattice import (
     classify_steps,
     directed_edges,
     edge_between,
+    other_components,
     PathClass,
 )
 
@@ -349,7 +350,7 @@ def verify_sheaf_laws(target: ChainCurve | SheafSkeleton | LlsInstance) -> LawRe
                 continue
             edge = Edge(md, target_md, toward)
             fwd = skel.maps[(md, target_md)]
-            complementary = tuple(p for p in (1, 2, 3) if p != q)
+            complementary = other_components(q)
             expected_kernel = (skel.vanishing[md][complementary[0]]
                                & skel.vanishing[md][complementary[1]])
             actual_kernel = kernel(fwd)

@@ -195,7 +195,7 @@ def _cmd_laws(args) -> int:
         ok = law_report.ok and identities.ok
         lines = [f"ambient laws: {'pass' if law_report.ok else 'fail'}",
                  f"identity suite: {'pass' if identities.ok else 'fail'} "
-                 f"({len(identities.passed())} pass, "
+                 f"({len(identities.by_status('pass'))} pass, "
                  f"{len(identities.by_status('hypothesis-not-met'))} skipped)"]
         lines += [f"  {v.kind} at {v.label}" for v in law_report.violations]
         lines += [f"  {c.identity} at {c.location}: {c.detail}"

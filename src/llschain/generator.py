@@ -1,6 +1,13 @@
 """Seeded instance synthesis: simple-by-construction series, a backtracking
 search for exact series, and negative controls.
 
+Every linked assignment comes from one walker, ``_fill``.  It assigns the
+nodes in grid order, each inside the linking freedom that its assigned
+neighbours leave, from a per-node list of choices, and goes back to the
+previous node's next choice when a node has none left.  The exact search
+and break-exactness's biased redraw differ only in their choice rule.
+Random spaces inside a linking freedom come from one stream, ``_draws``.
+
 All randomness flows through one ``random.Random`` seeded from the spec, so
 a given spec always produces the same instance (and byte-identical files).
 Random rationals are integers in ``[-ENTRY_BOUND, ENTRY_BOUND]``; exact
@@ -11,13 +18,14 @@ from __future__ import annotations
 
 import random
 from functools import partial
+from itertools import islice
 from math import lcm
-from typing import Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from . import chain_model, lls_core, simple_basis
 from .chain_model import ChainCurve
 from .exactla import Matrix, Subspace, complement_in, image, kernel, preimage
-from .lattice import Edge, Multidegree, all_multidegrees, edge_between
+from .lattice import Edge, Multidegree, all_multidegrees, edge_between, other_components
 from .lls_core import LlsInstance, exactness, exactness_at, from_chain, validate
 
 __all__ = [
@@ -82,25 +90,15 @@ def _random_vector(rng: random.Random, length: int) -> tuple[int, ...]:
     return tuple(rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(length))
 
 
-def _random_subspace(rng: random.Random, ambient: int, dim: int,
-                     tries: int = 64) -> Subspace:
-    for _ in range(tries):
-        candidate = Subspace.span(
-            [_random_vector(rng, ambient) for _ in range(dim)], ambient)
-        if candidate.dim == dim:
-            return candidate
-    raise GenerationError("could not draw a random subspace of the requested dimension")
-
-
-def _linking_freedom(maps: Mapping[tuple[Multidegree, Multidegree], Matrix],
-                     md: Multidegree, ambient: int, rp1: int,
+def _linking_freedom(inst: LlsInstance, md: Multidegree,
                      assigned: Mapping[Multidegree, Subspace],
                      ) -> tuple[Subspace, Subspace] | None:
     """Bounds ``(lower, upper)`` on a space at ``md`` linked to its assigned
     neighbours: it must contain the sum of their images and map into each
-    of them.  ``None`` when no ``rp1``-dimensional space fits between."""
-    lower = Subspace.zero(ambient)
-    upper = Subspace.full(ambient)
+    of them.  ``None`` when no ``r+1``-dimensional space fits between."""
+    maps, rp1 = inst.maps, inst.r + 1
+    lower = Subspace.zero(inst.ambient_dim[md])
+    upper = Subspace.full(inst.ambient_dim[md])
     for _, n in md.neighbours():
         if n in assigned:
             lower = lower + assigned[n].apply(maps[(n, md)])
@@ -110,27 +108,57 @@ def _linking_freedom(maps: Mapping[tuple[Multidegree, Multidegree], Matrix],
     return lower, upper
 
 
-def _free_rows(lower: Subspace, upper: Subspace) -> list[list[int]]:
-    """Integer rows completing ``lower`` to ``upper``: the rows of
-    ``complement_in`` over their least common denominator, which a span
-    ignores.  A node's draws all read this one list."""
+def _draws(rng: random.Random, lower: Subspace, upper: Subspace,
+           rp1: int) -> Iterator[Subspace]:
+    """Endless seeded draws inside a linking freedom: each is the span of
+    ``lower`` and ``rp1 - lower.dim`` random integer combinations,
+    coefficients in ``[-ENTRY_BOUND, ENTRY_BOUND]``, of the rows completing
+    ``lower`` to ``upper``.  Those rows are ``complement_in``'s over their
+    least common denominator, which a span ignores, computed once."""
     free = complement_in(lower, upper)
     den = lcm(*free.dens)
-    return [[(den // d) * e for e in row] for row, d in zip(free.ints, free.dens)]
-
-
-def _draw_in_freedom(rng: random.Random, lower: Subspace, free: list[list[int]],
-                     needed: int) -> Subspace:
-    """Span of ``lower`` and ``needed`` random integer combinations of the
-    integer rows ``free`` (see ``_free_rows``), coefficients in
-    ``[-ENTRY_BOUND, ENTRY_BOUND]``."""
+    rows = [[(den // d) * e for e in row] for row, d in zip(free.ints, free.dens)]
     ambient = lower.ambient_dim
-    extra = []
-    for _ in range(needed):
-        coeffs = [rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in free]
-        extra.append([sum(c * row[k] for c, row in zip(coeffs, free))
-                      for k in range(ambient)])
-    return Subspace.span([*lower.basis.ints, *extra], ambient)
+    while True:
+        extra = []
+        for _ in range(rp1 - lower.dim):
+            coeffs = [rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in rows]
+            extra.append([sum(c * row[k] for c, row in zip(coeffs, rows))
+                          for k in range(ambient)])
+        yield Subspace.span([*lower.basis.ints, *extra], ambient)
+
+
+def _fill(inst: LlsInstance, choices: Callable[..., list[Subspace]], budget: int,
+          ) -> tuple[dict[Multidegree, Subspace] | None, int]:
+    """Assign every node of ``inst`` in grid order, each inside the linking
+    freedom of the nodes assigned before it.
+
+    ``choices(md, lower, upper, assigned)`` lists a node's candidates in
+    full when the walk reaches the node, so its draws happen in walk
+    order.  A node with no freedom or no untried choice left sends the walk
+    back to the previous node's next choice.  Returns the assignment, or
+    ``None`` once the first node runs out, and the number of choices tried;
+    trying more than ``budget`` raises ``GenerationError``.
+    """
+    grid = inst.multidegrees
+    assigned: dict[Multidegree, Subspace] = {}
+    untried: list[Iterator[Subspace]] = []
+    expansions = 0
+    while True:
+        md = grid[len(untried)]
+        freedom = _linking_freedom(inst, md, assigned)
+        untried.append(iter(choices(md, *freedom, assigned) if freedom else ()))
+        while (choice := next(untried[-1], None)) is None:
+            assigned.pop(grid[len(untried) - 1], None)
+            untried.pop()
+            if not untried:
+                return None, expansions
+        expansions += 1
+        if expansions > budget:
+            raise GenerationError(f"more than {budget} tries")
+        assigned[grid[len(untried) - 1]] = choice
+        if len(untried) == len(grid):
+            return assigned, expansions
 
 
 class GenResult(NamedTuple):
@@ -220,46 +248,38 @@ class SearchResult(NamedTuple):
 def gen_exact_search(spec: GenSpec) -> SearchResult:
     """Backtracking search for an exact series over the chain backend.
 
-    Nodes are filled in grid order.  At each node the admissible spaces
-    sit between the sum of images forced by assigned neighbours and the
-    intersection of preimage constraints; up to ``MAX_CANDIDATES`` random
-    spaces are sampled inside that freedom, and a candidate is kept only
-    if every edge into the assigned region is exact, so a completed
+    ``_fill`` walks the nodes in grid order.  At each node the admissible
+    spaces sit between the sum of images forced by assigned neighbours and
+    the intersection of preimage constraints; up to ``MAX_CANDIDATES``
+    distinct spaces are drawn inside that freedom, and a candidate is kept
+    only if every edge into the assigned region is exact, so a completed
     assignment is exact by construction (and replayed through the full
-    checker anyway).  The note records whether the found instance is
-    distributive everywhere, flagging any exact-but-nondistributive find.
+    checker anyway).  Every kept candidate tried counts as one expansion.
+    The note records whether the found instance is distributive
+    everywhere, flagging any exact-but-nondistributive find.
     """
     if spec.strategy != "exact-search":
         raise ValueError("gen_exact_search needs the exact-search strategy")
     rng = random.Random(spec.seed)
     chain = ChainCurve(spec.d)
-    grid = all_multidegrees(spec.d)
     rp1 = spec.r + 1
-    expansions = 0
     # The probes derive from one instance, so they share one analysis
     # table, dropped when the search returns.  The found instance is
     # rebuilt below with a table of its own for the postcondition replay.
     root = from_chain(chain, spec.r, {})
 
-    def candidates(md: Multidegree, assigned: dict) -> list[Subspace]:
-        freedom = _linking_freedom(root.maps, md, spec.d + 1, rp1, assigned)
-        if freedom is None:
-            return []
-        lower, upper = freedom
+    def candidates(md: Multidegree, lower: Subspace, upper: Subspace,
+                   assigned: dict) -> list[Subspace]:
         if lower.dim == rp1:
             trial = [lower]
         else:
-            free = _free_rows(lower, upper)
-            needed = rp1 - lower.dim
-            trial = []
-            seen = set()
-            for _ in range(MAX_CANDIDATES * 6):
-                if len(trial) >= MAX_CANDIDATES:
-                    break
-                candidate = _draw_in_freedom(rng, lower, free, needed)
-                if candidate.dim == rp1 and candidate.basis not in seen:
-                    seen.add(candidate.basis)
-                    trial.append(candidate)
+            distinct: dict[Matrix, Subspace] = {}
+            for candidate in islice(_draws(rng, lower, upper, rp1), MAX_CANDIDATES * 6):
+                if candidate.dim == rp1:
+                    distinct.setdefault(candidate.basis, candidate)
+                    if len(distinct) == MAX_CANDIDATES:
+                        break
+            trial = list(distinct.values())
         neighbours = [n for _, n in md.neighbours() if n in assigned]
         found: list[Subspace] = []
         for candidate in trial:
@@ -270,26 +290,11 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
                 found.append(candidate)
         return found
 
-    def dfs(position: int, assigned: dict) -> dict | None:
-        nonlocal expansions
-        if position == len(grid):
-            return dict(assigned)
-        md = grid[position]
-        for candidate in candidates(md, assigned):
-            expansions += 1
-            if expansions > spec.budget:
-                raise GenerationError("budget")
-            assigned[md] = candidate
-            result = dfs(position + 1, assigned)
-            if result is not None:
-                return result
-            del assigned[md]
-        return None
-
     try:
-        assignment = dfs(0, {})
+        assignment, expansions = _fill(root, candidates, spec.budget)
     except GenerationError:
-        return SearchResult(None, expansions, None, None,
+        # The walk stops at the try past its budget.
+        return SearchResult(None, spec.budget + 1, None, None,
                             f"NotFound(budget={spec.budget})")
     if assignment is None:
         return SearchResult(None, expansions, None, None, "NotFound(exhausted)")
@@ -347,11 +352,16 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
 
     if mode == "break-linking":
         for md in grid:
-            neighbours = [t for _, t in md.neighbours()]
-            if not neighbours:
+            if not md.neighbours():
                 continue
-            for _ in range(200):
-                candidate = _random_subspace(rng, inst.ambient_dim[md], rp1)
+            ambient = inst.ambient_dim[md]
+            tries = 0
+            while tries < 200:
+                candidate = Subspace.span(
+                    [_random_vector(rng, ambient) for _ in range(rp1)], ambient)
+                if candidate.dim != rp1:
+                    continue  # redrawn; only full-rank draws count as tries
+                tries += 1
                 out = with_space(md, candidate)
                 report = validate(out, ambient_laws=False)
                 linking = [v for v in report.violations if v.kind == "linking"]
@@ -362,16 +372,10 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
 
     # break-exactness, phase 1: perturb one node inside its linking freedom.
     for md in grid:
-        freedom = _linking_freedom(inst.maps, md, inst.ambient_dim[md], rp1, inst.spaces)
-        if freedom is None or freedom[0].dim == freedom[1].dim:
+        freedom = _linking_freedom(inst, md, inst.spaces)
+        if freedom is None or freedom[0].dim == rp1:
             continue
-        lower, upper = freedom
-        free = _free_rows(lower, upper)
-        needed = rp1 - lower.dim
-        if needed <= 0:
-            continue
-        for _ in range(200):
-            candidate = _draw_in_freedom(rng, lower, free, needed)
+        for candidate in islice(_draws(rng, *freedom, rp1), 200):
             if candidate.dim != rp1 or candidate == inst.space(md):
                 continue
             out = with_space(md, candidate)
@@ -394,17 +398,25 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
     # edge: bury the source in the kernel of the edge map and soak the
     # target in the vanishing subspace defining the edge constraint.
     # Generic linked draws come out exact; this bias is what breaks it.
+    def biased(bias: dict[Multidegree, Subspace], md: Multidegree, lower: Subspace,
+               upper: Subspace, assigned: dict) -> list[Subspace]:
+        """The redraw's one choice at ``md``: ``lower`` extended by the bias
+        directions inside ``upper`` before generic ones."""
+        preferred = (bias[md] & upper).basis.ints if md in bias else ()
+        extension = complement_in(lower, upper, preferred=preferred).ints[:rp1 - lower.dim]
+        candidate = Subspace.span([*lower.basis.ints, *extension], lower.ambient_dim)
+        return [candidate] if candidate.dim == rp1 else []
+
     for a in grid:
         for direction, b in a.neighbours():
             q = direction.component
             if direction.is_toward:
                 target_vanishing = inst.vanishing[b][q]
             else:
-                others = tuple(p for p in (1, 2, 3) if p != q)
-                target_vanishing = (inst.vanishing[b][others[0]]
-                                    & inst.vanishing[b][others[1]])
+                p1, p2 = other_components(q)
+                target_vanishing = inst.vanishing[b][p1] & inst.vanishing[b][p2]
             bias = {a: kernel(inst.maps[(a, b)]), b: target_vanishing}
-            drawn = _biased_linked_draw(inst, bias)
+            drawn, _ = _fill(inst, partial(biased, bias), len(grid))
             if drawn is None:
                 continue
             out = inst.derive(drawn, provenance={"degraded_from": inst.provenance,
@@ -417,25 +429,3 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
                                      "redrew the assignment with a degenerate bias "
                                      f"around {a.label}->{b.label}")
     raise GenerationError("break-exactness found no perturbation")
-
-
-def _biased_linked_draw(inst: LlsInstance,
-                        bias: dict[Multidegree, Subspace]) -> dict | None:
-    """One sequential linked assignment in grid order, extending each forced
-    lower bound by preferred directions (the bias) before generic ones."""
-    assigned: dict[Multidegree, Subspace] = {}
-    rp1 = inst.r + 1
-    for md in inst.multidegrees:
-        ambient = inst.ambient_dim[md]
-        freedom = _linking_freedom(inst.maps, md, ambient, rp1, assigned)
-        if freedom is None:
-            return None
-        lower, upper = freedom
-        preferred = (bias[md] & upper).basis.ints if md in bias else ()
-        extension = complement_in(lower, upper, preferred=preferred)
-        candidate = Subspace.span([*lower.basis.ints, *extension.ints[:rp1 - lower.dim]],
-                                  ambient)
-        if candidate.dim != rp1:
-            return None
-        assigned[md] = candidate
-    return assigned

@@ -46,8 +46,8 @@ __all__ = [
     "PathError",
     "PathClass",
     "all_multidegrees",
-    "classify_path",
     "classify_steps",
+    "other_components",
     "canonical_path",
 ]
 
@@ -91,6 +91,11 @@ _INVERSE = {
     Direction.TOWARD_X3: Direction.FROM_X3,
     Direction.FROM_X3: Direction.TOWARD_X3,
 }
+
+
+def other_components(q: int) -> tuple[int, int]:
+    """The two components other than ``q``, in increasing order."""
+    return tuple(p for p in (1, 2, 3) if p != q)
 
 
 class Multidegree(NamedTuple):
@@ -204,12 +209,6 @@ class Path:
     def __hash__(self) -> int:
         return hash((self.nodes,))
 
-    def steps(self) -> tuple[Direction, ...]:
-        out = []
-        for a, b in zip(self.nodes, self.nodes[1:]):
-            out.append(edge_between(a, b).direction)
-        return tuple(out)
-
 
 def classify_steps(steps: Iterable[Direction]) -> PathClass:
     """Classify a step multiset against the degeneration patterns, reported
@@ -225,10 +224,6 @@ def classify_steps(steps: Iterable[Direction]) -> PathClass:
     if len(away) >= 2:
         return PathClass.VIOLATES_III
     return PathClass.VALID_CANONICAL
-
-
-def classify_path(path: Path) -> PathClass:
-    return classify_steps(path.steps())
 
 
 def canonical_path(start: Multidegree, end: Multidegree) -> Path:

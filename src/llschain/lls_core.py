@@ -51,6 +51,7 @@ from .lattice import (
     all_multidegrees,
     canonical_path,
     directed_edges,
+    other_components,
 )
 
 __all__ = [
@@ -79,10 +80,6 @@ __all__ = [
     "save_instance",
     "load_instance",
 ]
-
-
-def _other_components(q: int) -> tuple[int, int]:
-    return tuple(p for p in (1, 2, 3) if p != q)
 
 
 # The lattice axis of a step, by the step's component; it names the
@@ -336,7 +333,7 @@ def edge_constraint(inst: LlsInstance, edge: Edge) -> Subspace:
     q = edge.direction.component
     if edge.direction.is_toward:
         return vanishing_in_v(inst, edge.target, (q,))
-    return vanishing_in_v(inst, edge.target, _other_components(q))
+    return vanishing_in_v(inst, edge.target, other_components(q))
 
 
 @_tabled(lambda edge: (edge.source,))
@@ -484,9 +481,6 @@ class IdentitySuiteReport(NamedTuple):
     def ok(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    def passed(self) -> list[IdentityCheck]:
-        return [c for c in self.checks if c.status == "pass"]
-
     def by_status(self, status: str) -> list[IdentityCheck]:
         return [c for c in self.checks if c.status == status]
 
@@ -496,7 +490,7 @@ class IdentitySuiteReport(NamedTuple):
 
 def _dim_gap(inst: LlsInstance, source: Multidegree, target: Multidegree,
              q: int) -> tuple[bool, str]:
-    lhs = inst.r + 1 - _pair_sum_dim(inst, source, _other_components(q))
+    lhs = inst.r + 1 - _pair_sum_dim(inst, source, other_components(q))
     rhs = _dim(inst, target, (q,)) - _meet(inst, target, q)
     return lhs == rhs, f"{lhs} == {rhs}"
 
@@ -528,7 +522,7 @@ def _vanishing_dim_step(inst: LlsInstance, down: Multidegree, md: Multidegree,
 
 def _quotient_splitting(inst: LlsInstance, source: Multidegree, target: Multidegree,
                         q: int) -> tuple[bool, str]:
-    others = _other_components(q)
+    others = other_components(q)
     lhs = inst.r + 1 - _pair_sum_dim(inst, source, others)
     part1 = vanishing_sum(inst, target).dim - _pair_sum_dim(inst, target, others)
     defect = _defect(inst, target)
@@ -537,7 +531,7 @@ def _quotient_splitting(inst: LlsInstance, source: Multidegree, target: Multideg
 
 def _distributivity_dim_test(inst: LlsInstance, source: Multidegree, target: Multidegree,
                              q: int) -> tuple[bool, str]:
-    others, distributive = _other_components(q), distributive_at(inst, target)
+    others, distributive = other_components(q), distributive_at(inst, target)
     gap_closed = (_pair_sum_dim(inst, source, others) - _pair_sum_dim(inst, target, others)
                   == inst.r + 1 - vanishing_sum(inst, target).dim)
     return (distributive == gap_closed,

@@ -10,7 +10,7 @@ from llschain.lattice import (
     all_multidegrees,
     edge_between,
     canonical_path,
-    classify_path,
+    classify_steps,
 )
 
 from complements import _feeders, component_regions
@@ -18,6 +18,11 @@ from complements import _feeders, component_regions
 
 def md(i, j, l):
     return Multidegree(i, j, l)
+
+
+def steps(*nodes):
+    """The step directions of a walk through ``nodes``."""
+    return [edge_between(a, b).direction for a, b in zip(nodes, nodes[1:])]
 
 
 class TestEnumeration:
@@ -79,29 +84,29 @@ class TestSteps:
 
 class TestClassification:
     def test_toward_then_from_same_component(self):
-        path = Path((md(1, 0, 1), md(0, 1, 1), md(1, 0, 1)))
-        assert classify_path(path) is PathClass.VIOLATES_II
+        walk = steps(md(1, 0, 1), md(0, 1, 1), md(1, 0, 1))
+        assert classify_steps(walk) is PathClass.VIOLATES_II
 
     def test_horizontal_then_vertical_is_canonical(self):
-        path = Path((md(2, 0, 0), md(1, 1, 0), md(0, 2, 0), md(0, 1, 1), md(0, 0, 2)))
-        assert classify_path(path) is PathClass.VALID_CANONICAL
+        walk = steps(md(2, 0, 0), md(1, 1, 0), md(0, 2, 0), md(0, 1, 1), md(0, 0, 2))
+        assert classify_steps(walk) is PathClass.VALID_CANONICAL
 
     def test_all_three_toward_steps(self):
-        path = Path((md(1, 1, 1), md(0, 2, 1), md(1, 0, 2), md(1, 1, 1)))
-        # steps: toward-X1, toward-X2, toward-X3
-        assert classify_path(path) is PathClass.VIOLATES_I
+        walk = steps(md(1, 1, 1), md(0, 2, 1), md(1, 0, 2), md(1, 1, 1))
+        assert walk == [Direction.TOWARD_X1, Direction.TOWARD_X2, Direction.TOWARD_X3]
+        assert classify_steps(walk) is PathClass.VIOLATES_I
 
     def test_two_from_steps_violate_iii(self):
-        path = Path((md(0, 2, 0), md(1, 1, 0), md(1, 0, 1)))
-        # from-X1 then from-X3
-        assert classify_path(path) is PathClass.VIOLATES_III
+        walk = steps(md(0, 2, 0), md(1, 1, 0), md(1, 0, 1))
+        assert walk == [Direction.FROM_X1, Direction.FROM_X3]
+        assert classify_steps(walk) is PathClass.VIOLATES_III
 
     def test_non_adjacent_nodes_raise(self):
         with pytest.raises(PathError):
-            classify_path(Path((md(2, 0, 0), md(0, 2, 0))))
+            classify_steps(steps(md(2, 0, 0), md(0, 2, 0)))
 
     def test_single_node_path_is_canonical(self):
-        assert classify_path(Path((md(1, 0, 0),))) is PathClass.VALID_CANONICAL
+        assert classify_steps(steps(md(1, 0, 0))) is PathClass.VALID_CANONICAL
 
     def test_empty_path_is_refused(self):
         with pytest.raises(PathError):
@@ -126,7 +131,7 @@ class TestCanonicalPath:
     def test_single_diagonal_step(self):
         path = canonical_path(md(0, 2, 0), md(1, 0, 1))
         assert path.nodes == (md(0, 2, 0), md(1, 0, 1))
-        assert classify_path(path) is PathClass.VALID_CANONICAL
+        assert classify_steps(steps(*path.nodes)) is PathClass.VALID_CANONICAL
 
     @pytest.mark.parametrize("d", range(0, 5))
     def test_every_pair_gets_a_canonical_path(self, d):
@@ -135,7 +140,7 @@ class TestCanonicalPath:
             for b in grid:
                 path = canonical_path(a, b)
                 assert path.nodes[0] == a and path.nodes[-1] == b
-                assert classify_path(path) is PathClass.VALID_CANONICAL
+                assert classify_steps(steps(*path.nodes)) is PathClass.VALID_CANONICAL
                 assert all(min(node) >= 0 for node in path.nodes)
 
     def test_degree_mismatch(self):
