@@ -184,12 +184,10 @@ def twist_matrix(chain: ChainCurve, edge: Edge) -> Matrix:
     src = h0_basis(chain, edge.source)
     tgt = h0_basis(chain, edge.target)
     scale = chain.scale(edge.direction)
-    rows = []
-    for row in src.basis.ints:
-        image = _apply_twist(edge, row)
-        if image not in tgt:
-            raise LinearAlgebraError(f"a twisted section along {edge.label} is not glued")
-        rows.append([scale.numerator * image[p] for p in tgt.pivots])
+    images = [_apply_twist(edge, row) for row in src.basis.ints]
+    if not tgt._holds(images):
+        raise LinearAlgebraError(f"a twisted section along {edge.label} is not glued")
+    rows = [[scale.numerator * image[p] for p in tgt.pivots] for image in images]
     return Matrix.from_ints(rows, [scale.denominator * lead for lead in src.basis.dens],
                             tgt.dim)
 

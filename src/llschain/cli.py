@@ -65,6 +65,8 @@ def _emit(args, data: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_gen(args) -> int:
+    if args.certificate_out is not None and args.strategy != "from-sections":
+        raise InstanceFormatError("gen", "--certificate-out needs --strategy from-sections")
     spec = generator.GenSpec(d=args.d, r=args.r, strategy=args.strategy,
                              seed=args.seed, budget=args.budget)
     if args.strategy == "from-sections":

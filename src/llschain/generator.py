@@ -7,6 +7,8 @@ neighbours leave, from a per-node list of choices, and goes back to the
 previous node's next choice when a node has none left.  The exact search
 and break-exactness's biased redraw differ only in their choice rule.
 Random spaces inside a linking freedom come from one stream, ``_draws``.
+A freedom is pinned (one space, no preimage built), forced (every
+full-rank draw is its upper bound, so it is not spanned) or free.
 
 All randomness flows through one ``random.Random`` seeded from the spec, so
 a given spec always produces the same instance (and byte-identical files).
@@ -24,7 +26,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 
 from . import chain_model, lls_core, simple_basis
 from .chain_model import ChainCurve
-from .exactla import Matrix, Subspace, complement_in, image, kernel, preimage
+from .exactla import Matrix, Subspace, _eliminate, complement_in, image, image_in, kernel, preimage
 from .lattice import Edge, Multidegree, all_multidegrees, edge_between, other_components
 from .lls_core import LlsInstance, exactness, exactness_at, from_chain, validate
 
@@ -95,15 +97,23 @@ def _linking_freedom(inst: LlsInstance, md: Multidegree,
                      ) -> tuple[Subspace, Subspace] | None:
     """Bounds ``(lower, upper)`` on a space at ``md`` linked to its assigned
     neighbours: it must contain the sum of their images and map into each
-    of them.  ``None`` when no ``r+1``-dimensional space fits between."""
+    of them.  ``None`` when no ``r+1``-dimensional space fits between.  A
+    *pinned* freedom (``lower`` of dimension ``r+1``) is ``(lower, lower)``
+    once ``lower`` maps into each neighbour, and builds no preimage; else it
+    is *forced* when ``upper`` has dimension ``r+1`` and *free* when larger."""
     maps, rp1 = inst.maps, inst.r + 1
+    neighbours = [n for _, n in md.neighbours() if n in assigned]
     lower = Subspace.zero(inst.ambient_dim[md])
+    for n in neighbours:
+        lower = lower + assigned[n].apply(maps[(n, md)])
+    if lower.dim >= rp1:
+        pinned = lower.dim == rp1 and all(
+            image_in(lower.basis @ maps[(md, n)], assigned[n]) for n in neighbours)
+        return (lower, lower) if pinned else None
     upper = Subspace.full(inst.ambient_dim[md])
-    for _, n in md.neighbours():
-        if n in assigned:
-            lower = lower + assigned[n].apply(maps[(n, md)])
-            upper = upper & preimage(maps[(md, n)], assigned[n])
-    if lower.dim > rp1 or upper.dim < rp1 or not lower <= upper:
+    for n in neighbours:
+        upper = upper & preimage(maps[(md, n)], assigned[n])
+    if upper.dim < rp1 or not lower <= upper:
         return None
     return lower, upper
 
@@ -114,17 +124,21 @@ def _draws(rng: random.Random, lower: Subspace, upper: Subspace,
     ``lower`` and ``rp1 - lower.dim`` random integer combinations,
     coefficients in ``[-ENTRY_BOUND, ENTRY_BOUND]``, of the rows completing
     ``lower`` to ``upper``.  Those rows are ``complement_in``'s over their
-    least common denominator, which a span ignores, computed once."""
+    least common denominator, which a span ignores, computed once.  In a
+    forced freedom a draw whose square coefficient block has full rank is
+    ``upper`` itself, so only singular blocks are spanned; every coefficient
+    is still drawn, in order, so the seeded stream is the same."""
     free = complement_in(lower, upper)
     den = lcm(*free.dens)
     rows = [[(den // d) * e for e in row] for row, d in zip(free.ints, free.dens)]
-    ambient = lower.ambient_dim
+    ambient, needed = lower.ambient_dim, rp1 - lower.dim
     while True:
-        extra = []
-        for _ in range(rp1 - lower.dim):
-            coeffs = [rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in rows]
-            extra.append([sum(c * row[k] for c, row in zip(coeffs, rows))
-                          for k in range(ambient)])
+        block = [[rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in rows] for _ in range(needed)]
+        if len(rows) == needed and len(_eliminate([*block], needed)) == needed:
+            yield upper
+            continue
+        extra = [[sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(ambient)]
+                 for coeffs in block]
         yield Subspace.span([*lower.basis.ints, *extra], ambient)
 
 

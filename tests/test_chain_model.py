@@ -113,6 +113,28 @@ class TestTwistMatrices:
         with pytest.raises(LinearAlgebraError):
             twist_matrix(chain, Edge(md(2, 0, 0), md(1, 1, 0), Direction.TOWARD_X1))
 
+    def test_one_unglued_image_names_the_edge(self, monkeypatch):
+        """The images of an edge are checked together, and one bad image
+        among them, the last, still fails the check with the edge's label."""
+        edge = Edge(md(1, 2, 0), md(1, 1, 1), Direction.FROM_X3)
+        rows = len(h0_basis(ChainCurve(3), edge.source).basis.ints)
+        real = chain_model._apply_twist
+        calls = []
+
+        def corrupted(e, raw):
+            out = real(e, raw)
+            calls.append(e)
+            if len(calls) == rows:
+                out[0] += 1
+            return out
+
+        monkeypatch.setattr(chain_model, "_apply_twist", corrupted)
+        # A chain no other test uses, so no cached matrix answers the call.
+        chain = ChainCurve(3, toward_scales=(5, 7, 1))
+        with pytest.raises(LinearAlgebraError, match=r"along \(1,2,0\)->\(1,1,1\) is not glued"):
+            twist_matrix(chain, edge)
+        assert calls == [edge] * rows
+
     @pytest.mark.parametrize("d", range(1, 5))
     def test_round_trips_vanish(self, d):
         chain = ChainCurve(d)

@@ -292,6 +292,21 @@ class TestExitCodes:
         code2, _, _ = run_cli("validate", str(out_path))
         assert code2 == 1
 
+    @pytest.mark.parametrize("strategy", ["exact-search", "degrade"])
+    def test_certificate_out_needs_from_sections(self, worked_files, tmp_path, strategy):
+        """Only from-sections writes a certificate, so any other strategy
+        refuses ``--certificate-out`` before it generates anything."""
+        _, inst_path = worked_files
+        out_path, cert_path = tmp_path / "c.json", tmp_path / "x.json"
+        extra = (["--input", str(inst_path), "--mode", "shrink-V"]
+                 if strategy == "degrade" else [])
+        code, out, err = run_cli("gen", "--d", "1", "--r", "0", "--strategy", strategy,
+                                 "--seed", "0", "-o", str(out_path),
+                                 "--certificate-out", str(cert_path), *extra)
+        assert code == 2 and out == ""
+        assert "gen: --certificate-out needs --strategy from-sections" in err
+        assert not out_path.exists() and not cert_path.exists()
+
 
 class TestDeterminism:
     def test_reports_are_byte_stable(self, worked_files, tmp_path):

@@ -1,0 +1,153 @@
+"""Linking freedoms pay only for what can vary: a pinned node builds no
+preimage, and a forced draw with a full-rank coefficient block spans
+nothing.  Both shortcuts are compared here with the full computations they
+replace, which are kept in this file as references.
+"""
+
+import random
+from itertools import islice
+from math import lcm
+
+import pytest
+
+from llschain.exactla import Subspace, complement_in, preimage
+from llschain.generator import (
+    ENTRY_BOUND,
+    GenSpec,
+    _draws,
+    _linking_freedom,
+    degrade,
+    gen_exact_search,
+    gen_simple,
+)
+
+
+def spanning_draws(rng, lower, upper, rp1):
+    """The draw stream that spans every draw, whatever the freedom."""
+    free = complement_in(lower, upper)
+    den = lcm(*free.dens)
+    rows = [[(den // d) * e for e in row] for row, d in zip(free.ints, free.dens)]
+    ambient = lower.ambient_dim
+    while True:
+        extra = []
+        for _ in range(rp1 - lower.dim):
+            coeffs = [rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in rows]
+            extra.append([sum(c * row[k] for c, row in zip(coeffs, rows))
+                          for k in range(ambient)])
+        yield Subspace.span([*lower.basis.ints, *extra], ambient)
+
+
+def preimage_bounds(inst, md, assigned):
+    """Both bounds in full: the neighbours' images summed and their
+    preimages intersected, at pinned nodes too."""
+    maps, rp1 = inst.maps, inst.r + 1
+    lower = Subspace.zero(inst.ambient_dim[md])
+    upper = Subspace.full(inst.ambient_dim[md])
+    for _, n in md.neighbours():
+        if n in assigned:
+            lower = lower + assigned[n].apply(maps[(n, md)])
+            upper = upper & preimage(maps[(md, n)], assigned[n])
+    if lower.dim > rp1 or upper.dim < rp1 or not lower <= upper:
+        return None
+    return lower, upper
+
+
+def _space(rng, rows, ambient):
+    return Subspace.span([[rng.randint(-4, 4) for _ in range(ambient)]
+                          for _ in range(rows)], ambient)
+
+
+def _freedom(lower_dim, upper_dim, ambient=6, seed=0):
+    """Nested random spaces ``lower < upper`` of the given dimensions, with
+    rational RREF rows, so the completing rows have unequal denominators."""
+    rng = random.Random(seed)
+    while True:
+        upper = _space(rng, upper_dim, ambient)
+        if upper.dim != upper_dim or all(d == 1 for d in upper.basis.dens):
+            continue
+        combos = [[rng.randint(-3, 3) for _ in range(upper_dim)] for _ in range(lower_dim)]
+        lower = Subspace.span([[sum(c * row[j] for c, row in zip(coeffs, upper.basis.ints))
+                                for j in range(ambient)] for coeffs in combos], ambient)
+        if lower.dim == lower_dim:
+            return lower, upper
+
+
+class TestDrawStream:
+    # (lower dim, upper dim, r+1, draws): free, forced k = 1, forced k = 2.
+    CASES = {"free": (1, 4, 2, 300), "forced-1": (1, 2, 2, 300),
+             "forced-2": (1, 3, 3, 2000)}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_draws_and_state_as_spanning_every_draw(self, case):
+        lower_dim, upper_dim, rp1, count = self.CASES[case]
+        lower, upper = _freedom(lower_dim, upper_dim)
+        fast, slow = random.Random(11), random.Random(11)
+        drawn = list(islice(_draws(fast, lower, upper, rp1), count))
+        spanned = list(islice(spanning_draws(slow, lower, upper, rp1), count))
+        assert drawn == spanned
+        assert fast.getstate() == slow.getstate()
+        assert any(s.dim == rp1 for s in spanned)
+        if case != "free":
+            # Singular blocks occur too, so both forced paths are compared.
+            assert any(s.dim < rp1 for s in spanned)
+            assert all(s is upper for s in drawn if s.dim == rp1)
+
+
+def _exact_finds():
+    for d, r, seed in [(3, 1, 3), (4, 2, 4), (5, 1, 5), (5, 2, 0)]:
+        yield gen_exact_search(GenSpec(d=d, r=r, strategy="exact-search", seed=seed)).instance
+
+
+def _degrade_inputs():
+    for d, r, seed in [(3, 1, 0), (4, 1, 1), (4, 2, 2), (5, 2, 3)]:
+        base = gen_simple(GenSpec(d=d, r=r, seed=seed)).instance
+        yield base
+        yield degrade(base, "break-linking", seed=seed).instance
+
+
+class TestPinnedShortcut:
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        """Per node of every instance, with the nodes before it in grid
+        order assigned (as the walker sees them) and with every node
+        assigned (as break-exactness sees them): the shortcut's freedom,
+        the full bounds, and the dimension of the summed images."""
+        rows = []
+        for inst in [*_exact_finds(), *_degrade_inputs()]:
+            grid = inst.multidegrees
+            for k, md in enumerate(grid):
+                for assigned in ({m: inst.space(m) for m in grid[:k]}, inst.spaces):
+                    lower = Subspace.zero(inst.ambient_dim[md])
+                    for _, n in md.neighbours():
+                        if n in assigned:
+                            lower = lower + assigned[n].apply(inst.maps[(n, md)])
+                    rows.append((inst.r + 1, lower.dim,
+                                 _linking_freedom(inst, md, assigned),
+                                 preimage_bounds(inst, md, assigned)))
+        return rows
+
+    def test_same_freedom_as_the_full_bounds(self, outcomes):
+        for rp1, _, fast, full in outcomes:
+            assert (fast is None) == (full is None)
+            if full is not None:
+                lower, upper = full
+                assert fast[0] == lower
+                assert fast[1] == (lower if lower.dim == rp1 else upper)
+
+    def test_every_kind_of_node_occurs(self, outcomes):
+        kinds = set()
+        for rp1, lower_dim, fast, full in outcomes:
+            if full is None:
+                kinds.add("none-pinned" if lower_dim == rp1 else "none")
+            else:
+                lower, upper = full
+                kinds.add("pinned" if lower.dim == rp1 else
+                          "forced" if upper.dim == rp1 else "free")
+        assert kinds == {"pinned", "forced", "free", "none", "none-pinned"}
+
+    def test_pinned_lower_outside_a_neighbour_is_refused(self, outcomes):
+        """Summed images of the full dimension that do not map into some
+        neighbour leave no freedom, though no preimage is built."""
+        refused = [fast for rp1, lower_dim, fast, full in outcomes
+                   if lower_dim == rp1 and full is None]
+        assert refused and all(fast is None for fast in refused)
