@@ -10,7 +10,7 @@ Layered API: :mod:`llschain.exactla` (rational linear algebra),
 """
 
 from .chain_model import ChainCurve, verify_sheaf_laws
-from .exactla import Matrix, Rational, Subspace
+from .exactla import Matrix, Subspace
 from .generator import GenSpec, degrade, gen_exact_search, gen_simple
 from .lattice import Direction, Multidegree, all_multidegrees, canonical_path
 from .lls_core import (
@@ -40,7 +40,6 @@ __all__ = [
     "LlsInstance",
     "Matrix",
     "Multidegree",
-    "Rational",
     "SimpleCertificate",
     "Subspace",
     "all_multidegrees",

@@ -23,16 +23,14 @@ in any map):
     toward-X3: (f1, f2, f3) -> (f1,     (1-s).f2,   0)
     from-X3:   (g1, g2, g3) -> (0,      0,          u.g3)
 
-``_FACTORS`` holds this table, one factor per direction and block.
-``toward_scales`` rescales the three toward maps (the from maps pick up the
-unique compatible factors); the default all-ones choice is the one
-documented above.  Rescaling changes coordinates of images, never any
-rank, kernel, or subspace comparison verdict.
+``_FACTORS`` holds this table, one factor per direction and block.  It is
+the one trivialisation: rescaling the maps by nonzero scalars changes
+coordinates of images, never any rank, kernel, or subspace comparison
+verdict, so a chain is its degree alone.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -76,41 +74,17 @@ __all__ = [
 
 class _ChainFields(NamedTuple):
     d: int
-    toward_scales: tuple[Fraction, Fraction, Fraction]
 
 
 class ChainCurve(_ChainFields):
     """Chain X1 - X2 - X3 of rational curves carrying degree-``d`` bundles."""
 
     __slots__ = ()
-    _UNIT_SCALES = (Fraction(1),) * 3
 
-    def __new__(cls, d: int, toward_scales: Sequence = (1, 1, 1)) -> "ChainCurve":
+    def __new__(cls, d: int) -> "ChainCurve":
         if d < 0:
             raise ValueError("total degree must be nonnegative")
-        scales = tuple(Fraction(c) for c in toward_scales)
-        if any(c == 0 for c in scales):
-            raise ValueError("twist scales must be nonzero")
-        return super().__new__(cls, d, cls._UNIT_SCALES if scales == cls._UNIT_SCALES else scales)
-
-    def __hash__(self) -> int:
-        # Every walk-cache lookup hashes a chain, and ``Fraction`` hashes are slow.
-        return hash(self.d)
-
-    def scale(self, direction: Direction) -> Fraction:
-        """Scalar multiplying one edge map as a whole.  A from-Xq step has
-        the same displacement as the two complementary toward steps
-        composed, so its factor must be their product; with that choice all
-        canonical walks with equal endpoints keep agreeing."""
-        c1, c2, c3 = self.toward_scales
-        return {
-            Direction.TOWARD_X1: c1,
-            Direction.TOWARD_X2: c2,
-            Direction.TOWARD_X3: c3,
-            Direction.FROM_X1: c2 * c3,
-            Direction.FROM_X2: c1 * c3,
-            Direction.FROM_X3: c1 * c2,
-        }[direction]
+        return super().__new__(cls, d)
 
 
 def _blocks(md: Multidegree) -> tuple[int, int, int]:
@@ -150,7 +124,7 @@ _FACTORS = {
 
 
 def _apply_twist(edge: Edge, raw: Sequence[int]) -> list[int]:
-    """Unscaled image of an integer raw section along ``edge``: each block
+    """Image of an integer raw section along ``edge``: each block
     times its factor, as a sum of shifted coefficient blocks."""
     out: list[int] = []
     start = 0
@@ -176,20 +150,17 @@ def twist_matrix(chain: ChainCurve, edge: Edge) -> Matrix:
     row is its integer row over the pivot entry, so its image is the
     twisted integer row over the same entry; every image is checked to lie
     in the target section space (it always does for this backend), and its
-    coordinates are its entries at the target's pivot columns, times the
-    edge's scale.
+    coordinates are its entries at the target's pivot columns.
     """
     if edge.source.step(edge.direction) != edge.target:
         raise ValueError(f"{edge.label} is not a lattice edge")
     src = h0_basis(chain, edge.source)
     tgt = h0_basis(chain, edge.target)
-    scale = chain.scale(edge.direction)
     images = [_apply_twist(edge, row) for row in src.basis.ints]
     if not tgt._holds(images):
         raise LinearAlgebraError(f"a twisted section along {edge.label} is not glued")
-    rows = [[scale.numerator * image[p] for p in tgt.pivots] for image in images]
-    return Matrix.from_ints(rows, [scale.denominator * lead for lead in src.basis.dens],
-                            tgt.dim)
+    return Matrix.from_ints([[image[p] for p in tgt.pivots] for image in images],
+                            src.basis.dens, tgt.dim)
 
 
 @lru_cache(maxsize=None)
@@ -218,7 +189,7 @@ def canonical_matrix(chain: ChainCurve, start: Multidegree, end: Multidegree) ->
     Canonical walks are prefix-closed (the walk to the last-but-one node is
     the canonical walk there), so a longer walk is its cached prefix times
     the last edge."""
-    nodes = canonical_path(start, end).nodes
+    nodes = canonical_path(start, end)
     if len(nodes) == 1:
         return Matrix.identity(h0_basis(chain, start).dim)
     last = twist_matrix(chain, edge_between(nodes[-2], end))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -67,6 +68,11 @@ def _emit(args, data: dict, text_lines: list[str]) -> None:
 def _cmd_gen(args) -> int:
     if args.certificate_out is not None and args.strategy != "from-sections":
         raise InstanceFormatError("gen", "--certificate-out needs --strategy from-sections")
+    if (args.input is not None or args.mode is not None) and args.strategy != "degrade":
+        raise InstanceFormatError("gen", "--input and --mode need --strategy degrade")
+    if (args.certificate_out is not None
+            and os.path.realpath(args.certificate_out) == os.path.realpath(args.out)):
+        raise InstanceFormatError("gen", "--certificate-out and -o name the same file")
     spec = generator.GenSpec(d=args.d, r=args.r, strategy=args.strategy,
                              seed=args.seed, budget=args.budget)
     if args.strategy == "from-sections":
@@ -160,11 +166,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.certificate is not None and args.certificate_out is not None:
+        raise InstanceFormatError("certify", "--certificate-out cannot be used with --certificate")
     inst = lls_core.load_instance(args.instance)
     validation = lls_core.validate(inst, ambient_laws=False)
     if not validation.ok:
         return _refuse(args, validation)
-    if args.certificate:
+    if args.certificate is not None:
         cert = simple_basis.load_certificate(args.certificate, inst.d)
         check = simple_basis.verify_certificate(inst, cert)
         where = f" at {check.failing_multidegree.label}" if check.failing_multidegree else ""
@@ -184,8 +192,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_laws(args) -> int:
-    if args.instance is None and args.d is None:
-        raise InstanceFormatError("laws", "give an instance file or --d")
+    if (args.instance is None) == (args.d is None):
+        raise InstanceFormatError("laws", "give an instance file or --d, not both")
     if args.instance is not None:
         inst = lls_core.load_instance(args.instance)
         validation = lls_core.validate(inst, ambient_laws=False)

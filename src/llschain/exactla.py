@@ -30,17 +30,19 @@ relation (kernel) computation eliminates ``[ints_k | den_k·e_k]`` once, so
 the transform carries each row's own denominator.  ``Fraction`` values
 appear only at the edge: ``from_rows``, ``Subspace.span``, ``in``,
 ``vec_matmul`` and the ``preferred`` rows of ``complement_in`` read them,
-and ``entries``, ``row``, ``row_list``, ``to_strings`` and ``vec_matmul``
-build them for the caller.  The library builds them only for certificate
-sections and witnesses, and pushes sections by ``@`` (``vec_matmul`` is
-for other callers); ``from_ints`` takes integer rows over any positive
-denominators, and ``complement_in`` returns a stored-form matrix.  ``Matrix``
-and ``Subspace`` are slotted classes with no ``__dict__``: a matrix holds
+and ``entries``, ``row_list``, ``to_strings`` and ``vec_matmul`` build
+them for the caller.  The readers take ``Fraction`` or ``int`` entries;
+text goes through ``parse_rational`` first.  The library builds
+``Fraction`` values only for certificate sections and witnesses, and
+pushes sections by ``@`` (``vec_matmul`` is for other callers);
+``from_ints`` takes integer rows over any positive denominators, and
+``complement_in`` returns a stored-form matrix.  ``Matrix`` and
+``Subspace`` are slotted classes with no ``__dict__``: a matrix holds
 its shape, its ``ints`` and ``dens`` and, once asked, its hash, and
 nothing else derived; a subspace holds its ambient dimension, basis and
 pivot columns.
 
-Rationals serialize as ``"p/q"``, or ``"p"`` when the denominator is one,
+An entry serializes as ``"p/q"``, or ``"p"`` when the denominator is one,
 with the sign carried by the numerator; this is exactly ``str(Fraction)``.
 """
 
@@ -53,12 +55,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 IntRow = tuple[int, ...]
 
 __all__ = [
-    "Rational",
     "Vector",
     "LinearAlgebraError",
     "parse_rational",
@@ -112,11 +112,8 @@ def _integer_row(entries: Iterable) -> tuple[IntRow, int]:
     least common denominator of the entries (``int`` entries are over 1)."""
     if type(entries) is not tuple and type(entries) is not list:
         entries = tuple(entries)  # read twice below
-    try:
-        nums = [e.numerator for e in entries]
-        denoms = [e.denominator for e in entries]
-    except AttributeError:  # entries such as "1/3" are read as ``Fraction``s
-        return _integer_row([Fraction(e) for e in entries])
+    nums = [e.numerator for e in entries]
+    denoms = [e.denominator for e in entries]
     den = lcm(*denoms)
     if den == 1:
         return tuple(nums), 1
@@ -149,8 +146,9 @@ def _common(matrix: "Matrix") -> tuple[Sequence[IntRow], int]:
 class Matrix:
     """Immutable dense rational matrix, stored as integer rows: row ``k`` is
     ``ints[k] / dens[k]``, with ``dens[k]`` the least common denominator of
-    the row.  Build one with ``from_rows`` (rational entries), ``from_ints``
-    (integer rows over denominators), ``identity`` or ``zeros``."""
+    the row.  Build one with ``from_rows`` (``Fraction`` or ``int``
+    entries), ``from_ints`` (integer rows over denominators) or
+    ``identity``."""
 
     __slots__ = ("rows", "cols", "ints", "dens", "_hash", "__weakref__")
 
@@ -191,16 +189,9 @@ class Matrix:
         return Matrix._stored(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
                               (1,) * n)
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix._stored(cols, ((0,) * cols,) * rows, (1,) * rows)
-
     @property
     def entries(self) -> Vector:
         return tuple(itertools.chain.from_iterable(self.row_list()))
-
-    def row(self, k: int) -> Vector:
-        return _fractions(self.ints[k], self.dens[k])
 
     def row_list(self) -> list[Vector]:
         return list(map(_fractions, self.ints, self.dens))

@@ -42,7 +42,6 @@ __all__ = [
     "Edge",
     "edge_between",
     "directed_edges",
-    "Path",
     "PathError",
     "PathClass",
     "all_multidegrees",
@@ -193,23 +192,6 @@ class PathClass(enum.Enum):
     VIOLATES_III = "violates (III)"
 
 
-class Path:
-    """A lattice walk; two paths are equal when their nodes are."""
-
-    __slots__ = ("nodes",)
-
-    def __init__(self, nodes: tuple[Multidegree, ...]) -> None:
-        if not nodes:
-            raise PathError("a path needs at least one node")
-        self.nodes = nodes
-
-    def __eq__(self, other: object) -> bool:
-        return self.nodes == other.nodes if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.nodes,))
-
-
 def classify_steps(steps: Iterable[Direction]) -> PathClass:
     """Classify a step multiset against the degeneration patterns, reported
     in the order (I), (II), (III)."""
@@ -226,8 +208,8 @@ def classify_steps(steps: Iterable[Direction]) -> PathClass:
     return PathClass.VALID_CANONICAL
 
 
-def canonical_path(start: Multidegree, end: Multidegree) -> Path:
-    """A deterministic canonical walk from ``start`` to ``end``.
+def canonical_path(start: Multidegree, end: Multidegree) -> tuple[Multidegree, ...]:
+    """The nodes of a deterministic canonical walk from ``start`` to ``end``.
 
     With displacement ``(a, b) = (end.i - start.i, end.l - start.l)``:
 
@@ -238,7 +220,7 @@ def canonical_path(start: Multidegree, end: Multidegree) -> Path:
 
     Every intermediate node stays in the lattice and the step set avoids
     the three degeneration patterns (checked).  A zero displacement gives
-    the single-node path, whose composite is the identity.
+    the single node ``(start,)``, whose composite is the identity.
     """
     if start.degree != end.degree:
         raise PathError(f"total degree mismatch: {start} vs {end}")
@@ -268,5 +250,5 @@ def canonical_path(start: Multidegree, end: Multidegree) -> Path:
         nodes.append(node)
     if classify_steps(steps) is not PathClass.VALID_CANONICAL:
         raise PathError(f"canonical recipe from {start} to {end} is not canonical")
-    return Path(tuple(nodes))
+    return tuple(nodes)
 

@@ -456,7 +456,7 @@ def canonical_matrix(inst: LlsInstance, start: Multidegree, end: Multidegree) ->
 def _walk(inst: LlsInstance, start: Multidegree, end: Multidegree) -> Matrix:
     """The identity, one edge map, or the tabled composite of the prefix
     walk (canonical walks are prefix-closed) times the last edge map."""
-    nodes = canonical_path(start, end).nodes
+    nodes = canonical_path(start, end)
     if len(nodes) == 1:
         return Matrix.identity(inst.ambient_dim[start])
     last = inst.maps[(nodes[-2], end)]
@@ -629,11 +629,15 @@ def _md_key(md: Multidegree) -> str:
 
 
 def _parse_md_key(key: str, d: int, where: str) -> Multidegree:
+    """The multidegree of a ``"i,l"`` key.  Only the text ``_md_key``
+    writes is accepted, so two keys of one object never name one node."""
     try:
         i_str, l_str = key.split(",")
         i, l = int(i_str), int(l_str)
     except ValueError:
         raise InstanceFormatError(where, f"bad multidegree key {key!r}") from None
+    if key != f"{i},{l}":
+        raise InstanceFormatError(where, f"multidegree key {key!r} is not written {i},{l}")
     j = d - i - l
     if i < 0 or l < 0 or j < 0:
         raise InstanceFormatError(where, f"multidegree key {key!r} out of range")

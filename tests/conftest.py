@@ -5,7 +5,7 @@ import pytest
 from llschain import ChainCurve, GenSpec, all_multidegrees, from_chain, gen_simple
 from llschain.chain_model import canonical_matrix
 from llschain.exactla import Matrix, Subspace
-from llschain.lattice import Multidegree
+from llschain.lattice import Direction, Multidegree, edge_between, other_components
 from llschain.lls_core import LlsInstance
 
 # (d, r) combinations for the seeded corpus: d = 1..5, r = 0..min(2, d).
@@ -51,6 +51,33 @@ def with_entry(m: Matrix, i: int, j: int, value) -> Matrix:
     return Matrix.from_rows(rows, cols=m.cols)
 
 
+def zeros(rows: int, cols: int) -> Matrix:
+    """The ``rows`` x ``cols`` zero matrix."""
+    return Matrix.from_ints([[0] * cols] * rows, [1] * rows, cols)
+
+
+def rescaled(inst: LlsInstance, scales) -> LlsInstance:
+    """``inst`` with each twist map times a nonzero scalar: toward-Xq by
+    ``scales[q-1]`` and from-Xq by the product of the other two, so every
+    canonical walk between two nodes still has one composite.  The spaces
+    and vanishing data are the same objects; no verdict can change, since
+    scalar multiples have the same images and kernels."""
+    c = [Fraction(s) for s in scales]
+    factor = {}
+    for q in (1, 2, 3):
+        a, b = other_components(q)
+        factor[Direction[f"TOWARD_X{q}"]] = c[q - 1]
+        factor[Direction[f"FROM_X{q}"]] = c[a - 1] * c[b - 1]
+    maps = {}
+    for (source, target), m in inst.maps.items():
+        f = factor[edge_between(source, target).direction]
+        maps[(source, target)] = Matrix.from_ints(
+            [[f.numerator * e for e in row] for row in m.ints],
+            [f.denominator * den for den in m.dens], m.cols)
+    return LlsInstance(inst.d, inst.r, inst.ambient_dim, maps, inst.vanishing,
+                       dict(inst.spaces))
+
+
 def one_node_instance(a: Subspace, b: Subspace, c: Subspace) -> LlsInstance:
     """A degree-0 series with ``a, b, c`` as the vanishing spaces of its one
     node and the whole space as the chosen one; with no edges, it is exact
@@ -70,7 +97,7 @@ def abstract_nondistributive_instance() -> LlsInstance:
     u, v, uv = (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)
     plane = Subspace.span([u, v], 4)
     full = Subspace.full(4)
-    zero_map = Matrix.zeros(4, 4)
+    zero_map = zeros(4, 4)
     ident = Matrix.identity(4)
     maps = {(a, b): ident, (b, a): zero_map, (b, c): ident, (c, b): zero_map}
     vanishing = {

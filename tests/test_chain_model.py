@@ -27,8 +27,9 @@ from llschain.lattice import (
     canonical_path,
     directed_edges,
 )
+from llschain.lls_core import from_chain
 
-from conftest import with_entry
+from conftest import rescaled, with_entry
 from oracles import all_walk_composites, random_walk
 
 
@@ -37,19 +38,10 @@ def md(i, j, l):
 
 
 class TestChainCurve:
-    @pytest.mark.parametrize("args", [(-1,), (2, (1, 0, 1))])
+    @pytest.mark.parametrize("args", [(-1,)])
     def test_invalid_curves_are_refused(self, args):
         with pytest.raises(ValueError):
             ChainCurve(*args)
-
-    def test_scales_normalise_to_one_cache_key(self):
-        plain, spelled = ChainCurve(2), ChainCurve(2, (1, 1, 1))
-        assert plain == spelled and hash(plain) == hash(spelled)
-        assert all(type(c) is Fraction for c in spelled.toward_scales)
-        before = skeleton.cache_info()
-        assert skeleton(plain) is skeleton(spelled)
-        assert skeleton.cache_info().currsize - before.currsize <= 1
-        assert skeleton.cache_info().hits - before.hits >= 1
 
 
 class TestSections:
@@ -87,7 +79,8 @@ class TestTwistMatrices:
         assert twist_matrix(chain, edge).to_strings() == [["0", "1"], ["0", "0"]]
 
     # sha256 of the JSON list, per degree 0..6, of every twist matrix in
-    # directed-edge order, for three choices of ``toward_scales``.
+    # directed-edge order: the chain's own maps, and the maps ``rescaled``
+    # by two choices of toward scales.
     DIGESTS = {
         (1, 1, 1): "780bf415592415d177d0d4c8249d01aaa16d8da7fc4f09e8b5d2fe0ba1fee3aa",
         (2, 3, 5): "39acb15dd45fbe4dc4eb83658332da36a76e7094203c9c6a1079e5cb2674ec40",
@@ -99,8 +92,11 @@ class TestTwistMatrices:
     def test_matrices_pinned(self, scales):
         data = {}
         for d in range(7):
-            chain = ChainCurve(d, toward_scales=scales)
-            data[str(d)] = [twist_matrix(chain, e).to_strings() for e in directed_edges(d)]
+            inst = from_chain(ChainCurve(d), 0, {})
+            if scales != (1, 1, 1):
+                inst = rescaled(inst, scales)
+            data[str(d)] = [inst.maps[(e.source, e.target)].to_strings()
+                            for e in directed_edges(d)]
         text = json.dumps(data, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.DIGESTS[scales]
 
@@ -108,10 +104,10 @@ class TestTwistMatrices:
         """A factor table whose toward-X1 map keeps f2(0) breaks the gluing
         f1(0) = f2(0) at the target, and the image check refuses it."""
         monkeypatch.setitem(chain_model._FACTORS, Direction.TOWARD_X1, ((), (1,), (1,)))
-        # A chain no other test uses, so no cached matrix answers the call.
-        chain = ChainCurve(2, toward_scales=(3, 1, 1))
+        # The uncached function, so no cached matrix answers the call.
         with pytest.raises(LinearAlgebraError):
-            twist_matrix(chain, Edge(md(2, 0, 0), md(1, 1, 0), Direction.TOWARD_X1))
+            twist_matrix.__wrapped__(ChainCurve(2),
+                                     Edge(md(2, 0, 0), md(1, 1, 0), Direction.TOWARD_X1))
 
     def test_one_unglued_image_names_the_edge(self, monkeypatch):
         """The images of an edge are checked together, and one bad image
@@ -129,10 +125,9 @@ class TestTwistMatrices:
             return out
 
         monkeypatch.setattr(chain_model, "_apply_twist", corrupted)
-        # A chain no other test uses, so no cached matrix answers the call.
-        chain = ChainCurve(3, toward_scales=(5, 7, 1))
+        # The uncached function, so no cached matrix answers the call.
         with pytest.raises(LinearAlgebraError, match=r"along \(1,2,0\)->\(1,1,1\) is not glued"):
-            twist_matrix(chain, edge)
+            twist_matrix.__wrapped__(ChainCurve(3), edge)
         assert calls == [edge] * rows
 
     @pytest.mark.parametrize("d", range(1, 5))
@@ -275,7 +270,7 @@ class TestLawSuite:
                 back = skel.maps[(b, a)]
                 for r in range(m.rows):
                     for c in range(m.cols):
-                        mutated = with_entry(m, r, c, m.row(r)[c] + 1)
+                        mutated = with_entry(m, r, c, m.row_list()[r][c] + 1)
                         report = verify_sheaf_laws(SheafSkeleton(
                             d, skel.ambient_dim, {**skel.maps, (a, b): mutated},
                             skel.vanishing))
@@ -285,8 +280,7 @@ class TestLawSuite:
         assert missed == {1: 2, 2: 10, 3: 24}
 
     def test_scaled_trivialisation_still_lawful(self):
-        scaled = ChainCurve(3, toward_scales=(Fraction(2), Fraction(3), Fraction(5)))
-        assert verify_sheaf_laws(scaled).ok
+        assert verify_sheaf_laws(rescaled(from_chain(ChainCurve(3), 0, {}), (2, 3, 5))).ok
 
     def test_random_degenerate_walks_compose_to_zero(self):
         maps = skeleton(ChainCurve(3)).maps

@@ -308,6 +308,50 @@ class TestExitCodes:
         assert not out_path.exists() and not cert_path.exists()
 
 
+class TestConflictingOptions:
+    """Options that a command would ignore or let clobber each other exit 2
+    with the command's name, before anything is read or written."""
+
+    def test_certificate_out_with_certificate(self, worked_files, tmp_path):
+        base, inst_path = worked_files
+        out_path = tmp_path / "o.json"
+        code, out, err = run_cli("certify", str(inst_path),
+                                 "--certificate", str(base / "inst.cert.json"),
+                                 "--certificate-out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("input error: certify: --certificate-out")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("strategy", ["from-sections", "exact-search"])
+    @pytest.mark.parametrize("extra", [["--input", "missing.json"], ["--mode", "shrink-V"],
+                                       ["--input", "missing.json", "--mode", "shrink-V"]])
+    def test_degrade_options_need_degrade(self, tmp_path, strategy, extra):
+        out_path = tmp_path / "x.json"
+        code, out, err = run_cli("gen", "--d", "1", "--r", "0", "--strategy", strategy,
+                                 "-o", str(out_path), *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: gen: --input and --mode need --strategy degrade")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_laws_takes_an_instance_or_a_degree(self, worked_files):
+        _, inst_path = worked_files
+        code, out, err = run_cli("laws", str(inst_path), "--d", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("input error: laws: give an instance file or --d, not both")
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    @pytest.mark.parametrize("spelling", ["same.json", "./same.json"])
+    def test_certificate_out_is_not_the_instance(self, tmp_path, monkeypatch, spelling,
+                                                 absolute):
+        monkeypatch.chdir(tmp_path)
+        cert_path = str(tmp_path / spelling) if absolute else spelling
+        code, out, err = run_cli("gen", "--d", "1", "--r", "0", "-o", "same.json",
+                                 "--certificate-out", cert_path)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: gen: --certificate-out and -o name the same file")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDeterminism:
     def test_reports_are_byte_stable(self, worked_files, tmp_path):
         _, inst_path = worked_files
@@ -395,6 +439,28 @@ class TestFrontDoor:
         code, _, err = run_cli("validate", str(self.write(tmp_path, data)))
         assert code == 2
         assert f"{field}: must be a nonnegative integer" in err
+
+    @pytest.mark.parametrize("field", ["V", "vanishing"])
+    @pytest.mark.parametrize("alias_first", [False, True])
+    def test_aliased_keys_are_refused(self, tmp_path, worked_instance, field, alias_first):
+        """``"1, 0"`` would name the node of ``"1,0"``; only the written
+        form loads, so neither copy silently wins, whatever their order."""
+        data = instance_to_json(worked_instance)
+        alias = {"1, 0": [] if field == "V" else {"X1": [], "X2": [], "X3": []}}
+        data[field] = {**alias, **data[field]} if alias_first else {**data[field], **alias}
+        code, out, err = run_cli("validate", str(self.write(tmp_path, data)))
+        assert code == 2 and out == ""
+        assert f"{field}.1, 0: multidegree key '1, 0' is not written 1,0" in err
+
+    def test_aliased_certificate_keys_are_refused(self, tmp_path, worked_files):
+        base, inst_path = worked_files
+        data = json.loads((base / "inst.cert.json").read_text())
+        key = next(iter(data["sections"]))
+        data["sections"][key + " "] = []
+        cert = self.write(tmp_path, data, "cert.json")
+        code, out, err = run_cli("certify", str(inst_path), "--certificate", str(cert))
+        assert code == 2 and out == ""
+        assert f"sections.{key} : multidegree key '{key} ' is not written {key}" in err
 
     def test_explicit_empty_vanishing_is_zero(self, worked_instance):
         data = instance_to_json(worked_instance)

@@ -20,7 +20,7 @@ from llschain.exactla import (
     vec_matmul,
 )
 
-from conftest import with_entry
+from conftest import with_entry, zeros
 from oracles import (
     bareiss_rank,
     sympy_intersection,
@@ -155,7 +155,8 @@ class TestRref:
         assert bareiss_rank(transform.row_list()) == m.rows
 
     def test_negative_fractional_pivots(self):
-        m = Matrix.from_rows([["-3/2", "1/3", "0"], ["-3", "2/3", "0"], ["0", "-5/7", "1/2"]])
+        m = Matrix.from_rows([[Fraction(-3, 2), Fraction(1, 3), 0], [-3, Fraction(2, 3), 0],
+                              [0, Fraction(-5, 7), Fraction(1, 2)]])
         reduced, pivots, rank = rref(m)
         assert reduced.to_strings() == [["1", "0", "-7/45"], ["0", "1", "-7/10"],
                                         ["0", "0", "0"]]
@@ -172,7 +173,7 @@ class TestProduct:
         product = a @ b
         expected = reference_product(a, b)
         assert (product.rows, product.cols) == (a.rows, b.cols)
-        assert [list(product.row(i)) for i in range(a.rows)] == expected
+        assert [list(row) for row in product.row_list()] == expected
         assert all(type(e) is Fraction for e in product.entries)
 
     @settings(max_examples=100, deadline=None)
@@ -184,10 +185,10 @@ class TestProduct:
             assert list(vec_matmul(a.entries[i * a.cols:(i + 1) * a.cols], b)) == expected[i]
 
     def test_empty_shapes(self):
-        assert Matrix.zeros(3, 0) @ Matrix.zeros(0, 2) == Matrix.zeros(3, 2)
-        assert Matrix.zeros(2, 3) @ Matrix.zeros(3, 0) == Matrix.zeros(2, 0)
-        assert Matrix.zeros(0, 3) @ Matrix.identity(3) == Matrix.zeros(0, 3)
-        assert vec_matmul((), Matrix.zeros(0, 2)) == (Fraction(0), Fraction(0))
+        assert zeros(3, 0) @ zeros(0, 2) == zeros(3, 2)
+        assert zeros(2, 3) @ zeros(3, 0) == zeros(2, 0)
+        assert zeros(0, 3) @ Matrix.identity(3) == zeros(0, 3)
+        assert vec_matmul((), zeros(0, 2)) == (Fraction(0), Fraction(0))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(LinearAlgebraError):
@@ -202,7 +203,7 @@ class TestProduct:
             assert hash(a) == hash(b)
 
     def test_hashes_and_equality_read_the_stored_fields(self):
-        m = Matrix.from_rows([[1, "1/2"], [0, 3]])
+        m = Matrix.from_rows([[1, Fraction(1, 2)], [0, 3]])
         assert hash(m) == hash((2, 2, ((2, 1), (0, 3)), (2, 1)))
         assert m != (m.rows, m.cols, m.ints, m.dens)
         s = image(m)
@@ -220,7 +221,7 @@ class TestProduct:
 
     def test_rows_may_be_iterators(self):
         half = Fraction(1, 2)
-        m = Matrix.from_rows([(half for _ in range(2)), iter([1, "1/3"])], cols=2)
+        m = Matrix.from_rows([(half for _ in range(2)), iter([1, Fraction(1, 3)])], cols=2)
         assert m.row_list() == [(half, half), (1, Fraction(1, 3))]
         assert vec_matmul((half for _ in range(2)), m) == (Fraction(3, 4), Fraction(5, 12))
 
@@ -234,7 +235,7 @@ class TestProduct:
         t = image(random_matrix(rng, 4, 5, bound=2))
         hash(a), hash(b), hash(s), hash(t)
         a @ b
-        vec_matmul(a.row(0), b)
+        vec_matmul(a.row_list()[0], b)
         s.apply(b)
         s & t
         assert set(Matrix.__slots__) == {"rows", "cols", "ints", "dens", "_hash", "__weakref__"}
@@ -244,7 +245,7 @@ class TestProduct:
 
 class TestKernel:
     def test_zero_map_has_full_kernel(self):
-        assert kernel(Matrix.zeros(3, 2)) == Subspace.full(3)
+        assert kernel(zeros(3, 2)) == Subspace.full(3)
 
     def test_identity_has_zero_kernel(self):
         assert kernel(Matrix.identity(3)) == Subspace.zero(3)
@@ -393,8 +394,8 @@ class TestComplement:
             m = random_matrix(rng, rng.randint(0, 6), n, bound=3)
             target = image(random_matrix(rng, rng.randint(0, n), n, bound=3))
             reducer = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-            for k, p in enumerate(target.pivots):
-                reducer[p] = [x - y for x, y in zip(reducer[p], target.basis.row(k))]
+            for p, row in zip(target.pivots, target.basis.row_list()):
+                reducer[p] = [x - y for x, y in zip(reducer[p], row)]
             pre = preimage(m, target)
             assert pre == kernel(m @ Matrix.from_rows(reducer, cols=n))
             assert all(vec_matmul(v, m) in target for v in pre.basis.row_list())
@@ -462,8 +463,7 @@ def assert_canonical(space):
     entry, which is the least common denominator of its basis row."""
     basis = space.basis
     assert len(basis.ints) == len(basis.dens) == space.dim
-    for k, (ints, den, p) in enumerate(zip(basis.ints, basis.dens, space.pivots)):
-        row = basis.row(k)
+    for ints, den, p, row in zip(basis.ints, basis.dens, space.pivots, basis.row_list()):
         assert type(ints) is tuple and all(type(e) is int for e in ints)
         assert gcd(*ints) == 1 and ints[p] == den > 0
         assert den == lcm(*(e.denominator for e in row))
@@ -509,7 +509,8 @@ class TestIntegerCore:
         m = data.draw(mixed_matrices())
         _, rows = data.draw(mixed_rows(cols=m.rows))
         space = Subspace.span(rows, m.rows)
-        pushed = [tuple(sum((x * m.row(k)[j] for k, x in enumerate(row)), Fraction(0))
+        m_rows = m.row_list()
+        pushed = [tuple(sum((x * m_rows[k][j] for k, x in enumerate(row)), Fraction(0))
                         for j in range(m.cols)) for row in rows]
         assert assert_canonical(space.apply(m)).basis.row_list() == \
             sympy_rowspace(pushed, m.cols)

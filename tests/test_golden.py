@@ -14,11 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from llschain import ChainCurve, from_chain, lls_core, simple_basis
+from llschain import lls_core, simple_basis
 from llschain.exactla import Subspace
 from llschain.generator import degrade
 
-from conftest import CORPUS_SIZE, abstract_nondistributive_instance, one_node_instance
+from conftest import CORPUS_SIZE, abstract_nondistributive_instance, one_node_instance, rescaled
 from complements import (
     build_complement_system,
     certificate_complement_systems,
@@ -583,11 +583,11 @@ def test_strict_side_bytes():
     assert strict_digests() == GOLDEN_STRICT
 
 
-# Golden members rebuilt over a chain whose toward maps are rescaled by
-# non-integer factors of both signs.  Rescaling keeps every verdict (see
-# the chain_model docstring), and the maps then carry rows with
-# denominators, so these digests pin the elimination paths that clear
-# them; the corpus maps above are all integer.
+# Golden members with their toward maps ``rescaled`` by non-integer factors
+# of both signs.  Rescaling keeps every verdict (see the chain_model
+# docstring), and the maps then carry rows with denominators, so these
+# digests pin the elimination paths that clear them; the corpus maps above
+# are all integer.
 RESCALED_SCALES = (Fraction(-1, 2), Fraction(7), Fraction(3, 4))
 RESCALED_FROM = ("corpus[10]", "corpus[20]", "corpus[40]", "corpus[55]",
                  f"corpus[{DEGRADED_FROM}]/break-exactness")
@@ -598,7 +598,7 @@ def rescaled_digests(corpus) -> dict[str, dict[str, str]]:
     out = {}
     for label in RESCALED_FROM:
         base = members[label]
-        inst = from_chain(ChainCurve(base.d, RESCALED_SCALES), base.r, base.spaces)
+        inst = rescaled(base, RESCALED_SCALES)
         exact = lls_core.exactness(inst)
         row = {
             "validate": _digest(lls_core.validate(inst).to_json()),

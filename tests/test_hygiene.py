@@ -51,9 +51,9 @@ def test_exports_resolve(path):
 
 
 # ``exactla`` keeps rows as integers over denominators and reads and builds
-# ``Fraction`` values at its edge; ``chain_model`` normalises its toward
-# scales.  Every other module works on the stored rows.
-FRACTION_MODULES = {"exactla.py", "chain_model.py"}
+# ``Fraction`` values at its edge.  Every other module works on the stored
+# rows.
+FRACTION_MODULES = {"exactla.py"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

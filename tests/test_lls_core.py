@@ -29,7 +29,7 @@ from llschain.lls_core import (
 from llschain.generator import DEGRADE_MODES, GenSpec, degrade, gen_simple
 from llschain.simple_basis import is_simple
 
-from conftest import one_node_instance
+from conftest import one_node_instance, rescaled
 from oracles import sympy_intersection, sympy_rowspace
 from test_golden import GOLDEN_INDICES
 
@@ -315,10 +315,10 @@ class TestCanonicalMatrices:
         chain = ChainCurve(inst.d)
         grid = all_multidegrees(inst.d)
         pairs = sorted(((a, b) for a in grid for b in grid),
-                       key=lambda p: -len(canonical_path(*p).nodes))
+                       key=lambda p: -len(canonical_path(*p)))
         for a, b in pairs:
             expected = Matrix.identity(inst.ambient_dim[a])
-            nodes = canonical_path(a, b).nodes
+            nodes = canonical_path(a, b)
             for edge in zip(nodes, nodes[1:]):
                 expected = expected @ inst.maps[edge]
             assert canonical_matrix(fresh, a, b) == expected
@@ -355,11 +355,9 @@ class TestCanonicalMatrices:
 
 class TestScaledBackendInvariance:
     def test_verdicts_survive_rescaled_trivialisation(self):
-        from fractions import Fraction
         result = gen_simple(GenSpec(d=2, r=1, seed=21))
         plain = codim_report(result.instance)
-        scaled_chain = ChainCurve(2, toward_scales=(Fraction(2), Fraction(3), Fraction(5)))
-        scaled = from_chain(scaled_chain, 1, dict(result.instance.spaces))
+        scaled = rescaled(result.instance, (2, 3, 5))
         # The same spaces need not be linked for the scaled maps in general,
         # but scalar multiples have identical images, so they are.
         assert validate(scaled).ok

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from llschain.chain_model import ChainCurve, canonical_matrix as chain_canonical
 from llschain.exactla import Matrix, Subspace, vec_matmul
 from llschain.lattice import Direction, Multidegree, all_multidegrees
-from llschain.lls_core import LlsInstance, canonical_matrix, validate
+from llschain.lls_core import LlsInstance, canonical_matrix, from_chain, validate
 from llschain.generator import GenSpec, degrade, gen_simple
 from llschain.simple_basis import (
     CertificateError,
@@ -33,7 +33,7 @@ from complements import (
     growth_report,
     structure_report,
 )
-from conftest import abstract_nondistributive_instance
+from conftest import abstract_nondistributive_instance, rescaled
 
 
 def md(i, j, l):
@@ -189,14 +189,18 @@ push_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
 @st.composite
 def push_problems(draw):
-    """A chain, up to three source nodes with up to three rational sections
-    each, and a target node."""
-    chain = ChainCurve(draw(st.integers(0, 4)), toward_scales=draw(st.sampled_from(SCALES)))
-    grid = all_multidegrees(chain.d)
+    """An instance over a chain, its maps possibly ``rescaled``, up to three
+    source nodes with up to three rational sections each, and a target
+    node."""
+    inst = from_chain(ChainCurve(draw(st.integers(0, 4))), 0, {})
+    scales = draw(st.sampled_from(SCALES))
+    if scales != (1, 1, 1):
+        inst = rescaled(inst, scales)
+    grid = all_multidegrees(inst.d)
     sources = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=3, unique=True))
-    row = st.lists(push_rationals, min_size=chain.d + 1, max_size=chain.d + 1)
+    row = st.lists(push_rationals, min_size=inst.d + 1, max_size=inst.d + 1)
     sections = {s: draw(st.lists(row, min_size=1, max_size=3)) for s in sources}
-    return chain, sources, draw(st.sampled_from(grid)), sections
+    return inst, sources, draw(st.sampled_from(grid)), sections
 
 
 class TestPushAlongWalks:
@@ -205,13 +209,13 @@ class TestPushAlongWalks:
     def test_integer_pushes_equal_vector_pushes(self, problem):
         """Row for row, the stored-form product equals pushing each
         ``Fraction`` section alone with ``vec_matmul``, in source order."""
-        chain, sources, target, sections = problem
-        walk = partial(chain_canonical, chain)
+        inst, sources, target, sections = problem
+        walk = partial(canonical_matrix, inst)
         matrices = {s: Matrix.from_rows(rows) for s, rows in sections.items()}
         pushed = push_along_walks(walk, matrices, sources, target)
         expected = [vec_matmul(v, walk(s, target)) for s in sources for v in sections[s]]
         assert pushed.row_list() == expected
-        assert pushed == Matrix.from_rows(expected, cols=chain.d + 1)
+        assert pushed == Matrix.from_rows(expected, cols=inst.d + 1)
 
     def test_no_source_pushes_nothing(self):
         walk = partial(chain_canonical, ChainCurve(2))
