@@ -38,7 +38,6 @@ from .exactla import (
     LinearAlgebraError,
     Matrix,
     Subspace,
-    Vector,
     image_in,
     kernel,
     preimage,
@@ -221,11 +220,11 @@ class Violation(NamedTuple):
     """One failed check of kind ``kind`` at the node or edge ``at``, such as
     an ambient law; ``where`` is the rest of its location (a direction pair
     or a component), so the JSON ``location`` and the compact text
-    ``label`` differ only in ``at``."""
+    ``label`` differ only in ``at``.  A ``witness`` is a stored integer row."""
 
     kind: str
     at: Multidegree | Edge
-    witness: Vector | None
+    witness: tuple[int, ...] | None
     message: str
     where: str = ""
 
@@ -276,7 +275,7 @@ def verify_sheaf_laws(target: ChainCurve | SheafSkeleton | LlsInstance) -> LawRe
     skel = skeleton(target) if isinstance(target, ChainCurve) else target
     violations: list[Violation] = []
 
-    def record(law: str, at: Multidegree | Edge, witness: Vector | None, message: str,
+    def record(law: str, at: Multidegree | Edge, witness: tuple[int, ...] | None, message: str,
                where: str = "") -> None:
         violations.append(Violation(law, at, witness, message, where))
 
@@ -307,7 +306,7 @@ def verify_sheaf_laws(target: ChainCurve | SheafSkeleton | LlsInstance) -> LawRe
                     for product in orders:
                         if not product.is_zero():
                             record("degenerate-composition", md,
-                                   next(filter(any, product.row_list()), None),
+                                   next(filter(any, product.ints), None),
                                    "degenerate two-step pattern is not zero",
                                    f" via {da.label}/{db.label}")
 
@@ -325,7 +324,7 @@ def verify_sheaf_laws(target: ChainCurve | SheafSkeleton | LlsInstance) -> LawRe
             actual_kernel = kernel(fwd)
             if actual_kernel != expected_kernel:
                 record("kernel-vanishing", edge,
-                       next(filter(any, actual_kernel.basis.row_list()), None),
+                       next(filter(any, actual_kernel.basis.ints), None),
                        "kernel differs from vanishing on the complementary components")
             for p in complementary:
                 transported = preimage(fwd, skel.vanishing[target_md][p])

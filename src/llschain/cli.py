@@ -12,7 +12,7 @@ checks that certificate instead of constructing one.  ``gen --strategy
 degrade`` refuses its input the same way before perturbing it.  ``analyze``,
 ``grid`` and ``laws`` on an instance validate first too, and stop with
 exit 1 before their reports when a space is missing or has the wrong
-dimension.
+dimension.  Two file options naming one file exit 2 before any file use.
 
 All numeric output is exact (rational strings); reports are emitted with
 sorted keys so identical inputs give byte-identical files.
@@ -28,7 +28,6 @@ from pathlib import Path
 
 from . import generator, lls_core, simple_basis
 from .chain_model import ChainCurve, verify_sheaf_laws
-from .exactla import LinearAlgebraError
 from .lattice import Multidegree
 from .lls_core import GridReport, InstanceFormatError
 
@@ -56,6 +55,23 @@ def _write_report(path: str | None, data: dict) -> None:
         Path(path).write_text(lls_core._dump(data), encoding="utf-8")
 
 
+# The file options of every command, in the order a clash names them.
+_FILES = (("the instance", "instance"), ("--input", "input"), ("--certificate", "certificate"),
+          ("-o", "out"), ("--certificate-out", "certificate_out"), ("--report", "report"))
+
+
+def _distinct_files(args) -> None:
+    """Refuse two file options naming one file, before anything is read or
+    written: an output would overwrite an input or another output."""
+    seen: dict[str, str] = {}
+    for option, attr in _FILES:
+        path = getattr(args, attr, None)
+        if path is not None:
+            clash = seen.setdefault(os.path.realpath(path), option)
+            if clash != option:
+                raise InstanceFormatError(args.command, f"{option} and {clash} name the same file")
+
+
 def _emit(args, data: dict, text_lines: list[str]) -> None:
     if getattr(args, "format", "text") == "json":
         sys.stdout.write(lls_core._dump(data))
@@ -70,9 +86,6 @@ def _cmd_gen(args) -> int:
         raise InstanceFormatError("gen", "--certificate-out needs --strategy from-sections")
     if (args.input is not None or args.mode is not None) and args.strategy != "degrade":
         raise InstanceFormatError("gen", "--input and --mode need --strategy degrade")
-    if (args.certificate_out is not None
-            and os.path.realpath(args.certificate_out) == os.path.realpath(args.out)):
-        raise InstanceFormatError("gen", "--certificate-out and -o name the same file")
     spec = generator.GenSpec(d=args.d, r=args.r, strategy=args.strategy,
                              seed=args.seed, budget=args.budget)
     if args.strategy == "from-sections":
@@ -273,19 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _distinct_files(args)
         return args.func(args)
-    except InstanceFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"input error: invalid JSON at line {exc.lineno}, column {exc.colno}",
               file=sys.stderr)
         return 2
-    except OSError as exc:
-        # A missing, unreadable or directory path, to read or to write.
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (LinearAlgebraError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
+        # An unusable path, a malformed file (``InstanceFormatError``) or spec.
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except generator.GenerationError as exc:

@@ -28,13 +28,13 @@ Every operation (``@``, ``vec_matmul``, ``is_zero``, ``to_strings``,
 as they are stored; residuals, products and relation rows are ``int``.  A
 relation (kernel) computation eliminates ``[ints_k | den_k·e_k]`` once, so
 the transform carries each row's own denominator.  ``Fraction`` values
-appear only at the edge: ``from_rows``, ``Subspace.span``, ``in``,
-``vec_matmul`` and the ``preferred`` rows of ``complement_in`` read them,
-and ``entries``, ``row_list``, ``to_strings`` and ``vec_matmul`` build
-them for the caller.  The readers take ``Fraction`` or ``int`` entries;
-text goes through ``parse_rational`` first.  The library builds
-``Fraction`` values only for certificate sections and witnesses, and
-pushes sections by ``@`` (``vec_matmul`` is for other callers);
+appear only at the edge: ``parse_rational`` reads text into them; the
+readers ``from_rows``, ``Subspace.span`` and ``in`` (and ``vec_matmul``
+and the ``preferred`` rows of ``complement_in``) take ``Fraction`` or
+``int`` entries; and the builders ``entries``, ``row_list``,
+``to_strings`` and ``vec_matmul`` make them for a caller.  Past the file
+reader the library holds no ``Fraction`` row: certificate sections and
+witnesses are stored rows too, and sections are pushed by ``@``.
 ``from_ints`` takes integer rows over any positive denominators, and
 ``complement_in`` returns a stored-form matrix.  ``Matrix`` and
 ``Subspace`` are slotted classes with no ``__dict__``: a matrix holds

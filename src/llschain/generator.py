@@ -186,11 +186,15 @@ def gen_simple(spec: GenSpec) -> GenResult:
     series by canonical pushes.
 
     The chosen spaces are the spans of all pushed sections; a draw is kept
-    only when every space reaches dimension ``r+1`` (equivalently, the
-    drawn data verifies as a certificate), otherwise the next seeded draw
-    is tried.  There is no a-priori criterion for which support patterns
-    force dependent pushes, so bad draws are simply retried.  When every
-    draw fails at ``r = d``, the result is the complete series.
+    only when every space reaches dimension ``r+1``, otherwise the next
+    seeded draw is tried.  There is no a-priori criterion for which support
+    patterns force dependent pushes, so bad draws are simply retried.  When
+    every draw fails at ``r = d``, the result is the complete series.
+
+    A kept draw's bases are its certificate, which needs no verifying: the
+    cuts give ``r+1`` sections, one or more per distinct support node; the
+    walk from a node to itself is the identity; and every space is already
+    the ``r+1``-dimensional span of the pushes it would be checked against.
     """
     if spec.strategy != "from-sections":
         raise ValueError("gen_simple needs the from-sections strategy")
@@ -228,11 +232,7 @@ def gen_simple(spec: GenSpec) -> GenResult:
             continue
         instance = from_chain(chain, spec.r, spaces,
                               provenance=spec.provenance(attempt=attempt))
-        certificate = simple_basis.SimpleCertificate(
-            support_mds, {md: tuple(basis.row_list()) for md, basis in sections.items()})
-        check = simple_basis.verify_certificate(instance, certificate)
-        if check.ok:
-            return GenResult(instance, certificate, attempt)
+        return GenResult(instance, simple_basis.SimpleCertificate(support_mds, sections), attempt)
     if rp1 == spec.d + 1:
         # At r = d every space is the whole section space, so the complete
         # series is the only one; it is simple, and its certificate is
@@ -267,8 +267,8 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
     the intersection of preimage constraints; up to ``MAX_CANDIDATES``
     distinct spaces are drawn inside that freedom, and a candidate is kept
     only if every edge into the assigned region is exact, so a completed
-    assignment is exact by construction (and replayed through the full
-    checker anyway).  Every kept candidate tried counts as one expansion.
+    assignment is exact by construction (and its grid report checks that
+    again).  Every kept candidate tried counts as one expansion.
     The note records whether the found instance is distributive
     everywhere, flagging any exact-but-nondistributive find.
     """
@@ -279,7 +279,7 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
     rp1 = spec.r + 1
     # The probes derive from one instance, so they share one analysis
     # table, dropped when the search returns.  The found instance is
-    # rebuilt below with a table of its own for the postcondition replay.
+    # rebuilt below with a table of its own for its report.
     root = from_chain(chain, spec.r, {})
 
     def candidates(md: Multidegree, lower: Subspace, upper: Subspace,
@@ -314,10 +314,9 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
         return SearchResult(None, expansions, None, None, "NotFound(exhausted)")
     instance = from_chain(chain, spec.r, assignment,
                           provenance=spec.provenance(expansions=expansions))
-    replay = exactness(instance)
-    if not replay.exact:
-        raise GenerationError("search postcondition failed: found instance is not exact")
     report = lls_core.codim_report(instance)
+    if not report.exact:
+        raise GenerationError("search postcondition failed: found instance is not exact")
     note = ("exact-distributive" if report.all_distributive
             else "exact-nondistributive")
     return SearchResult(instance, expansions, report.all_distributive,

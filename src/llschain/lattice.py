@@ -165,6 +165,9 @@ class Edge(NamedTuple):
         """Report form, the two endpoints' report forms joined by ``->``."""
         return f"{self.source.location}->{self.target.location}"
 
+    def to_json(self) -> dict:
+        return {"from": self.source.to_json(), "to": self.target.to_json()}
+
 
 def edge_between(source: Multidegree, target: Multidegree) -> Edge:
     for direction in Direction:

@@ -40,6 +40,7 @@ from .exactla import (
     LinearAlgebraError,
     Matrix,
     Subspace,
+    _integer_row,
     complement_in,
     image,
     parse_rational,
@@ -123,8 +124,8 @@ class LlsInstance:
     ``chain`` is the backend of a :func:`from_chain` instance, else ``None``.
     ``derive`` is the only way two instances share a table; an instance
     built any other way starts with an empty one (the exact search builds
-    its found instance that way, so its postcondition replay reads a table
-    of its own, not the one its probes filled).  Editing ``spaces`` in
+    its found instance that way, so its grid report reads a table of its
+    own, not the one its probes filled).  Editing ``spaces`` in
     place would leave the table describing the old series.
     """
 
@@ -202,9 +203,9 @@ def _ambient_law_report(inst: "LlsInstance") -> LawReport:
 def validate(inst: LlsInstance, ambient_laws: bool = True) -> ValidationReport:
     """Dimension, linking, and (optionally) ambient-law consistency.
 
-    Verdicts are reported, never raised; each violation carries a witness
-    vector where one makes sense (the first canonical basis vector breaking
-    the relation).
+    Verdicts are reported, never raised; a linking violation's witness is
+    the first stored basis row of the pushed space that leaves the target
+    (a positive multiple of that canonical basis vector).
     """
     violations: list[Violation] = []
     expected = inst.r + 1
@@ -229,7 +230,7 @@ def validate(inst: LlsInstance, ambient_laws: bool = True) -> ValidationReport:
             continue
         pushed = _pushed(inst, edge)
         if not pushed <= tgt:
-            witness = next(row for row in pushed.basis.row_list() if row not in tgt)
+            witness = next(row for row in pushed.basis.ints if row not in tgt)
             violations.append(Violation(
                 "linking", edge, witness,
                 "image of the chosen subspace leaves the target subspace"))
@@ -303,8 +304,7 @@ class EdgeExactness(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "from": self.edge.source.to_json(),
-            "to": self.edge.target.to_json(),
+            **self.edge.to_json(),
             "direction": self.edge.direction.label,
             "image_dim": self.image.dim,
             "constraint_dim": self.constraint.dim,
@@ -659,11 +659,17 @@ def _parse_md_triple(value, d: int, where: str) -> Multidegree:
     return Multidegree(i, j, l)
 
 
-def _parse_rows(value, where: str) -> list[list]:
+def _parse_rows(value, where: str, width: int | None = None) -> Matrix:
+    """The stored-form matrix of a list of rows of rational strings, each
+    ``width`` entries long (by default, as long as the first row)."""
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise InstanceFormatError(where, "expected a list of rows")
-    out = []
+    if width is None:
+        width = len(value[0]) if value else 0
+    pairs = []
     for r_idx, row in enumerate(value):
+        if len(row) != width:
+            raise InstanceFormatError(f"{where}[{r_idx}]", f"rows must have length {width}")
         parsed = []
         for c_idx, entry in enumerate(row):
             if not isinstance(entry, str):
@@ -673,8 +679,8 @@ def _parse_rows(value, where: str) -> list[list]:
                 parsed.append(parse_rational(entry))
             except LinearAlgebraError as exc:
                 raise InstanceFormatError(f"{where}[{r_idx}][{c_idx}]", str(exc)) from None
-        out.append(parsed)
-    return out
+        pairs.append(_integer_row(parsed))
+    return Matrix._stored(width, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
 
 def instance_to_json(inst: LlsInstance) -> dict:
@@ -744,13 +750,13 @@ def instance_from_json(data: dict) -> LlsInstance:
             raise InstanceFormatError(where, "must be an object")
         src = _parse_md_triple(entry.get("from"), d, f"{where}.from")
         tgt = _parse_md_triple(entry.get("to"), d, f"{where}.to")
-        rows = _parse_rows(entry.get("matrix"), f"{where}.matrix")
-        if len(rows) != ambient[src] or any(len(row) != ambient[tgt] for row in rows):
+        matrix = _parse_rows(entry.get("matrix"), f"{where}.matrix", ambient[tgt])
+        if matrix.rows != ambient[src]:
             raise InstanceFormatError(f"{where}.matrix",
                                       f"expected shape {ambient[src]}x{ambient[tgt]}")
         if (src, tgt) in maps:
             raise InstanceFormatError(where, "duplicate edge")
-        maps[(src, tgt)] = Matrix.from_rows(rows, cols=ambient[tgt])
+        maps[(src, tgt)] = matrix
     for edge in directed_edges(d):
         if (edge.source, edge.target) not in maps:
             raise InstanceFormatError("maps", f"missing edge {edge.label}")
@@ -768,10 +774,7 @@ def instance_from_json(data: dict) -> LlsInstance:
             where = f"vanishing.{key}.X{q}"
             if f"X{q}" not in triple:
                 raise InstanceFormatError(where, "missing (write [] for the zero subspace)")
-            rows = _parse_rows(triple[f"X{q}"], where)
-            if any(len(row) != ambient[md] for row in rows):
-                raise InstanceFormatError(where, f"rows must have length {ambient[md]}")
-            per[q] = Subspace.span(rows, ambient[md])
+            per[q] = image(_parse_rows(triple[f"X{q}"], where, ambient[md]))
         vanishing[md] = per
     for md in grid:
         if md not in vanishing:
@@ -783,10 +786,7 @@ def instance_from_json(data: dict) -> LlsInstance:
     spaces: dict[Multidegree, Subspace] = {}
     for key, rows in v_field.items():
         md = _parse_md_key(key, d, f"V.{key}")
-        parsed = _parse_rows(rows, f"V.{key}")
-        if any(len(row) != ambient[md] for row in parsed):
-            raise InstanceFormatError(f"V.{key}", f"rows must have length {ambient[md]}")
-        spaces[md] = Subspace.span(parsed, ambient[md])
+        spaces[md] = image(_parse_rows(rows, f"V.{key}", ambient[md]))
     provenance = data.get("provenance")
     return LlsInstance(d, r, ambient, maps, vanishing, spaces, provenance)
 

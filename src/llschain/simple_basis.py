@@ -7,7 +7,7 @@ exact and distributive everywhere and refuses other input with a precise
 witness; :func:`verify_certificate` checks any certificate, hand-written
 ones included, by pushing its sections with :func:`push_along_walks`; and
 :func:`is_simple` decides simplicity by the two together.  Sections are
-``Fraction`` rows in a certificate and one stored-form matrix in a push.
+one stored-form matrix per support node, in a certificate and in a push.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ import json
 from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .exactla import Matrix, Vector, complement_in, image, image_in
+from .exactla import Matrix, complement_in, image, image_in
 from .lattice import Edge, Multidegree
 from .lls_core import (
     InstanceFormatError,
     LlsInstance,
     _dump,
+    _md_key,
     _parse_md_key,
     _parse_md_triple,
     _parse_rows,
@@ -88,19 +89,20 @@ def _require_distributive(inst: LlsInstance) -> None:
 
 
 class SimpleCertificate(NamedTuple):
-    """Support multidegrees and section lists witnessing simplicity.
+    """Support multidegrees and the sections witnessing simplicity.
 
-    Sections are stored in canonical coordinates; per support multidegree
-    they are normalised to the RREF basis of their span so certificates
-    are canonical and diffable.
+    Per support multidegree, one stored-form matrix of sections in canonical
+    coordinates.  Extracted and generated ones are the RREF basis of their
+    span, so certificates are canonical and diffable; hand-written rows are
+    kept as given.
     """
 
     support: tuple[Multidegree, ...]
-    sections: Mapping[Multidegree, tuple[Vector, ...]]
+    sections: Mapping[Multidegree, Matrix]
 
     @property
     def total_sections(self) -> int:
-        return sum(len(self.sections[md]) for md in self.support)
+        return sum(self.sections[md].rows for md in self.support)
 
 
 def extract_certificate(inst: LlsInstance) -> SimpleCertificate:
@@ -112,19 +114,12 @@ def extract_certificate(inst: LlsInstance) -> SimpleCertificate:
     """
     _require_exact(inst)
     _require_distributive(inst)
-    support: list[Multidegree] = []
-    sections: dict[Multidegree, tuple[Vector, ...]] = {}
+    sections: dict[Multidegree, Matrix] = {}
     for md in inst.multidegrees:
         vsum = vanishing_sum(inst, md)
-        if vsum.dim == inst.r + 1:
-            continue
-        support.append(md)
-        sections[md] = tuple(image(complement_in(vsum, inst.space(md))).basis.row_list())
-    total = sum(len(v) for v in sections.values())
-    if total != inst.r + 1:
-        raise ConstructionError(
-            f"certificate sections count {total}, expected {inst.r + 1}")
-    cert = SimpleCertificate(tuple(support), sections)
+        if vsum.dim != inst.r + 1:
+            sections[md] = image(complement_in(vsum, inst.space(md))).basis
+    cert = SimpleCertificate(tuple(sections), sections)
     check = verify_certificate(inst, cert)
     if not check.ok:
         raise ConstructionError(f"extracted certificate fails verification: {check.message}")
@@ -153,22 +148,19 @@ def verify_certificate(inst: LlsInstance, cert: SimpleCertificate) -> Certificat
     the first failing multidegree in grid order.
     """
     grid = set(inst.multidegrees)
-    sections: dict[Multidegree, Matrix] = {}
     for k, md in enumerate(cert.support):
         if md not in grid:
             raise CertificateError(f"support[{k}]", f"{md.label} is not on the grid")
-        where = f"sections.{md.i},{md.l}"
-        secs = cert.sections.get(md, ())
-        if not secs:
+        where = f"sections.{_md_key(md)}"
+        secs = cert.sections.get(md)
+        if secs is None or not secs.rows:
             raise CertificateError(where, f"support multidegree {md.label} carries no sections")
         space = inst.space(md)
-        for s_idx, s in enumerate(secs):
-            if len(s) != space.ambient_dim:
-                raise CertificateError(f"{where}[{s_idx}]",
-                                       f"rows must have length {space.ambient_dim}")
-            if s not in space:
+        if secs.cols != space.ambient_dim:
+            raise CertificateError(f"{where}[0]", f"rows must have length {space.ambient_dim}")
+        for s_idx, row in enumerate(secs.ints):
+            if row not in space:
                 raise CertificateError(f"{where}[{s_idx}]", "lies outside the chosen space")
-        sections[md] = Matrix.from_rows(secs, space.ambient_dim)
     if len(set(cert.support)) != len(cert.support):
         raise CertificateError("support", "duplicate support multidegrees")
     total = cert.total_sections
@@ -177,7 +169,7 @@ def verify_certificate(inst: LlsInstance, cert: SimpleCertificate) -> Certificat
                                 f"{total} sections cannot form bases of dimension {inst.r + 1}")
     walk = partial(canonical_matrix, inst)
     for md in inst.multidegrees:
-        pushed = push_along_walks(walk, sections, cert.support, md)
+        pushed = push_along_walks(walk, cert.sections, cert.support, md)
         if not image_in(pushed, inst.space(md)):
             return CertificateCheck(False, md, "a pushed section leaves the chosen space")
         if image(pushed).dim != inst.r + 1:
@@ -189,17 +181,14 @@ class SimplicityVerdict(NamedTuple):
     simple: bool
     certificate: SimpleCertificate | None = None
     reason: str | None = None  # "not-exact" | "not-distributive"
-    witness: object | None = None
+    witness: Multidegree | Edge | None = None
 
     def to_json(self) -> dict:
         out: dict = {"simple": self.simple}
         if self.reason:
             out["reason"] = self.reason
-        if isinstance(self.witness, Multidegree):
+        if self.witness is not None:
             out["witness"] = self.witness.to_json()
-        elif isinstance(self.witness, Edge):
-            out["witness"] = {"from": self.witness.source.to_json(),
-                              "to": self.witness.target.to_json()}
         if self.certificate is not None:
             out["certificate"] = certificate_to_json(self.certificate)
         return out
@@ -236,13 +225,8 @@ def push_along_walks(walk: Callable[[Multidegree, Multidegree], Matrix],
 
 
 def certificate_to_json(cert: SimpleCertificate) -> dict:
-    return {
-        "support": [md.to_json() for md in cert.support],
-        "sections": {
-            f"{md.i},{md.l}": [[str(e) for e in vec] for vec in cert.sections[md]]
-            for md in cert.support
-        },
-    }
+    return {"support": [md.to_json() for md in cert.support],
+            "sections": {_md_key(md): cert.sections[md].to_strings() for md in cert.support}}
 
 
 def certificate_from_json(data: dict, d: int) -> SimpleCertificate:
@@ -256,11 +240,8 @@ def certificate_from_json(data: dict, d: int) -> SimpleCertificate:
     sections_field = data.get("sections")
     if not isinstance(sections_field, dict):
         raise InstanceFormatError("sections", "must be an object")
-    sections: dict[Multidegree, tuple[Vector, ...]] = {}
-    for key, rows in sections_field.items():
-        md = _parse_md_key(key, d, f"sections.{key}")
-        parsed = _parse_rows(rows, f"sections.{key}")
-        sections[md] = tuple(map(tuple, parsed))
+    sections = {_parse_md_key(key, d, f"sections.{key}"): _parse_rows(rows, f"sections.{key}")
+                for key, rows in sections_field.items()}
     if set(sections) != set(support):
         raise InstanceFormatError("sections", "keys must match the support set")
     return SimpleCertificate(support, sections)

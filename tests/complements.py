@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Mapping, NamedTuple, Sequence
 
-from llschain.exactla import Matrix, Subspace, Vector, complement_in, vec_matmul
+from llschain.exactla import Subspace, Vector, complement_in, vec_matmul
 from llschain.lattice import Direction, Multidegree, all_multidegrees
 from llschain.lls_core import (
     LlsInstance,
@@ -223,19 +223,12 @@ def structure_report(inst: LlsInstance,
     return StructureReport(tuple(checks))
 
 
-def _section_matrices(cert: SimpleCertificate) -> dict[Multidegree, Matrix]:
-    """Each support node's sections as the stored-form matrix that
-    ``push_along_walks`` pushes."""
-    return {md: Matrix.from_rows(cert.sections[md]) for md in cert.support}
-
-
 def certificate_push_candidates(inst: LlsInstance, cert: SimpleCertificate,
                                 ) -> dict[Multidegree, list[Vector]]:
     """All canonical pushes of the certificate sections, per multidegree,
     in support order; useful as ``preferred`` complement candidates."""
     walk = partial(canonical_matrix, inst)
-    sections = _section_matrices(cert)
-    return {md: push_along_walks(walk, sections, cert.support, md).row_list()
+    return {md: push_along_walks(walk, cert.sections, cert.support, md).row_list()
             for md in inst.multidegrees}
 
 
@@ -254,14 +247,13 @@ def certificate_complement_systems(inst: LlsInstance, cert: SimpleCertificate,
     if not check.ok:
         raise CertificateError("sections", f"invalid certificate: {check.message}")
     walk = partial(canonical_matrix, inst)
-    sections = _section_matrices(cert)
     systems = []
     for q in (1, 2, 3):
         basis: dict[Multidegree, list[Vector]] = {}
         for md in inst.multidegrees:
             region = set(component_regions(md)[q - 1])
             sources = [s for s in cert.support if s in region]
-            basis[md] = push_along_walks(walk, sections, sources, md).row_list()
+            basis[md] = push_along_walks(walk, cert.sections, sources, md).row_list()
         systems.append(_checked_system(inst, q, basis))
     return tuple(systems)
 

@@ -351,6 +351,33 @@ class TestConflictingOptions:
         assert err.startswith("input error: gen: --certificate-out and -o name the same file")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, clash", [
+        (["certify", "i.json", "--certificate-out", "i.json"],
+         "certify: --certificate-out and the instance"),
+        (["certify", "i.json", "--certificate-out", "o.json", "--report", "o.json"],
+         "certify: --report and --certificate-out"),
+        (["certify", "i.json", "--certificate", "c.json", "--report", "c.json"],
+         "certify: --report and --certificate"),
+        *[([command, "i.json", "--report", "./i.json"], f"{command}: --report and the instance")
+          for command in ("validate", "analyze", "certify", "grid", "laws")],
+        (["gen", "--d", "1", "--r", "0", "--strategy", "degrade", "--mode", "shrink-V",
+          "--input", "i.json", "-o", "i.json"], "gen: -o and --input"),
+    ], ids=["certify-out-instance", "certify-report-out", "certify-report-certificate",
+            "validate", "analyze", "certify", "grid", "laws", "gen-degrade"])
+    def test_no_file_is_read_and_written(self, worked_files, tmp_path, monkeypatch, argv,
+                                         clash):
+        """An output naming an input or another output would overwrite it,
+        so the command refuses and leaves every file as it was."""
+        base, inst_path = worked_files
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "i.json").write_bytes(inst_path.read_bytes())
+        (tmp_path / "c.json").write_bytes((base / "inst.cert.json").read_bytes())
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert err == f"input error: {clash} name the same file\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
 
 class TestDeterminism:
     def test_reports_are_byte_stable(self, worked_files, tmp_path):

@@ -17,7 +17,12 @@ from llschain.lls_core import (
     instance_to_json,
     validate,
 )
-from llschain.simple_basis import is_simple, verify_certificate
+from llschain.simple_basis import (
+    certificate_from_json,
+    certificate_to_json,
+    is_simple,
+    verify_certificate,
+)
 
 
 def md(i, j, l):
@@ -38,16 +43,29 @@ class TestGenSpec:
             GenSpec(d=1, r=0, budget=0)
 
 
+# ``(d, r, seed)``: one small draw, the benchmark's sweep points (d 3-5,
+# r 1-2) at seeds 0-5, and three d = 8 draws.
+POSTCONDITION_SPECS = ((2, 1, 71),
+                       *((d, r, seed) for d in (3, 4, 5) for r in (1, 2) for seed in range(6)),
+                       (8, 3, 1), (8, 3, 5), (8, 3, 9))
+
+
 class TestGenSimple:
     def test_composite_postconditions(self):
-        result = gen_simple(GenSpec(d=2, r=1, seed=71))
-        inst = result.instance
-        assert validate(inst).ok
-        report = codim_report(inst)
-        assert report.exact and report.all_distributive
-        assert report.codim_sum == inst.r + 1
-        assert verify_certificate(inst, result.certificate).ok
-        assert is_simple(inst).simple
+        """``gen_simple`` hands over its draw as the certificate unchecked,
+        so each certificate is verified here, and read back from its file
+        form unchanged."""
+        for d, r, seed in POSTCONDITION_SPECS:
+            result = gen_simple(GenSpec(d=d, r=r, seed=seed))
+            inst = result.instance
+            assert validate(inst).ok
+            report = codim_report(inst)
+            assert report.exact and report.all_distributive
+            assert report.codim_sum == inst.r + 1
+            assert verify_certificate(inst, result.certificate).ok, (d, r, seed)
+            data = certificate_to_json(result.certificate)
+            assert certificate_from_json(data, d) == result.certificate, (d, r, seed)
+            assert is_simple(inst).simple
 
     def test_support_sections_sum_to_rank(self):
         result = gen_simple(GenSpec(d=3, r=2, seed=73))

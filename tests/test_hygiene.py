@@ -1,8 +1,8 @@
 """Source-wide checks: no floating point anywhere in the package, no
 ``assert`` statement, every name a module exports in ``__all__`` exists,
 ``fractions`` imported only where rows meet ``Fraction`` values, no push
-through ``vec_matmul`` outside ``exactla``, and importing the package
-leaves the slow-to-load standard modules out."""
+through ``vec_matmul`` and no ``Fraction`` row view outside ``exactla``,
+and importing the package leaves the slow-to-load standard modules out."""
 
 import ast
 import importlib
@@ -66,16 +66,31 @@ def test_fractions_imported_only_at_the_row_boundary(path):
     assert "fractions" not in imported or path.name in FRACTION_MODULES, path.name
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_pushes_stay_integer(path):
-    # ``vec_matmul`` turns a ``Fraction`` row into integers and builds
-    # ``Fraction``s again; library pushes multiply stored-form matrices.
+def _names(path) -> set[str]:
+    """Every name a module's code reads, as a name, an attribute or an
+    imported name."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
-    assert "vec_matmul" not in names or path.name == "exactla.py", path.name
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_pushes_stay_integer(path):
+    # ``vec_matmul`` turns a ``Fraction`` row into integers and builds
+    # ``Fraction``s again; library pushes multiply stored-form matrices.
+    assert "vec_matmul" not in _names(path) or path.name == "exactla.py", path.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_rows_stay_stored(path):
+    # Past the file reader, certificate sections, witnesses and every other
+    # row the library holds are stored-form rows, so no module but
+    # ``exactla`` builds the ``Fraction`` view of a matrix or names its type.
+    viewed = _names(path) & {"row_list", "entries", "Vector"}
+    assert not viewed or path.name == "exactla.py", (path.name, viewed)
 
 
 def test_import_skips_slow_stdlib_modules():

@@ -85,13 +85,13 @@ class TestCertificates:
     def test_worked_extraction(self, worked_instance):
         cert = extract_certificate(worked_instance)
         assert cert.support == (md(1, 0, 0),)
-        assert cert.sections[md(1, 0, 0)] == ((ONE, Fraction(0)),)
+        assert cert.sections[md(1, 0, 0)].row_list() == [(ONE, Fraction(0))]
         assert verify_certificate(worked_instance, cert).ok
 
     def test_worked_certificate_by_explicit_rank_checks(self, worked_instance):
         inst = worked_instance
         cert = extract_certificate(inst)
-        section = cert.sections[md(1, 0, 0)][0]
+        section = cert.sections[md(1, 0, 0)].row_list()[0]
         for node in inst.multidegrees:
             push = vec_matmul(section, canonical_matrix(inst, md(1, 0, 0), node))
             stacked = Matrix.from_rows([push])
@@ -101,14 +101,14 @@ class TestCertificates:
 
     def test_zeroed_section_fails_with_first_multidegree(self, worked_instance):
         cert = SimpleCertificate((md(1, 0, 0),),
-                                 {md(1, 0, 0): ((Fraction(0), Fraction(0)),)})
+                                 {md(1, 0, 0): Matrix.from_rows([(Fraction(0), Fraction(0))])})
         check = verify_certificate(worked_instance, cert)
         assert not check.ok
         assert check.failing_multidegree == md(1, 0, 0)
 
     def test_section_outside_space_raises(self, worked_instance):
         cert = SimpleCertificate((md(0, 1, 0),),
-                                 {md(0, 1, 0): ((ONE, Fraction(0)),)})
+                                 {md(0, 1, 0): Matrix.from_rows([(ONE, Fraction(0))])})
         with pytest.raises(CertificateError):
             verify_certificate(worked_instance, cert)
 
@@ -116,7 +116,7 @@ class TestCertificates:
         node = md(1, 0, 0)
         space = worked_instance.space(node)
         cert = SimpleCertificate((node,),
-                                 {node: tuple(space.basis.row_list()) + ((ONE, ONE),)})
+                                 {node: Matrix.from_rows([*space.basis.row_list(), (ONE, ONE)])})
         with pytest.raises(CertificateError):
             # (1, 1) is outside the one-dimensional chosen space
             verify_certificate(worked_instance, cert)
@@ -128,15 +128,16 @@ class TestCertificates:
         for seed in range(40):
             result = gen_simple(GenSpec(d=4, r=2, seed=seed))
             node = next((n for n in result.certificate.support
-                         if len(result.certificate.sections[n]) >= 2), None)
+                         if result.certificate.sections[n].rows >= 2), None)
             if node is not None:
                 return result.instance, result.certificate, node
         raise AssertionError("no certificate with two sections at one node")
 
     def test_dependent_sections_fail_at_the_first_node(self):
         inst, cert, node = self.shared_node_certificate()
-        first, _, *rest = cert.sections[node]
-        sections = {**cert.sections, node: (first, tuple(2 * e for e in first), *rest)}
+        first, _, *rest = cert.sections[node].row_list()
+        sections = {**cert.sections,
+                    node: Matrix.from_rows([first, tuple(2 * e for e in first), *rest])}
         check = verify_certificate(inst, SimpleCertificate(cert.support, sections))
         assert not check.ok
         assert check.failing_multidegree == inst.multidegrees[0]
@@ -158,10 +159,10 @@ class TestCertificates:
         inst, cert, node = self.shared_node_certificate()
         outside = next(v for v in Subspace.full(inst.d + 1).basis.row_list()
                        if v not in inst.space(node))
-        first, *rest = cert.sections[node]
+        first, *rest = cert.sections[node].row_list()
         moved = tuple(a + b for a, b in zip(first, outside))
         # One section too many as well, which alone would be a failed check.
-        sections = {**cert.sections, node: (moved, *rest, first)}
+        sections = {**cert.sections, node: Matrix.from_rows([moved, *rest, first])}
         with pytest.raises(CertificateError) as err:
             verify_certificate(inst, SimpleCertificate(cert.support, sections))
         assert err.value.path == f"sections.{node.i},{node.l}[0]"
@@ -298,10 +299,10 @@ class TestCorpusConstructions:
         for node in cert.support:
             vsum = vanishing_sum(result.instance, node)
             span = Subspace.span(list(vsum.basis.row_list())
-                                 + list(cert.sections[node]),
+                                 + cert.sections[node].row_list(),
                                  result.instance.ambient_dim[node])
             assert span == result.instance.space(node)
-            assert vsum.dim + len(cert.sections[node]) == result.instance.r + 1
+            assert vsum.dim + cert.sections[node].rows == result.instance.r + 1
 
 
 class TestSharedChecker:
