@@ -9,10 +9,11 @@ mathematical check failed, 2 the input was malformed or unreadable.
 ``certify`` validates dimensions and linking before deciding simplicity
 and stops with exit 1 on any violation; with ``--certificate FILE`` it
 checks that certificate instead of constructing one.  ``gen --strategy
-degrade`` refuses its input the same way before perturbing it.  ``analyze``,
-``grid`` and ``laws`` on an instance validate first too, and stop with
-exit 1 before their reports when a space is missing or has the wrong
-dimension.  Two file options naming one file exit 2 before any file use.
+degrade`` refuses its input the same way, and exits 2 when ``--d`` or
+``--r`` is not the input's.  ``analyze``, ``grid`` and ``laws`` on an
+instance validate first too, and stop with exit 1 before their reports
+when a space is missing or has the wrong dimension.  Two file options
+naming one file exit 2 before any file use.
 
 All numeric output is exact (rational strings); reports are emitted with
 sorted keys so identical inputs give byte-identical files.
@@ -113,6 +114,9 @@ def _cmd_gen(args) -> int:
     validation = lls_core.validate(inst, ambient_laws=False)
     if not validation.ok:
         return _refuse(args, validation)
+    if (args.d, args.r) != (inst.d, inst.r):
+        raise InstanceFormatError(
+            "gen", f"--d and --r must match the --input instance (d = {inst.d}, r = {inst.r})")
     result = generator.degrade(inst, args.mode, seed=args.seed)
     lls_core.save_instance(args.out, result.instance)
     print(f"wrote {args.out} (injected {args.mode} at {result.at.label})")

@@ -6,7 +6,8 @@ Conventions used by the whole package:
   image of a subspace under a map is ``basis @ matrix``;
 * a subspace is stored as the reduced row echelon basis of its row space,
   which is the unique canonical representative, so two subspaces are equal
-  exactly when their basis matrices are equal;
+  exactly when their basis matrices are equal, and a subspace hashes as
+  its basis (whose column count is the ambient dimension);
 * every coefficient a caller sees is a :class:`fractions.Fraction`
   (arbitrary precision, lowest terms, positive denominator).  No floating
   point anywhere.
@@ -389,7 +390,7 @@ class Subspace:
         return self.ambient_dim == other.ambient_dim and self.basis == other.basis
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash(self.basis)
 
     def __repr__(self) -> str:
         return f"Subspace(ambient_dim={self.ambient_dim}, basis={self.basis!r})"

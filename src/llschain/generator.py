@@ -268,7 +268,8 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
     distinct spaces are drawn inside that freedom, and a candidate is kept
     only if every edge into the assigned region is exact, so a completed
     assignment is exact by construction (and its grid report checks that
-    again).  Every kept candidate tried counts as one expansion.
+    again, and stays in the found instance's table for a caller).  Every
+    kept candidate tried counts as one expansion.
     The note records whether the found instance is distributive
     everywhere, flagging any exact-but-nondistributive find.
     """

@@ -8,19 +8,20 @@ may come from :mod:`llschain.chain_model` or be loaded from a file.
 
 Everything the checks derive from that data lives in one analysis table,
 ``LlsInstance.table``: the meets ``V_S = V ∩ Van_S`` for every nonempty
-set ``S`` of components, each node's triple sum ``V_1 + V_2 + V_3`` and
-distributivity defect (every other number a report reads at a node is a
-dimension count on these), each edge's pushed image and exactness record,
-each vertical edge's pushed-complement check, and the canonical-walk
+set ``S`` of components, each node's triple sum ``V_1 + V_2 + V_3``,
+distributivity defect and grid cell, each edge's pushed image and
+exactness record, each vertical edge's pushed-complement check, the
+reports :func:`exactness` and :func:`codim_report`, and the canonical-walk
 matrices, but for an instance over the chain backend, which reads them
 from its chain's cache.  An entry is computed the first time any report
-reads it and kept, so the reports share their work.
+reads it and kept, so a report asked for again is one read.
 
-A key holds the filler's arguments and the chosen spaces the entry reads
-(none for a walk matrix).  :meth:`LlsInstance.derive` builds an instance
-with other spaces on the same ambient data that shares the table, so a
-search probe or a perturbed copy recomputes only the entries that read a
-changed space.  A table lives exactly as long as the instances sharing it.
+A key holds the filler's arguments and the chosen spaces the entry reads,
+every node's for a whole-series report and none for a walk matrix.
+:meth:`LlsInstance.derive` builds an instance with other spaces on the
+same ambient data that shares the table, so a search probe or a perturbed
+copy recomputes only the entries that read a changed space.  A table
+lives exactly as long as the instances sharing it.
 
 The validators here cover everything short of basis constructions:
 linking, per-edge exactness, the dimension bookkeeping of the grid report,
@@ -97,7 +98,8 @@ def _tabled(reads):
 
     ``reads(*args)`` names the multidegrees whose chosen spaces the entry
     reads, and the key holds those spaces after the arguments, so every
-    instance sharing the table finds the entry while those spaces agree."""
+    instance sharing the table finds the entry while those spaces agree
+    (and a missing space raises ``KeyError`` naming its node)."""
     def wrap(compute):
         name = compute.__name__
 
@@ -125,8 +127,9 @@ class LlsInstance:
     ``derive`` is the only way two instances share a table; an instance
     built any other way starts with an empty one (the exact search builds
     its found instance that way, so its grid report reads a table of its
-    own, not the one its probes filled).  Editing ``spaces`` in
-    place would leave the table describing the old series.
+    own, not the one its probes filled, and a caller's :func:`codim_report`
+    of it reads the entry the search's postcondition made).  Editing
+    ``spaces`` in place would leave the table describing the old series.
     """
 
     def __init__(self, d: int, r: int, ambient_dim: Mapping[Multidegree, int],
@@ -352,7 +355,12 @@ def exactness_at(inst: LlsInstance, edge: Edge) -> EdgeExactness:
 
 def exactness(inst: LlsInstance) -> ExactnessReport:
     """Per-edge image-versus-constraint comparison (vacuous at degree 0)."""
-    return ExactnessReport(tuple(exactness_at(inst, e) for e in directed_edges(inst.d)))
+    return _exactness(inst, inst.d)
+
+
+@_tabled(all_multidegrees)
+def _exactness(inst: LlsInstance, d: int) -> ExactnessReport:
+    return ExactnessReport(tuple(exactness_at(inst, e) for e in directed_edges(d)))
 
 
 def distributive_at(inst: LlsInstance, md: Multidegree) -> bool:
@@ -363,7 +371,7 @@ def distributive_at(inst: LlsInstance, md: Multidegree) -> bool:
     their dimensions are.  By ``dim(X ∩ Y) = dim X + dim Y - dim(X + Y)``
     the gap is ``Σ dim V_q - Σ dim V_bc + dim V_123 - dim(V_1 + V_2 + V_3)``,
     which is symmetric in the three spaces, so one ``a`` decides for all."""
-    return _defect(inst, md) == 0
+    return _cell(inst, md).distributive
 
 
 class GridCell(NamedTuple):
@@ -416,6 +424,15 @@ class GridReport(NamedTuple):
         }
 
 
+@_tabled(lambda md: (md,))
+def _cell(inst: LlsInstance, md: Multidegree) -> GridCell:
+    triple = vanishing_sum(inst, md).dim
+    return GridCell(
+        md, inst.space(md).dim, tuple(_dim(inst, md, (q,)) for q in (1, 2, 3)),
+        tuple(_pair_sum_dim(inst, md, p) for p in ((1, 2), (1, 3), (2, 3))),
+        triple, inst.r + 1 - triple, _defect(inst, md) == 0)
+
+
 def codim_report(inst: LlsInstance) -> GridReport:
     """Full grid report, in grid order.
 
@@ -426,23 +443,20 @@ def codim_report(inst: LlsInstance) -> GridReport:
     is the dimension-count characterisation (exact and sum equal to
     ``r+1``), decided without constructing a basis.
     """
-    cells = []
-    for md in inst.multidegrees:
-        triple = vanishing_sum(inst, md).dim
-        cells.append(GridCell(
-            md, inst.space(md).dim, tuple(_dim(inst, md, (q,)) for q in (1, 2, 3)),
-            tuple(_pair_sum_dim(inst, md, p) for p in ((1, 2), (1, 3), (2, 3))),
-            triple, inst.r + 1 - triple, distributive_at(inst, md)))
-    cells = tuple(cells)
+    return _codim_report(inst, inst.d)
+
+
+@_tabled(all_multidegrees)
+def _codim_report(inst: LlsInstance, d: int) -> GridReport:
+    cells = tuple(_cell(inst, md) for md in all_multidegrees(d))
     codim_sum = sum(c.codim for c in cells)
     exact = exactness(inst).exact
     all_distributive = all(c.distributive for c in cells)
     return GridReport(
-        inst.d, inst.r, cells, codim_sum, exact, all_distributive,
+        d, inst.r, cells, codim_sum, exact, all_distributive,
         simple_by_criterion=exact and codim_sum == inst.r + 1,
         inequality_holds=(not exact) or codim_sum >= inst.r + 1,
-        equivalence_consistent=(not exact) or ((codim_sum == inst.r + 1) == all_distributive),
-    )
+        equivalence_consistent=(not exact) or ((codim_sum == inst.r + 1) == all_distributive))
 
 
 def canonical_matrix(inst: LlsInstance, start: Multidegree, end: Multidegree) -> Matrix:

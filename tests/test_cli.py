@@ -309,8 +309,9 @@ class TestExitCodes:
 
 
 class TestConflictingOptions:
-    """Options that a command would ignore or let clobber each other exit 2
-    with the command's name, before anything is read or written."""
+    """Options that a command would ignore, let clobber each other or that
+    contradict the input exit 2 with the command's name, before anything is
+    written."""
 
     def test_certificate_out_with_certificate(self, worked_files, tmp_path):
         base, inst_path = worked_files
@@ -331,6 +332,18 @@ class TestConflictingOptions:
                                  "-o", str(out_path), *extra)
         assert code == 2 and out == ""
         assert err.startswith("input error: gen: --input and --mode need --strategy degrade")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("d, r", [("5", "2"), ("1", "1"), ("2", "0")])
+    def test_degrade_degree_and_rank_match_the_input(self, worked_files, tmp_path, d, r):
+        _, inst_path = worked_files
+        out_path = tmp_path / "q.json"
+        code, out, err = run_cli("gen", "--d", d, "--r", r, "--strategy", "degrade",
+                                 "--input", str(inst_path), "--mode", "shrink-V",
+                                 "-o", str(out_path))
+        assert code == 2 and out == ""
+        assert err == ("input error: gen: --d and --r must match the --input instance "
+                       "(d = 1, r = 0)\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_laws_takes_an_instance_or_a_degree(self, worked_files):

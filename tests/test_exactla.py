@@ -207,7 +207,7 @@ class TestProduct:
         assert hash(m) == hash((2, 2, ((2, 1), (0, 3)), (2, 1)))
         assert m != (m.rows, m.cols, m.ints, m.dens)
         s = image(m)
-        assert hash(s) == hash((2, s.basis))
+        assert hash(s) == hash(s.basis)
         # The pivots follow from the basis, so they sit outside both.
         assert Subspace(2, s.basis, ()) == s and s != (2, s.basis)
 

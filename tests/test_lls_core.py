@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import weakref
 
 import pytest
@@ -26,7 +27,7 @@ from llschain.lls_core import (
     validate,
     vanishing_in_v,
 )
-from llschain.generator import DEGRADE_MODES, GenSpec, degrade, gen_simple
+from llschain.generator import DEGRADE_MODES, GenSpec, degrade, gen_exact_search, gen_simple
 from llschain.simple_basis import is_simple
 
 from conftest import one_node_instance, rescaled
@@ -421,6 +422,43 @@ class TestAnalysisTable:
         report = identity_suite(inst)
         assert report.ok and report.by_status("pass")
         assert not calls
+
+    @staticmethod
+    def count_space_work(monkeypatch) -> list:
+        """Count every ``&``, ``+`` and ``apply`` from here on."""
+        calls = []
+        for name in ("__and__", "__add__", "apply"):
+            real = getattr(Subspace, name)
+
+            def counted(space, other, real=real, name=name):
+                calls.append(name)
+                return real(space, other)
+            monkeypatch.setattr(Subspace, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("report", [codim_report, exactness])
+    def test_second_report_is_one_table_read(self, monkeypatch, report):
+        inst = gen_simple(GenSpec(d=4, r=2, seed=1)).instance
+        first = report(inst)
+        calls = self.count_space_work(monkeypatch)
+        assert report(inst) is first
+        assert not calls
+
+    def test_search_result_reads_its_postcondition_report(self, monkeypatch):
+        found = gen_exact_search(GenSpec(d=4, r=2, strategy="exact-search", seed=3))
+        calls = self.count_space_work(monkeypatch)
+        report = codim_report(found.instance)
+        assert report is codim_report(found.instance)
+        assert report.exact and report.codim_sum == found.codim_sum
+        assert not calls
+
+    @pytest.mark.parametrize("report", [codim_report, exactness])
+    def test_reports_name_a_missing_node(self, corpus, report):
+        inst = corpus[7].instance
+        node = inst.multidegrees[3]
+        gap = inst.derive({md: s for md, s in inst.spaces.items() if md != node})
+        with pytest.raises(KeyError, match=re.escape(str(node))):
+            report(gap)
 
     def test_entries_are_kept_and_filled_lazily(self, corpus):
         inst = corpus[10].instance
