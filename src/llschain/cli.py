@@ -51,11 +51,6 @@ def render_grid(report: GridReport) -> str:
     return "\n".join(lines)
 
 
-def _write_report(path: str | None, data: dict) -> None:
-    if path:
-        Path(path).write_text(lls_core._dump(data), encoding="utf-8")
-
-
 # The file options of every command, in the order a clash names them.
 _FILES = (("the instance", "instance"), ("--input", "input"), ("--certificate", "certificate"),
           ("-o", "out"), ("--certificate-out", "certificate_out"), ("--report", "report"))
@@ -75,11 +70,12 @@ def _distinct_files(args) -> None:
 
 def _emit(args, data: dict, text_lines: list[str]) -> None:
     if getattr(args, "format", "text") == "json":
-        sys.stdout.write(lls_core._dump(data))
+        sys.stdout.write(lls_core.dump(data))
     else:
         for line in text_lines:
             print(line)
-    _write_report(getattr(args, "report", None), data)
+    if getattr(args, "report", None):
+        Path(args.report).write_text(lls_core.dump(data), encoding="utf-8")
 
 
 def _cmd_gen(args) -> int:

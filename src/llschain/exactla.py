@@ -30,9 +30,9 @@ as they are stored; residuals, products and relation rows are ``int``.  A
 relation (kernel) computation eliminates ``[ints_k | den_k·e_k]`` once, so
 the transform carries each row's own denominator.  ``Fraction`` values
 appear only at the edge: ``parse_rational`` reads text into them; the
-readers ``from_rows``, ``Subspace.span`` and ``in`` (and ``vec_matmul``
-and the ``preferred`` rows of ``complement_in``) take ``Fraction`` or
-``int`` entries; and the builders ``entries``, ``row_list``,
+readers ``Subspace.span`` and ``in`` (and ``vec_matmul`` and the
+``preferred`` rows of ``complement_in``) take ``Fraction`` or ``int``
+entries; and the builders ``entries``, ``row_list``,
 ``to_strings`` and ``vec_matmul`` make them for a caller.  Past the file
 reader the library holds no ``Fraction`` row: certificate sections and
 witnesses are stored rows too, and sections are pushed by ``@``.
@@ -147,9 +147,8 @@ def _common(matrix: "Matrix") -> tuple[Sequence[IntRow], int]:
 class Matrix:
     """Immutable dense rational matrix, stored as integer rows: row ``k`` is
     ``ints[k] / dens[k]``, with ``dens[k]`` the least common denominator of
-    the row.  Build one with ``from_rows`` (``Fraction`` or ``int``
-    entries), ``from_ints`` (integer rows over denominators) or
-    ``identity``."""
+    the row.  Build one with ``from_ints`` (integer rows over
+    denominators) or ``identity``."""
 
     __slots__ = ("rows", "cols", "ints", "dens", "_hash", "__weakref__")
 
@@ -159,21 +158,6 @@ class Matrix:
         matrix = cls.__new__(cls)
         matrix.rows, matrix.cols, matrix.ints, matrix.dens = len(ints), cols, ints, dens
         return matrix
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
-        pairs = [_integer_row(r) for r in rows]
-        if pairs:
-            width = len(pairs[0][0])
-            if any(len(ints) != width for ints, _ in pairs):
-                raise LinearAlgebraError("ragged rows")
-            if cols is not None and cols != width:
-                raise LinearAlgebraError("rows do not match requested width")
-        else:
-            if cols is None:
-                raise LinearAlgebraError("empty matrix needs an explicit width")
-            width = cols
-        return Matrix._stored(width, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
     @staticmethod
     def from_ints(rows: Sequence[Sequence[int]], dens: Sequence[int], cols: int) -> "Matrix":
@@ -525,9 +509,9 @@ def complement_in(inner: Subspace, outer: Subspace,
     form, one matrix row per chosen vector.
 
     Candidates are scanned in a fixed order (any ``preferred`` vectors, then
-    the RREF basis rows of ``outer``, then standard basis vectors) and taken
-    greedily whenever they increase the span, so the result is reproducible.
-    Candidates outside ``outer`` are skipped.
+    the RREF basis rows of ``outer``, which always complete the basis) and
+    taken greedily whenever they increase the span, so the result is
+    reproducible.  Candidates outside ``outer`` are skipped.
     """
     inner._check_ambient(outer)
     if not inner <= outer:
@@ -542,7 +526,6 @@ def complement_in(inner: Subspace, outer: Subspace,
     candidates = itertools.chain(
         map(_integer_row, preferred),
         zip(outer.basis.ints, outer.basis.dens),
-        ((tuple(int(k == j) for k in range(n)), 1) for j in range(n)),
     )
     for row, den in candidates:
         if span.dim == outer.dim:

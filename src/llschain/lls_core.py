@@ -27,6 +27,10 @@ The validators here cover everything short of basis constructions:
 linking, per-edge exactness, the dimension bookkeeping of the grid report,
 the distributivity test, and the suite of conditional dimension identities
 relating neighbouring multidegrees.
+
+The file section at the end is the one place that knows the format of
+instance and :class:`SimpleCertificate` files; its comment gives the
+layouts, the one writer and the one reader's refusals.
 """
 
 from __future__ import annotations
@@ -77,10 +81,17 @@ __all__ = [
     "identity_suite",
     "canonical_matrix",
     "InstanceFormatError",
+    "md_key",
     "instance_to_json",
     "instance_from_json",
+    "SimpleCertificate",
+    "certificate_to_json",
+    "certificate_from_json",
+    "dump",
     "save_instance",
     "load_instance",
+    "save_certificate",
+    "load_certificate",
 ]
 
 
@@ -619,31 +630,35 @@ def identity_suite(inst: LlsInstance) -> IdentitySuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# Instance files.
+# Instance and certificate files: the one place that knows the file format.
 #
-# Layout: {"d": int, "r": int, "multidegrees": [[i,j,l], ...] in grid order,
-# "ambient_dim": {"i,l": n}, "maps": [{"from": [i,j,l], "to": [i,j,l],
+# Instance layout: {"d": int, "r": int, "multidegrees": [[i,j,l], ...] in grid
+# order, "ambient_dim": {"i,l": n}, "maps": [{"from": [i,j,l], "to": [i,j,l],
 # "matrix": [["p/q", ...], ...]}, ...], "vanishing": {"i,l": {"X1": rows,
-# "X2": rows, "X3": rows}}, "V": {"i,l": rows}}.  Keys are "i,l" because j
-# is determined; matrices are row major and act on row vectors from the
-# right.
+# "X2": rows, "X3": rows}}, "V": {"i,l": rows}}.  Certificate layout:
+# {"support": [[i,j,l], ...], "sections": {"i,l": rows}}.  Keys are "i,l"
+# because j is determined; matrices are row major and act on row vectors
+# from the right.  ``dump`` writes every file and report.  ``_read_json``
+# reads both kinds and refuses, at "$", a number that is not an integer
+# (NaN, 1e400, 0.5: rationals are strings) and nesting too deep to decode.
 # ---------------------------------------------------------------------------
 
 
 class InstanceFormatError(ValueError):
-    """Malformed instance file; carries the offending field path."""
+    """Malformed instance or certificate file; carries the offending field path."""
 
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
 
 
-def _md_key(md: Multidegree) -> str:
+def md_key(md: Multidegree) -> str:
+    """The ``"i,l"`` key of a multidegree in a file, and in field paths."""
     return f"{md.i},{md.l}"
 
 
 def _parse_md_key(key: str, d: int, where: str) -> Multidegree:
-    """The multidegree of a ``"i,l"`` key.  Only the text ``_md_key``
+    """The multidegree of a ``"i,l"`` key.  Only the text ``md_key``
     writes is accepted, so two keys of one object never name one node."""
     try:
         i_str, l_str = key.split(",")
@@ -658,9 +673,11 @@ def _parse_md_key(key: str, d: int, where: str) -> Multidegree:
     return Multidegree(i, j, l)
 
 
-def _is_count(value) -> bool:
+def _count(value, where: str) -> int:
     """A nonnegative JSON integer (``true``/``false`` are not counts)."""
-    return type(value) is int and value >= 0
+    if type(value) is not int or value < 0:
+        raise InstanceFormatError(where, "must be a nonnegative integer")
+    return value
 
 
 def _parse_md_triple(value, d: int, where: str) -> Multidegree:
@@ -697,21 +714,35 @@ def _parse_rows(value, where: str, width: int | None = None) -> Matrix:
     return Matrix._stored(width, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
 
+def _by_node(data: dict, name: str, d: int, read) -> dict:
+    """The ``"i,l"``-keyed object ``data[name]`` by multidegree: each entry
+    is ``read(value, where, md)``, with ``where`` its field path."""
+    field = data.get(name)
+    if not isinstance(field, dict):
+        raise InstanceFormatError(name, "must be an object")
+    out = {}
+    for key, value in field.items():
+        where = f"{name}.{key}"
+        md = _parse_md_key(key, d, where)
+        out[md] = read(value, where, md)
+    return out
+
+
 def instance_to_json(inst: LlsInstance) -> dict:
     grid = inst.multidegrees
     data: dict = {
         "d": inst.d,
         "r": inst.r,
         "multidegrees": [md.to_json() for md in grid],
-        "ambient_dim": {_md_key(md): inst.ambient_dim[md] for md in grid},
+        "ambient_dim": {md_key(md): inst.ambient_dim[md] for md in grid},
         "maps": [{"from": e.source.to_json(), "to": e.target.to_json(),
                   "matrix": inst.maps[(e.source, e.target)].to_strings()}
                  for e in directed_edges(inst.d)],
         "vanishing": {
-            _md_key(md): {f"X{q}": inst.vanishing[md][q].to_strings() for q in (1, 2, 3)}
+            md_key(md): {f"X{q}": inst.vanishing[md][q].to_strings() for q in (1, 2, 3)}
             for md in grid
         },
-        "V": {_md_key(md): inst.spaces[md].to_strings()
+        "V": {md_key(md): inst.spaces[md].to_strings()
               for md in grid if md in inst.spaces},
     }
     if inst.provenance:
@@ -722,20 +753,15 @@ def instance_to_json(inst: LlsInstance) -> dict:
 def instance_from_json(data: dict) -> LlsInstance:
     if not isinstance(data, dict):
         raise InstanceFormatError("$", "top level must be an object")
-    d = data.get("d")
-    if not _is_count(d):
-        raise InstanceFormatError("d", "must be a nonnegative integer")
-    r = data.get("r")
-    if not _is_count(r):
-        raise InstanceFormatError("r", "must be a nonnegative integer")
+    d, r = _count(data.get("d"), "d"), _count(data.get("r"), "r")
     ambient_field = data.get("ambient_dim")
-    if not isinstance(ambient_field, dict):
-        raise InstanceFormatError("ambient_dim", "must be an object")
-    # Checked before the grid is built, so a huge "d" cannot exhaust memory.
+    # Counted before the grid is built, so a huge "d" cannot exhaust memory;
+    # that many distinct keys leave no node without an entry.
     nodes = (d + 1) * (d + 2) // 2
-    if len(ambient_field) != nodes:
+    if isinstance(ambient_field, dict) and len(ambient_field) != nodes:
         raise InstanceFormatError(
             "ambient_dim", f"has {len(ambient_field)} entries, d = {d} needs {nodes}")
+    ambient = _by_node(data, "ambient_dim", d, lambda value, where, md: _count(value, where))
     grid = all_multidegrees(d)
     mds = data.get("multidegrees")
     if mds is not None:
@@ -744,15 +770,6 @@ def instance_from_json(data: dict) -> LlsInstance:
         parsed = [_parse_md_triple(v, d, f"multidegrees[{k}]") for k, v in enumerate(mds)]
         if tuple(parsed) != grid:
             raise InstanceFormatError("multidegrees", "not the grid order enumeration")
-    ambient: dict[Multidegree, int] = {}
-    for key, value in ambient_field.items():
-        md = _parse_md_key(key, d, f"ambient_dim.{key}")
-        if not _is_count(value):
-            raise InstanceFormatError(f"ambient_dim.{key}", "must be a nonnegative integer")
-        ambient[md] = value
-    for md in grid:
-        if md not in ambient:
-            raise InstanceFormatError("ambient_dim", f"missing entry for {md.label}")
 
     maps_field = data.get("maps")
     if not isinstance(maps_field, list):
@@ -775,45 +792,96 @@ def instance_from_json(data: dict) -> LlsInstance:
         if (edge.source, edge.target) not in maps:
             raise InstanceFormatError("maps", f"missing edge {edge.label}")
 
-    vanishing_field = data.get("vanishing")
-    if not isinstance(vanishing_field, dict):
-        raise InstanceFormatError("vanishing", "must be an object")
-    vanishing: dict[Multidegree, dict[int, Subspace]] = {}
-    for key, triple in vanishing_field.items():
-        md = _parse_md_key(key, d, f"vanishing.{key}")
-        if not isinstance(triple, dict):
-            raise InstanceFormatError(f"vanishing.{key}", "must be an object")
+    def space(rows, where: str, md: Multidegree) -> Subspace:
+        return image(_parse_rows(rows, where, ambient[md]))
+
+    def triple(value, where: str, md: Multidegree) -> dict[int, Subspace]:
+        if not isinstance(value, dict):
+            raise InstanceFormatError(where, "must be an object")
         per = {}
         for q in (1, 2, 3):
-            where = f"vanishing.{key}.X{q}"
-            if f"X{q}" not in triple:
-                raise InstanceFormatError(where, "missing (write [] for the zero subspace)")
-            per[q] = image(_parse_rows(triple[f"X{q}"], where, ambient[md]))
-        vanishing[md] = per
+            if f"X{q}" not in value:
+                raise InstanceFormatError(f"{where}.X{q}",
+                                          "missing (write [] for the zero subspace)")
+            per[q] = space(value[f"X{q}"], f"{where}.X{q}", md)
+        return per
+
+    vanishing = _by_node(data, "vanishing", d, triple)
     for md in grid:
         if md not in vanishing:
             raise InstanceFormatError("vanishing", f"missing entry for {md.label}")
-
-    v_field = data.get("V")
-    if not isinstance(v_field, dict):
-        raise InstanceFormatError("V", "must be an object")
-    spaces: dict[Multidegree, Subspace] = {}
-    for key, rows in v_field.items():
-        md = _parse_md_key(key, d, f"V.{key}")
-        spaces[md] = image(_parse_rows(rows, f"V.{key}", ambient[md]))
-    provenance = data.get("provenance")
-    return LlsInstance(d, r, ambient, maps, vanishing, spaces, provenance)
+    spaces = _by_node(data, "V", d, space)
+    return LlsInstance(d, r, ambient, maps, vanishing, spaces, data.get("provenance"))
 
 
-def _dump(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+class SimpleCertificate(NamedTuple):
+    """Support multidegrees and the sections witnessing simplicity.
+
+    Per support multidegree, one stored-form matrix of sections in canonical
+    coordinates.  Extracted and generated ones are the RREF basis of their
+    span, so certificates are canonical and diffable; hand-written rows are
+    kept as given.
+    """
+
+    support: tuple[Multidegree, ...]
+    sections: Mapping[Multidegree, Matrix]
+
+    @property
+    def total_sections(self) -> int:
+        return sum(self.sections[md].rows for md in self.support)
+
+
+def certificate_to_json(cert: SimpleCertificate) -> dict:
+    return {"support": [md.to_json() for md in cert.support],
+            "sections": {md_key(md): cert.sections[md].to_strings() for md in cert.support}}
+
+
+def certificate_from_json(data: dict, d: int) -> SimpleCertificate:
+    if not isinstance(data, dict):
+        raise InstanceFormatError("$", "certificate must be an object")
+    support_field = data.get("support")
+    if not isinstance(support_field, list):
+        raise InstanceFormatError("support", "must be a list")
+    support = tuple(_parse_md_triple(v, d, f"support[{k}]")
+                    for k, v in enumerate(support_field))
+    sections = _by_node(data, "sections", d, lambda rows, where, md: _parse_rows(rows, where))
+    if set(sections) != set(support):
+        raise InstanceFormatError("sections", "keys must match the support set")
+    return SimpleCertificate(support, sections)
+
+
+def dump(data: dict) -> str:
+    """The text of a file or report: sorted keys, two-space indent, a final
+    newline.  ``NaN`` and ``Infinity``, which are not JSON, are refused."""
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _refuse_number(text: str):
+    raise InstanceFormatError("$", f"number {text} is not an integer")
+
+
+def _read_json(path):
+    """The JSON value of a file, with every number an integer."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle, parse_float=_refuse_number, parse_constant=_refuse_number)
+        except RecursionError:
+            raise InstanceFormatError("$", "nested too deeply") from None
 
 
 def save_instance(path, inst: LlsInstance) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_dump(instance_to_json(inst)))
+        handle.write(dump(instance_to_json(inst)))
 
 
 def load_instance(path) -> LlsInstance:
-    with open(path, "r", encoding="utf-8") as handle:
-        return instance_from_json(json.load(handle))
+    return instance_from_json(_read_json(path))
+
+
+def save_certificate(path, cert: SimpleCertificate) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(dump(certificate_to_json(cert)))
+
+
+def load_certificate(path, d: int) -> SimpleCertificate:
+    return certificate_from_json(_read_json(path), d)

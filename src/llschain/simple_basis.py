@@ -8,11 +8,12 @@ witness; :func:`verify_certificate` checks any certificate, hand-written
 ones included, by pushing its sections with :func:`push_along_walks`; and
 :func:`is_simple` decides simplicity by the two together.  Sections are
 one stored-form matrix per support node, in a certificate and in a push.
+:class:`SimpleCertificate` and its file functions live in
+:mod:`llschain.lls_core`, beside the instance files, and are importable here.
 """
 
 from __future__ import annotations
 
-import json
 from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -21,14 +22,15 @@ from .lattice import Edge, Multidegree
 from .lls_core import (
     InstanceFormatError,
     LlsInstance,
-    _dump,
-    _md_key,
-    _parse_md_key,
-    _parse_md_triple,
-    _parse_rows,
+    SimpleCertificate,
     canonical_matrix,
+    certificate_from_json,
+    certificate_to_json,
     distributive_at,
     exactness,
+    load_certificate,
+    md_key,
+    save_certificate,
     vanishing_sum,
 )
 
@@ -88,23 +90,6 @@ def _require_distributive(inst: LlsInstance) -> None:
             raise DistributivityRequired(md)
 
 
-class SimpleCertificate(NamedTuple):
-    """Support multidegrees and the sections witnessing simplicity.
-
-    Per support multidegree, one stored-form matrix of sections in canonical
-    coordinates.  Extracted and generated ones are the RREF basis of their
-    span, so certificates are canonical and diffable; hand-written rows are
-    kept as given.
-    """
-
-    support: tuple[Multidegree, ...]
-    sections: Mapping[Multidegree, Matrix]
-
-    @property
-    def total_sections(self) -> int:
-        return sum(self.sections[md].rows for md in self.support)
-
-
 def extract_certificate(inst: LlsInstance) -> SimpleCertificate:
     """Certificate for an exact, everywhere-distributive series.
 
@@ -151,7 +136,7 @@ def verify_certificate(inst: LlsInstance, cert: SimpleCertificate) -> Certificat
     for k, md in enumerate(cert.support):
         if md not in grid:
             raise CertificateError(f"support[{k}]", f"{md.label} is not on the grid")
-        where = f"sections.{_md_key(md)}"
+        where = f"sections.{md_key(md)}"
         secs = cert.sections.get(md)
         if secs is None or not secs.rows:
             raise CertificateError(where, f"support multidegree {md.label} carries no sections")
@@ -222,36 +207,3 @@ def push_along_walks(walk: Callable[[Multidegree, Multidegree], Matrix],
         pushed = sections[source] @ walk(source, target)
         ints, dens, cols = ints + pushed.ints, dens + pushed.dens, pushed.cols
     return Matrix._stored(cols, ints, dens)
-
-
-def certificate_to_json(cert: SimpleCertificate) -> dict:
-    return {"support": [md.to_json() for md in cert.support],
-            "sections": {_md_key(md): cert.sections[md].to_strings() for md in cert.support}}
-
-
-def certificate_from_json(data: dict, d: int) -> SimpleCertificate:
-    if not isinstance(data, dict):
-        raise InstanceFormatError("$", "certificate must be an object")
-    support_field = data.get("support")
-    if not isinstance(support_field, list):
-        raise InstanceFormatError("support", "must be a list")
-    support = tuple(_parse_md_triple(v, d, f"support[{k}]")
-                    for k, v in enumerate(support_field))
-    sections_field = data.get("sections")
-    if not isinstance(sections_field, dict):
-        raise InstanceFormatError("sections", "must be an object")
-    sections = {_parse_md_key(key, d, f"sections.{key}"): _parse_rows(rows, f"sections.{key}")
-                for key, rows in sections_field.items()}
-    if set(sections) != set(support):
-        raise InstanceFormatError("sections", "keys must match the support set")
-    return SimpleCertificate(support, sections)
-
-
-def save_certificate(path, cert: SimpleCertificate) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_dump(certificate_to_json(cert)))
-
-
-def load_certificate(path, d: int) -> SimpleCertificate:
-    with open(path, "r", encoding="utf-8") as handle:
-        return certificate_from_json(json.load(handle), d)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -44,11 +45,21 @@ def worked_instance():
     return from_chain(chain, 0, spaces)
 
 
+def rational_matrix(rows, cols: int | None = None) -> Matrix:
+    """The matrix of rows of ``Fraction`` or ``int`` entries, ``cols`` wide
+    (by default as wide as the first row), built by ``Matrix.from_ints``."""
+    rows = [tuple(map(Fraction, row)) for row in rows]
+    dens = [lcm(*(e.denominator for e in row)) for row in rows]
+    return Matrix.from_ints([[e.numerator * (den // e.denominator) for e in row]
+                             for row, den in zip(rows, dens)],
+                            dens, len(rows[0]) if cols is None else cols)
+
+
 def with_entry(m: Matrix, i: int, j: int, value) -> Matrix:
     """Copy of ``m`` with entry ``(i, j)`` replaced (for perturbation tests)."""
     rows = m.row_list()
     rows[i] = (*rows[i][:j], Fraction(value), *rows[i][j + 1:])
-    return Matrix.from_rows(rows, cols=m.cols)
+    return rational_matrix(rows, cols=m.cols)
 
 
 def zeros(rows: int, cols: int) -> Matrix:

@@ -1,9 +1,11 @@
 """The traced benchmark (perfbench/tracer.py) wraps llschain names by owner
 and attribute.  These checks fail when a change to the package removes a
-traced name or changes its kind, which would otherwise only show up as a
-broken benchmark run."""
+traced name, changes its kind or stops calling a traced file function,
+which would otherwise only show up as a broken or zeroed benchmark run."""
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,24 @@ def test_cache_targets_keep_cache_info(tracer):
     assert caches
     for prefix, fn in caches:
         assert callable(getattr(fn, "cache_info", None)), prefix
+
+
+def test_file_functions_are_traced_where_the_cli_calls_them(tracer, tmp_path):
+    # A traced name the CLI stopped calling through would read 0 calls in
+    # every benchmark run, and the resolve check above would still pass.
+    from llschain.cli import main
+
+    inst, cert = tmp_path / "inst.json", tmp_path / "inst.cert.json"
+    run = tracer.Tracer().install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(["gen", "--d", "1", "--r", "0", "--seed", "7", "-o", str(inst)]),
+                     main(["validate", str(inst)]),
+                     main(["certify", str(inst), "--certificate-out", str(cert)])]
+    finally:
+        run.uninstall()
+    assert codes == [0, 0, 0]
+    expected = {"lls_core.load_instance": 2, "lls_core.save_instance": 1,
+                "simple_basis.save_certificate": 2}
+    stats = run.aggregates()["stats"]
+    assert {name: stats[name][0] for name in expected} == expected

@@ -502,6 +502,38 @@ class TestFrontDoor:
         assert code == 2 and out == ""
         assert f"sections.{key} : multidegree key '{key} ' is not written {key}" in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400", "0.5"])
+    def test_numbers_must_be_integers(self, tmp_path, worked_files, literal):
+        """Python's JSON reader takes these: an instance carrying one in its
+        provenance used to validate, and degrade copied ``NaN`` and
+        ``Infinity`` into a file that is not JSON."""
+        base, inst_path = worked_files
+        bad_inst, bad_cert = tmp_path / "instance.json", tmp_path / "cert.json"
+        for path, source in ((bad_inst, inst_path), (bad_cert, base / "inst.cert.json")):
+            data = {**json.loads(source.read_text()), "provenance": "?"}
+            path.write_text(json.dumps(data).replace('"?"', literal))
+        degraded = tmp_path / "degraded.json"
+        for argv in (["validate", str(bad_inst)],
+                     ["gen", "--d", "1", "--r", "0", "--strategy", "degrade", "--mode", "shrink-V",
+                      "--input", str(bad_inst), "-o", str(degraded)],
+                     ["certify", str(inst_path), "--certificate", str(bad_cert)]):
+            code, out, err = run_cli(*argv)
+            assert (code, out) == (2, "")
+            assert err == f"input error: $: number {literal} is not an integer\n"
+        assert not degraded.exists()
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 990 + "0" + "}" * 990],
+                             ids=["lists", "objects"])
+    def test_deep_nesting_is_refused(self, tmp_path, worked_files, text):
+        _, inst_path = worked_files
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        for argv in (["validate", str(deep)],
+                     ["certify", str(inst_path), "--certificate", str(deep)]):
+            code, out, err = run_cli_process(*argv)
+            assert (code, out) == (2, "")
+            assert "Traceback" not in err and err.startswith("input error: ")
+
     def test_explicit_empty_vanishing_is_zero(self, worked_instance):
         data = instance_to_json(worked_instance)
         data["vanishing"]["0,1"]["X1"] = []

@@ -20,7 +20,7 @@ from llschain.exactla import (
     vec_matmul,
 )
 
-from conftest import with_entry, zeros
+from conftest import rational_matrix, with_entry, zeros
 from oracles import (
     bareiss_rank,
     sympy_intersection,
@@ -39,7 +39,7 @@ def matrices(draw, max_rows=5, max_cols=5):
     cols = draw(st.integers(1, max_cols))
     entries = draw(st.lists(st.lists(rationals, min_size=cols, max_size=cols),
                             min_size=rows, max_size=rows))
-    return Matrix.from_rows(entries, cols=cols)
+    return rational_matrix(entries, cols=cols)
 
 
 @st.composite
@@ -55,7 +55,7 @@ def scaled_matrices(draw, max_rows=6, max_cols=6):
             row = tuple(a * x + b * y for x, y in zip(rows[-1], rows[-2]))
         scale = -Fraction(draw(st.integers(1, 9)), draw(st.integers(2, 7)))
         rows.append(tuple(scale * e for e in row))
-    return Matrix.from_rows(rows, cols=base.cols)
+    return rational_matrix(rows, cols=base.cols)
 
 
 # Mostly 0 and +-1, as in the twist maps, with some general rationals.
@@ -73,7 +73,7 @@ def product_operands(draw, max_dim=5):
         entries = draw(st.lists(sparse_entries, min_size=r * c, max_size=r * c))
         for k in draw(st.sets(st.integers(0, r - 1))) if r else ():
             entries[k * c:(k + 1) * c] = [Fraction(0)] * c
-        return Matrix.from_rows([entries[k * c:(k + 1) * c] for k in range(r)], cols=c)
+        return rational_matrix([entries[k * c:(k + 1) * c] for k in range(r)], cols=c)
     return matrix(rows, inner), matrix(inner, cols)
 
 
@@ -90,7 +90,7 @@ def same_shape_pairs(draw):
                        draw(sparse_entries))
     rebuilt = [Matrix.from_ints([[3 * e for e in row] for row in b.ints],
                                 [3 * den for den in b.dens], b.cols),
-               Matrix.from_rows(b.row_list(), cols=b.cols),
+               rational_matrix(b.row_list(), cols=b.cols),
                b @ Matrix.identity(b.cols), Matrix.identity(b.rows) @ b]
     return a, draw(st.sampled_from(rebuilt))
 
@@ -104,7 +104,7 @@ def reference_product(a, b):
 
 
 def random_matrix(rng, rows, cols, bound=9):
-    return Matrix.from_rows(
+    return rational_matrix(
         [[Fraction(rng.randint(-bound, bound)) for _ in range(cols)]
          for _ in range(rows)], cols=cols)
 
@@ -118,7 +118,7 @@ class TestRref:
         assert rank == 2
 
     def test_proportional_rows_collapse(self):
-        m = Matrix.from_rows([[2, 4], [1, 2]])
+        m = rational_matrix([[2, 4], [1, 2]])
         reduced, pivots, rank = rref(m)
         assert reduced.to_strings() == [["1", "2"], ["0", "0"]]
         assert rank == 1
@@ -155,8 +155,8 @@ class TestRref:
         assert bareiss_rank(transform.row_list()) == m.rows
 
     def test_negative_fractional_pivots(self):
-        m = Matrix.from_rows([[Fraction(-3, 2), Fraction(1, 3), 0], [-3, Fraction(2, 3), 0],
-                              [0, Fraction(-5, 7), Fraction(1, 2)]])
+        m = rational_matrix([[Fraction(-3, 2), Fraction(1, 3), 0], [-3, Fraction(2, 3), 0],
+                             [0, Fraction(-5, 7), Fraction(1, 2)]])
         reduced, pivots, rank = rref(m)
         assert reduced.to_strings() == [["1", "0", "-7/45"], ["0", "1", "-7/10"],
                                         ["0", "0", "0"]]
@@ -203,7 +203,7 @@ class TestProduct:
             assert hash(a) == hash(b)
 
     def test_hashes_and_equality_read_the_stored_fields(self):
-        m = Matrix.from_rows([[1, Fraction(1, 2)], [0, 3]])
+        m = rational_matrix([[1, Fraction(1, 2)], [0, 3]])
         assert hash(m) == hash((2, 2, ((2, 1), (0, 3)), (2, 1)))
         assert m != (m.rows, m.cols, m.ints, m.dens)
         s = image(m)
@@ -220,9 +220,9 @@ class TestProduct:
             assert all(type(e) is Fraction for e in m.entries)
 
     def test_rows_may_be_iterators(self):
+        """A row that ``vec_matmul`` pushes may be any iterable of entries."""
         half = Fraction(1, 2)
-        m = Matrix.from_rows([(half for _ in range(2)), iter([1, Fraction(1, 3)])], cols=2)
-        assert m.row_list() == [(half, half), (1, Fraction(1, 3))]
+        m = rational_matrix([(half, half), (1, Fraction(1, 3))])
         assert vec_matmul((half for _ in range(2)), m) == (Fraction(3, 4), Fraction(5, 12))
 
     def test_operands_keep_no_derived_state(self):
@@ -324,10 +324,10 @@ class TestSubspaceLattice:
     @given(matrices(max_rows=4, max_cols=4), matrices(max_rows=4, max_cols=4))
     def test_sum_is_commutative_and_contains_parts(self, m1, m2):
         n = max(m1.cols, m2.cols)
-        a = image(Matrix.from_rows([list(r) + [0] * (n - m1.cols)
-                                    for r in m1.row_list()], cols=n))
-        b = image(Matrix.from_rows([list(r) + [0] * (n - m2.cols)
-                                    for r in m2.row_list()], cols=n))
+        a = image(rational_matrix([list(r) + [0] * (n - m1.cols)
+                                   for r in m1.row_list()], cols=n))
+        b = image(rational_matrix([list(r) + [0] * (n - m2.cols)
+                                   for r in m2.row_list()], cols=n))
         assert a + b == b + a
         assert a <= a + b and b <= a + b
 
@@ -357,7 +357,7 @@ class TestComplement:
         outer = inner + Subspace.span(b_rows, n)
         result = complement_in(inner, outer, preferred=preferred)
         assert result.cols == n and result.rows == outer.dim - inner.dim
-        assert result == Matrix.from_rows(result.row_list(), cols=n)
+        assert result == rational_matrix(result.row_list(), cols=n)
         for ints, den in zip(result.ints, result.dens):
             assert type(ints) is tuple and all(type(e) is int for e in ints)
             assert den > 0 and gcd(den, *ints) == 1
@@ -378,7 +378,7 @@ class TestComplement:
             complement_in(inner, outer)
 
     def test_preimage(self):
-        m = Matrix.from_rows([[1, 0], [0, 0], [0, 1]])
+        m = rational_matrix([[1, 0], [0, 0], [0, 1]])
         target = Subspace.span([(1, 0)], 2)
         pre = preimage(m, target)
         assert pre == Subspace.span([(1, 0, 0), (0, 1, 0)], 3)
@@ -397,7 +397,7 @@ class TestComplement:
             for p, row in zip(target.pivots, target.basis.row_list()):
                 reducer[p] = [x - y for x, y in zip(reducer[p], row)]
             pre = preimage(m, target)
-            assert pre == kernel(m @ Matrix.from_rows(reducer, cols=n))
+            assert pre == kernel(m @ rational_matrix(reducer, cols=n))
             assert all(vec_matmul(v, m) in target for v in pre.basis.row_list())
 
 
@@ -447,7 +447,7 @@ def mixed_rows(draw, max_rows=5, cols=None, max_cols=5):
 @st.composite
 def mixed_matrices(draw, max_rows=5, cols=None, max_cols=5):
     cols, rows = draw(mixed_rows(max_rows, cols, max_cols))
-    return Matrix.from_rows(rows, cols=cols)
+    return rational_matrix(rows, cols=cols)
 
 
 @st.composite
@@ -525,7 +525,7 @@ class TestIntegerCore:
         rank_b = bareiss_rank(b_rows)
         inside = bareiss_rank(a_rows + b_rows) == rank_b
         assert (a <= b) == inside
-        assert image_in(Matrix.from_rows(a_rows, cols=n), b) == inside
+        assert image_in(rational_matrix(a_rows, cols=n), b) == inside
         for v in a_rows:
             assert (v in b) == (bareiss_rank(b_rows + [v]) == rank_b)
         assert all(row in a for row in a_rows)
@@ -533,7 +533,7 @@ class TestIntegerCore:
     def test_from_ints_brings_rows_to_lowest_terms(self):
         m = Matrix.from_ints([[2, 4], [0, 0]], [6, 5], 2)
         assert m.ints == ((1, 2), (0, 0)) and m.dens == (3, 1)
-        rational = Matrix.from_rows([[Fraction(1, 3), Fraction(2, 3)], [0, 0]])
+        rational = rational_matrix([[Fraction(1, 3), Fraction(2, 3)], [0, 0]])
         assert m == rational and hash(m) == hash(rational)
         for rows, dens, cols in (([[1, 2]], [1], 3), ([[1]], [1, 1], 1), ([[1]], [0], 1),
                                  ([[1]], [-2], 1)):
@@ -542,9 +542,10 @@ class TestIntegerCore:
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_from_ints_matches_from_rows(self, data):
+    def test_from_ints_matches_the_rational_rows(self, data):
         """Scaled integer rows over scaled denominators, as the twist maps
-        build them: the scale may be negative and a row may be zero."""
+        build them: the scale may be negative and a row may be zero.  Each
+        row is stored over the least common denominator of its entries."""
         cols = data.draw(st.integers(0, 5))
         rows = data.draw(st.lists(st.lists(st.integers(-12, 12), min_size=cols,
                                            max_size=cols), max_size=5))
@@ -553,10 +554,11 @@ class TestIntegerCore:
         scale = data.draw(rationals.filter(bool))
         m = Matrix.from_ints([[scale.numerator * e for e in row] for row in rows],
                              [scale.denominator * den for den in dens], cols)
-        rational = Matrix.from_rows([[scale * Fraction(e, den) for e in row]
-                                     for row, den in zip(rows, dens)], cols=cols)
-        assert m == rational and hash(m) == hash(rational)
-        assert m.ints == rational.ints and m.dens == rational.dens
+        rational = [tuple(scale * Fraction(e, den) for e in row) for row, den in zip(rows, dens)]
+        assert m.rows == len(rows) and m.cols == cols and m.row_list() == rational
+        for ints, den, row in zip(m.ints, m.dens, rational):
+            assert den == lcm(*(e.denominator for e in row))
+            assert list(ints) == [e * den for e in row]
 
     def test_zero_and_full_carry_rows(self):
         for n in range(4):

@@ -2,7 +2,8 @@
 ``assert`` statement, every name a module exports in ``__all__`` exists,
 ``fractions`` imported only where rows meet ``Fraction`` values, no push
 through ``vec_matmul`` and no ``Fraction`` row view outside ``exactla``,
-and importing the package leaves the slow-to-load standard modules out."""
+no private ``lls_core`` name used outside it, and importing the package
+leaves the slow-to-load standard modules out."""
 
 import ast
 import importlib
@@ -91,6 +92,19 @@ def test_rows_stay_stored(path):
     # ``exactla`` builds the ``Fraction`` view of a matrix or names its type.
     viewed = _names(path) & {"row_list", "entries", "Vector"}
     assert not viewed or path.name == "exactla.py", (path.name, viewed)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_file_format_stays_in_lls_core(path):
+    # ``lls_core`` is the one module that knows the file format; the others
+    # reach it through public names only.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.module or "").endswith("lls_core") for alias in node.names}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "lls_core"}
+    private = sorted(n for n in used if n.startswith("_") and not n.startswith("__"))
+    assert not private or path.name == "lls_core.py", (path.name, private)
 
 
 def test_import_skips_slow_stdlib_modules():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from llschain.chain_model import ChainCurve, canonical_matrix as chain_canonical
-from llschain.exactla import Matrix, Subspace, vec_matmul
+from llschain.exactla import Subspace, vec_matmul
 from llschain.lattice import Direction, Multidegree, all_multidegrees
 from llschain.lls_core import LlsInstance, canonical_matrix, from_chain, validate
 from llschain.generator import GenSpec, degrade, gen_simple
@@ -33,7 +33,7 @@ from complements import (
     growth_report,
     structure_report,
 )
-from conftest import abstract_nondistributive_instance, rescaled
+from conftest import abstract_nondistributive_instance, rational_matrix, rescaled
 
 
 def md(i, j, l):
@@ -94,21 +94,21 @@ class TestCertificates:
         section = cert.sections[md(1, 0, 0)].row_list()[0]
         for node in inst.multidegrees:
             push = vec_matmul(section, canonical_matrix(inst, md(1, 0, 0), node))
-            stacked = Matrix.from_rows([push])
+            stacked = rational_matrix([push])
             from llschain.exactla import rref
             assert rref(stacked)[2] == 1
             assert push in inst.space(node)
 
     def test_zeroed_section_fails_with_first_multidegree(self, worked_instance):
         cert = SimpleCertificate((md(1, 0, 0),),
-                                 {md(1, 0, 0): Matrix.from_rows([(Fraction(0), Fraction(0))])})
+                                 {md(1, 0, 0): rational_matrix([(Fraction(0), Fraction(0))])})
         check = verify_certificate(worked_instance, cert)
         assert not check.ok
         assert check.failing_multidegree == md(1, 0, 0)
 
     def test_section_outside_space_raises(self, worked_instance):
         cert = SimpleCertificate((md(0, 1, 0),),
-                                 {md(0, 1, 0): Matrix.from_rows([(ONE, Fraction(0))])})
+                                 {md(0, 1, 0): rational_matrix([(ONE, Fraction(0))])})
         with pytest.raises(CertificateError):
             verify_certificate(worked_instance, cert)
 
@@ -116,7 +116,7 @@ class TestCertificates:
         node = md(1, 0, 0)
         space = worked_instance.space(node)
         cert = SimpleCertificate((node,),
-                                 {node: Matrix.from_rows([*space.basis.row_list(), (ONE, ONE)])})
+                                 {node: rational_matrix([*space.basis.row_list(), (ONE, ONE)])})
         with pytest.raises(CertificateError):
             # (1, 1) is outside the one-dimensional chosen space
             verify_certificate(worked_instance, cert)
@@ -137,7 +137,7 @@ class TestCertificates:
         inst, cert, node = self.shared_node_certificate()
         first, _, *rest = cert.sections[node].row_list()
         sections = {**cert.sections,
-                    node: Matrix.from_rows([first, tuple(2 * e for e in first), *rest])}
+                    node: rational_matrix([first, tuple(2 * e for e in first), *rest])}
         check = verify_certificate(inst, SimpleCertificate(cert.support, sections))
         assert not check.ok
         assert check.failing_multidegree == inst.multidegrees[0]
@@ -162,7 +162,7 @@ class TestCertificates:
         first, *rest = cert.sections[node].row_list()
         moved = tuple(a + b for a, b in zip(first, outside))
         # One section too many as well, which alone would be a failed check.
-        sections = {**cert.sections, node: Matrix.from_rows([moved, *rest, first])}
+        sections = {**cert.sections, node: rational_matrix([moved, *rest, first])}
         with pytest.raises(CertificateError) as err:
             verify_certificate(inst, SimpleCertificate(cert.support, sections))
         assert err.value.path == f"sections.{node.i},{node.l}[0]"
@@ -212,11 +212,11 @@ class TestPushAlongWalks:
         ``Fraction`` section alone with ``vec_matmul``, in source order."""
         inst, sources, target, sections = problem
         walk = partial(canonical_matrix, inst)
-        matrices = {s: Matrix.from_rows(rows) for s, rows in sections.items()}
+        matrices = {s: rational_matrix(rows) for s, rows in sections.items()}
         pushed = push_along_walks(walk, matrices, sources, target)
         expected = [vec_matmul(v, walk(s, target)) for s in sources for v in sections[s]]
         assert pushed.row_list() == expected
-        assert pushed == Matrix.from_rows(expected, cols=inst.d + 1)
+        assert pushed == rational_matrix(expected, cols=inst.d + 1)
 
     def test_no_source_pushes_nothing(self):
         walk = partial(chain_canonical, ChainCurve(2))
