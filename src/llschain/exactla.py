@@ -97,15 +97,22 @@ def _parse(text: str) -> Fraction:
 
 # An instance file repeats a few short literals ("0", "1", "-1", ...) tens
 # of thousands of times, so those parse once; a failed parse raises and is
-# not cached, and long literals are never kept.
+# not cached, and long literals are never kept.  ``_SHORT_INTS`` holds the
+# ``int`` of up to 1024 canonical integer literals among them, for readers.
 _SHORT_LITERAL = 12
 _parse_short = functools.lru_cache(maxsize=1024)(_parse)
+_SHORT_INTS: dict[str, int] = {}
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical string form ``p`` or ``p/q``."""
     text = str(text).strip()
-    return _parse_short(text) if len(text) <= _SHORT_LITERAL else _parse(text)
+    if len(text) > _SHORT_LITERAL:
+        return _parse(text)
+    value = _parse_short(text)
+    if text == str(value.numerator) and len(_SHORT_INTS) < 1024:
+        _SHORT_INTS[text] = value.numerator
+    return value
 
 
 def _integer_row(entries: Iterable) -> tuple[IntRow, int]:

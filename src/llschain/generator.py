@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from itertools import islice
+from itertools import islice, takewhile
 from math import lcm
 from typing import Callable, Iterator, Mapping, NamedTuple
 
@@ -189,7 +189,10 @@ def gen_simple(spec: GenSpec) -> GenResult:
     only when every space reaches dimension ``r+1``, otherwise the next
     seeded draw is tried.  There is no a-priori criterion for which support
     patterns force dependent pushes, so bad draws are simply retried.  When
-    every draw fails at ``r = d``, the result is the complete series.
+    every draw fails at ``r = d``, the result is the complete series; at
+    ``r = d-1``, ``RETRY_LIMIT`` more draws put one section at each node
+    ``(d-k, 0, k)`` of the boundary line, the support of every simple
+    series seen there.
 
     A kept draw's bases are its certificate, which needs no verifying: the
     cuts give ``r+1`` sections, one or more per distinct support node; the
@@ -203,36 +206,35 @@ def gen_simple(spec: GenSpec) -> GenResult:
     grid = all_multidegrees(spec.d)
     rp1 = spec.r + 1
     walk = partial(chain_model.canonical_matrix, chain)
-    for attempt in range(1, RETRY_LIMIT + 1):
-        m = rng.randint(1, rp1)
-        support = sorted(rng.sample(range(len(grid)), m))
-        cuts = sorted(rng.sample(range(1, rp1), m - 1))
-        counts = [b - a for a, b in zip([0] + cuts, cuts + [rp1])]
+    line = [k for k, md in enumerate(grid) if md.j == 0 and md.l < spec.d]
+    limit = 2 * RETRY_LIMIT if rp1 == spec.d else RETRY_LIMIT
+    for attempt in range(1, limit + 1):
+        if attempt > RETRY_LIMIT:
+            support, counts = line, [1] * rp1
+        else:
+            m = rng.randint(1, rp1)
+            support = sorted(rng.sample(range(len(grid)), m))
+            cuts = sorted(rng.sample(range(1, rp1), m - 1))
+            counts = [b - a for a, b in zip([0] + cuts, cuts + [rp1])]
         sections: dict[Multidegree, Matrix] = {}
-        ok = True
         for idx, count in zip(support, counts):
-            md = grid[idx]
             drawn = Subspace.span([_random_vector(rng, spec.d + 1) for _ in range(count)],
                                   spec.d + 1)
             if drawn.dim != count:
-                ok = False
                 break
-            sections[md] = drawn.basis
-        if not ok:
+            sections[grid[idx]] = drawn.basis
+        if len(sections) < len(support):
             continue
-        support_mds = tuple(grid[idx] for idx in support)
-        spaces: dict[Multidegree, Subspace] = {}
-        for md in grid:
-            span = image(simple_basis.push_along_walks(walk, sections, support_mds, md))
-            if span.dim != rp1:
-                ok = False
-                break
-            spaces[md] = span
-        if not ok:
+        pushes = (image(simple_basis.push_along_walks(walk, sections, sections, md))
+                  for md in grid)
+        spaces = dict(zip(grid, takewhile(lambda span: span.dim == rp1, pushes)))
+        if len(spaces) < len(grid):
             continue
+        series = {"series": "line-support"} if attempt > RETRY_LIMIT else {}
         instance = from_chain(chain, spec.r, spaces,
-                              provenance=spec.provenance(attempt=attempt))
-        return GenResult(instance, simple_basis.SimpleCertificate(support_mds, sections), attempt)
+                              provenance=spec.provenance(attempt=attempt, **series))
+        cert = simple_basis.SimpleCertificate(tuple(sections), sections)
+        return GenResult(instance, cert, attempt)
     if rp1 == spec.d + 1:
         # At r = d every space is the whole section space, so the complete
         # series is the only one; it is simple, and its certificate is
@@ -243,8 +245,7 @@ def gen_simple(spec: GenSpec) -> GenResult:
                                                          series="complete"))
         return GenResult(instance, simple_basis.extract_certificate(instance),
                          RETRY_LIMIT)
-    raise GenerationError(
-        f"no simple draw found in {RETRY_LIMIT} attempts (seed {spec.seed})")
+    raise GenerationError(f"no simple draw found in {limit} attempts (seed {spec.seed})")
 
 
 class SearchResult(NamedTuple):

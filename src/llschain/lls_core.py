@@ -7,21 +7,21 @@ edge, the ambient single-component vanishing subspaces, and a chosen
 may come from :mod:`llschain.chain_model` or be loaded from a file.
 
 Everything the checks derive from that data lives in one analysis table,
-``LlsInstance.table``: the meets ``V_S = V ∩ Van_S`` for every nonempty
-set ``S`` of components, each node's triple sum ``V_1 + V_2 + V_3``,
-distributivity defect and grid cell, each edge's pushed image and
-exactness record, each vertical edge's pushed-complement check, the
-reports :func:`exactness` and :func:`codim_report`, and the canonical-walk
-matrices, but for an instance over the chain backend, which reads them
-from its chain's cache.  An entry is computed the first time any report
-reads it and kept, so a report asked for again is one read.
+``LlsInstance.table``.  A node has one entry per chosen space, a record of
+its meets ``V_S = V ∩ Van_S`` for the nonempty sets ``S`` of components,
+its triple sum ``V_1 + V_2 + V_3`` and its grid cell.  An edge has its
+pushed image and exactness record, a vertical edge its pushed-complement
+check, and the reports :func:`exactness` and :func:`codim_report` and the
+canonical-walk matrices are entries too (but for an instance over the
+chain backend, which reads walks from its chain's cache).  Each value is
+computed the first time a report reads it and kept.
 
 A key holds the filler's arguments and the chosen spaces the entry reads,
 every node's for a whole-series report and none for a walk matrix.
 :meth:`LlsInstance.derive` builds an instance with other spaces on the
 same ambient data that shares the table, so a search probe or a perturbed
-copy recomputes only the entries that read a changed space.  A table
-lives exactly as long as the instances sharing it.
+copy recomputes only what reads a changed space.  A table lives exactly
+as long as the instances sharing it.
 
 The validators here cover everything short of basis constructions:
 linking, per-edge exactness, the dimension bookkeeping of the grid report,
@@ -45,6 +45,7 @@ from .exactla import (
     LinearAlgebraError,
     Matrix,
     Subspace,
+    _SHORT_INTS,
     _integer_row,
     complement_in,
     image,
@@ -105,7 +106,8 @@ _COMPONENT_SETS = {c: c for c in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 
 
 def _tabled(reads):
     """Make ``compute(inst, *args)`` an entry of the instance's analysis
-    table: computed on the first call, then kept.
+    table: computed on the first call, then kept.  A node's record
+    (``_node``) is one entry, whose parts fill in place when first read.
 
     ``reads(*args)`` names the multidegrees whose chosen spaces the entry
     reads, and the key holds those spaces after the arguments, so every
@@ -130,17 +132,15 @@ class LlsInstance:
 
     Nothing modifies the input fields after construction.  ``table`` maps
     ``(filler, *arguments, *spaces read)`` to the value a :func:`_tabled`
-    function computed on first read; the spaces are the chosen spaces at
-    the multidegrees the entry depends on.  To change a space, build a new
-    instance with :meth:`derive`, which keeps the ambient data and shares
-    the table, so only entries reading a changed space are computed again.
-    ``chain`` is the backend of a :func:`from_chain` instance, else ``None``.
-    ``derive`` is the only way two instances share a table; an instance
-    built any other way starts with an empty one (the exact search builds
-    its found instance that way, so its grid report reads a table of its
-    own, not the one its probes filled, and a caller's :func:`codim_report`
-    of it reads the entry the search's postcondition made).  Editing
-    ``spaces`` in place would leave the table describing the old series.
+    function computed on first read, such as a node's record (``_node``,
+    whose key holds the node and its space).  To change a space, build a
+    new instance with :meth:`derive`, which keeps the ambient data and
+    shares the table, so an unchanged node keeps its record and only what
+    reads a changed space is computed again.  ``derive`` is the only way
+    two instances share a table; an instance built any other way starts
+    with an empty one.  Editing ``spaces`` in place would leave the table
+    describing the old series.  ``chain`` is the backend of a
+    :func:`from_chain` instance, else ``None``.
     """
 
     def __init__(self, d: int, r: int, ambient_dim: Mapping[Multidegree, int],
@@ -258,56 +258,76 @@ def validate(inst: LlsInstance, ambient_laws: bool = True) -> ValidationReport:
 
 def vanishing_in_v(inst: LlsInstance, md: Multidegree,
                    components: Sequence[int]) -> Subspace:
-    """Sections of the chosen subspace vanishing on the listed components.
-
-    Several components intersect the single-component entries, which are
-    no larger than the chosen space."""
+    """Sections of the chosen subspace vanishing on the listed components."""
     comps = _COMPONENT_SETS.get(tuple(sorted(set(components))))
     if comps is None:
         raise ValueError("components must be a nonempty subset of {1, 2, 3}")
-    return _vanishing(inst, md, comps)
+    return _node(inst, md).meet(comps)
 
 
-@_tabled(lambda md, comps: (md,))
-def _vanishing(inst: LlsInstance, md: Multidegree, comps: tuple[int, ...]) -> Subspace:
-    if len(comps) == 1:
-        return inst.space(md) & inst.vanishing[md][comps[0]]
-    return (_vanishing(inst, md, _COMPONENT_SETS[comps[:-1]])
-            & _vanishing(inst, md, _COMPONENT_SETS[comps[-1:]]))
+class _Node:
+    """A node's table entry for one chosen space: the space, its ambient
+    vanishing triple and, each filled when first read, the meets ``V_S`` by
+    shared ``_COMPONENT_SETS`` tuple, the triple sum and the grid cell."""
+
+    __slots__ = ("space", "vanishing", "meets", "triple", "cell")
+
+    def __init__(self, space: Subspace, vanishing: Mapping[int, Subspace]) -> None:
+        self.space, self.vanishing, self.meets, self.triple, self.cell = (
+            space, vanishing, {}, None, None)
+
+    def meet(self, comps: tuple[int, ...]) -> Subspace:
+        """``V_S`` for ``S`` a tuple in increasing order.  Several components
+        intersect the single-component meets, no larger than the space."""
+        found = self.meets.get(comps)
+        if found is None:
+            found = self.meets[_COMPONENT_SETS[comps]] = (
+                self.space & self.vanishing[comps[0]] if len(comps) == 1
+                else self.meet(comps[:-1]) & self.meet(comps[-1:]))
+        return found
+
+    def triple_sum(self) -> Subspace:
+        if self.triple is None:
+            self.triple = self.meet((1,)) + self.meet((2,)) + self.meet((3,))
+        return self.triple
+
+    def defect(self) -> int:
+        """``dim V_a ∩ (V_b + V_c) - dim(V_a ∩ V_b + V_a ∩ V_c)``, the same
+        for every ``a`` (see :func:`distributive_at`)."""
+        d1, d2, d3, d12, d13, d23, d123 = (self.meet(c).dim for c in _COMPONENT_SETS)
+        return d1 + d2 + d3 - d12 - d13 - d23 + d123 - self.triple_sum().dim
+
+
+@_tabled(lambda md: (md,))
+def _node(inst: LlsInstance, md: Multidegree) -> _Node:
+    return _Node(inst.space(md), inst.vanishing[md])
 
 
 def _dim(inst: LlsInstance, md: Multidegree, comps: tuple[int, ...]) -> int:
     """``dim V_S`` for the components ``S``, a tuple in increasing order."""
-    return _vanishing(inst, md, _COMPONENT_SETS[comps]).dim
+    return _node(inst, md).meet(comps).dim
 
 
-@_tabled(lambda md: (md,))
 def vanishing_sum(inst: LlsInstance, md: Multidegree) -> Subspace:
     """``V_1 + V_2 + V_3``, the sum of the single-component vanishing
     subspaces of the chosen space."""
-    v1, v2, v3 = (_vanishing(inst, md, q) for q in ((1,), (2,), (3,)))
-    return v1 + v2 + v3
+    return _node(inst, md).triple_sum()
 
 
 def _pair_sum_dim(inst: LlsInstance, md: Multidegree, comps: tuple[int, int]) -> int:
     """``dim(V_b + V_c) = dim V_b + dim V_c - dim V_bc``."""
-    b, c = comps
-    return _dim(inst, md, (b,)) + _dim(inst, md, (c,)) - _dim(inst, md, comps)
+    meet = _node(inst, md).meet
+    return meet(comps[:1]).dim + meet(comps[1:]).dim - meet(comps).dim
 
 
 def _meet(inst: LlsInstance, md: Multidegree, a: int) -> int:
     """``dim(V_a ∩ V_b + V_a ∩ V_c)`` for ``b, c`` the other two components."""
-    return (sum(_dim(inst, md, p) for p in ((1, 2), (1, 3), (2, 3)) if a in p)
-            - _dim(inst, md, (1, 2, 3)))
+    meet = _node(inst, md).meet
+    return sum(meet(p).dim for p in ((1, 2), (1, 3), (2, 3)) if a in p) - meet((1, 2, 3)).dim
 
 
-@_tabled(lambda md: (md,))
 def _defect(inst: LlsInstance, md: Multidegree) -> int:
-    """``dim V_a ∩ (V_b + V_c) - dim(V_a ∩ V_b + V_a ∩ V_c)``, the same for
-    every ``a`` (see :func:`distributive_at`)."""
-    return (sum(_dim(inst, md, (q,)) for q in (1, 2, 3))
-            - sum(_dim(inst, md, p) for p in ((1, 2), (1, 3), (2, 3)))
-            + _dim(inst, md, (1, 2, 3)) - vanishing_sum(inst, md).dim)
+    return _node(inst, md).defect()
 
 
 class EdgeExactness(NamedTuple):
@@ -435,13 +455,15 @@ class GridReport(NamedTuple):
         }
 
 
-@_tabled(lambda md: (md,))
 def _cell(inst: LlsInstance, md: Multidegree) -> GridCell:
-    triple = vanishing_sum(inst, md).dim
-    return GridCell(
-        md, inst.space(md).dim, tuple(_dim(inst, md, (q,)) for q in (1, 2, 3)),
-        tuple(_pair_sum_dim(inst, md, p) for p in ((1, 2), (1, 3), (2, 3))),
-        triple, inst.r + 1 - triple, _defect(inst, md) == 0)
+    node = _node(inst, md)
+    if node.cell is None:
+        d1, d2, d3, d12, d13, d23, _ = (node.meet(c).dim for c in _COMPONENT_SETS)
+        triple = node.triple_sum().dim
+        node.cell = GridCell(md, node.space.dim, (d1, d2, d3),
+                             (d1 + d2 - d12, d1 + d3 - d13, d2 + d3 - d23),
+                             triple, inst.r + 1 - triple, node.defect() == 0)
+    return node.cell
 
 
 def codim_report(inst: LlsInstance) -> GridReport:
@@ -530,10 +552,10 @@ def _pushed_complement(inst: LlsInstance, down: Multidegree, md: Multidegree,
     pushed = image(vectors).apply(inst.maps[(down, md)])
     # ``V_2 + pushed`` is direct when its dimension is the sum of the two,
     # and it is ``V_2 + V_3`` when it holds ``V_3`` and has that dimension.
-    v2_here = _vanishing(inst, md, (2,))
+    v2_here = vanishing_in_v(inst, md, (2,))
     both = v2_here + pushed
     ok = (pushed.dim == vectors.rows and both.dim == v2_here.dim + pushed.dim
-          and _vanishing(inst, md, (3,)) <= both
+          and vanishing_in_v(inst, md, (3,)) <= both
           and both.dim == _pair_sum_dim(inst, md, (2, 3)))
     return ok, f"{vectors.rows} complement vectors push to an independent complement"
 
@@ -697,11 +719,15 @@ def _parse_rows(value, where: str, width: int | None = None) -> Matrix:
         raise InstanceFormatError(where, "expected a list of rows")
     if width is None:
         width = len(value[0]) if value else 0
-    pairs = []
+    pairs, short = [], _SHORT_INTS.__getitem__
     for r_idx, row in enumerate(value):
         if len(row) != width:
             raise InstanceFormatError(f"{where}[{r_idx}]", f"rows must have length {width}")
-        parsed = []
+        try:  # a row of memoised integer literals is read whole
+            pairs.append((tuple(map(short, row)), 1))
+            continue
+        except (KeyError, TypeError):  # any other row, entry by entry
+            parsed = []
         for c_idx, entry in enumerate(row):
             if not isinstance(entry, str):
                 raise InstanceFormatError(f"{where}[{r_idx}][{c_idx}]",

@@ -1,7 +1,8 @@
 """The traced benchmark (perfbench/tracer.py) wraps llschain names by owner
 and attribute.  These checks fail when a change to the package removes a
-traced name, changes its kind or stops calling a traced file function,
-which would otherwise only show up as a broken or zeroed benchmark run."""
+traced name, changes its kind, stops calling a traced file function or
+routes the reports around a traced ``lls_core`` name, which would
+otherwise only show up as a broken or zeroed benchmark run."""
 
 import contextlib
 import importlib.util
@@ -56,3 +57,31 @@ def test_file_functions_are_traced_where_the_cli_calls_them(tracer, tmp_path):
                 "simple_basis.save_certificate": 2}
     stats = run.aggregates()["stats"]
     assert {name: stats[name][0] for name in expected} == expected
+
+
+@pytest.mark.parametrize("d, r", [(3, 1), (4, 2)])
+def test_reports_reach_every_traced_lls_core_name(tracer, tmp_path, d, r):
+    # The reports read the analysis table through its helpers; one that
+    # stopped passing through vanishing_in_v or distributive_at would read
+    # 0 calls in every benchmark run.  identity_suite, which also calls
+    # vanishing_in_v, runs after that is checked.
+    from llschain import lls_core, simple_basis
+    from llschain.generator import GenSpec, gen_simple
+
+    path = tmp_path / "inst.json"
+    built = gen_simple(GenSpec(d=d, r=r, seed=1)).instance
+    run = tracer.Tracer().install()
+    try:
+        lls_core.save_instance(path, built)
+        inst = lls_core.load_instance(path)
+        for report in (lls_core.validate, lls_core.exactness, lls_core.codim_report,
+                       simple_basis.is_simple):
+            report(inst)
+        reached = {name for name, stat in run.stats.items() if stat[0]}
+        lls_core.identity_suite(inst)
+    finally:
+        run.uninstall()
+    assert {"lls_core.vanishing_in_v", "lls_core.distributive_at"} <= reached
+    stats = run.aggregates()["stats"]
+    names = [prefix for prefix, owner, _, _ in tracer.TARGETS if owner is lls_core]
+    assert [name for name in names if not stats[name][0]] == []

@@ -89,6 +89,26 @@ class TestGenSimple:
         assert verify_certificate(inst, result.certificate).ok
         assert is_simple(inst).simple
 
+    @pytest.mark.parametrize("d, seed", [(4, 4), (5, 0), (6, 0), (6, 1), (7, 0), (12, 1)])
+    def test_rank_d_minus_one_falls_back_to_the_boundary_line(self, d, seed):
+        # Every draw fails at these seeds; the fallback's support is the
+        # boundary line, one section per node.
+        result = gen_simple(GenSpec(d=d, r=d - 1, seed=seed))
+        inst = result.instance
+        assert inst.provenance["series"] == "line-support"
+        assert result.attempts == inst.provenance["attempt"] > 200
+        assert result.certificate.support == tuple(
+            m for m in inst.multidegrees if m.j == 0 and m.l < d)
+        assert validate(inst).ok
+        assert verify_certificate(inst, result.certificate).ok
+        assert is_simple(inst).simple
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_rank_d_minus_one_always_generates(self, d):
+        for seed in range(3):
+            result = gen_simple(GenSpec(d=d, r=d - 1, seed=seed))
+            assert verify_certificate(result.instance, result.certificate).ok, (d, seed)
+
     def test_different_seed_usually_differs(self):
         one = gen_simple(GenSpec(d=2, r=1, seed=78))
         two = gen_simple(GenSpec(d=2, r=1, seed=79))

@@ -2,6 +2,7 @@ import gc
 import json
 import re
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,7 +31,7 @@ from llschain.lls_core import (
 from llschain.generator import DEGRADE_MODES, GenSpec, degrade, gen_exact_search, gen_simple
 from llschain.simple_basis import is_simple
 
-from conftest import one_node_instance, rescaled
+from conftest import one_node_instance, rational_matrix, rescaled
 from oracles import sympy_intersection, sympy_rowspace
 from test_golden import GOLDEN_INDICES
 
@@ -291,6 +292,25 @@ class TestSerialization:
         assert all(v.kind == "dimension" for v in report.violations)
 
 
+class TestRowReader:
+    """A row of memoised integer literals is read whole; any other row
+    falls back to the per-entry reader, with the same values and paths."""
+
+    ROWS = [["0", "1", "-1"], ["+1", "01", " 2"], ["1/1", "-0", "4/2"],
+            ["1/2", "3", "-5/3"], ["7", "-12", "100000000000000000000"]]
+
+    def test_rows_read_the_same_before_and_after_the_memo_fills(self):
+        expected = rational_matrix([[Fraction(t) for t in row] for row in self.ROWS])
+        for _ in range(2):
+            assert lls_core._parse_rows(self.ROWS, "m") == expected
+
+    @pytest.mark.parametrize("entry", [1, True, None, [], {}])
+    def test_bad_entries_keep_their_field_paths(self, entry):
+        lls_core._parse_rows([["1", "0", "2"]], "m")
+        with pytest.raises(InstanceFormatError, match=re.escape("m[1][1]: matrix entries")):
+            lls_core._parse_rows([["1", "0", "2"], ["1", entry, "2"]], "m")
+
+
 class TestCanonicalMatrices:
     def test_matches_chain_level_computation(self, worked_instance):
         chain = ChainCurve(1)
@@ -460,36 +480,49 @@ class TestAnalysisTable:
         with pytest.raises(KeyError, match=re.escape(str(node))):
             report(gap)
 
+    @staticmethod
+    def node_records(inst) -> dict:
+        """The node records of the instance's table, by multidegree."""
+        return {key[1]: value for key, value in inst.table.items()
+                if isinstance(value, lls_core._Node)}
+
     def test_entries_are_kept_and_filled_lazily(self, corpus):
         inst = corpus[10].instance
         fresh = LlsInstance(inst.d, inst.r, inst.ambient_dim, inst.maps,
                             inst.vanishing, inst.spaces)
         assert validate(fresh, ambient_laws=False).ok
-        assert not any(key[0] in ("vanishing_sum", "_defect") for key in fresh.table)
+        exactness(fresh)
+        records = self.node_records(fresh)
+        assert records
+        assert all(rec.triple is None and rec.cell is None for rec in records.values())
         codim_report(fresh)
-        assert {key[0] for key in fresh.table} >= {"vanishing_sum", "_defect"}
+        filled = self.node_records(fresh)
+        assert set(filled) == set(fresh.multidegrees)
+        assert all(filled[node] is rec for node, rec in records.items())
+        assert all(rec.triple is not None and rec.cell is not None for rec in filled.values())
         first = exactness(fresh).edges
         assert all(a is b for a, b in zip(first, exactness(fresh).edges))
         assert canonical_matrix(fresh, md(4, 0, 0), md(0, 0, 4)) is \
             canonical_matrix(fresh, md(4, 0, 0), md(0, 0, 4))
 
-
     def test_component_sets_are_shared_key_tuples(self):
-        """Every ``_vanishing`` key holds one of seven shared tuples, however
-        the components were asked for."""
+        """Every meet is keyed by one of seven shared tuples, however the
+        components were asked for."""
         inst = gen_simple(GenSpec(d=3, r=1, seed=2)).instance
-        codim_report(inst)
-        identity_suite(inst)
         first, last = inst.multidegrees[0], inst.multidegrees[-1]
         vanishing_in_v(inst, first, [3, 2])
         vanishing_in_v(inst, last, {2, 3})
-        keys = [key for key in inst.table if key[0] == "_vanishing"]
+        lls_core._pair_sum_dim(inst, inst.multidegrees[1], (1, 3))
+        codim_report(inst)
+        identity_suite(inst)
+        records = self.node_records(inst)
+        keys = [comps for rec in records.values() for comps in rec.meets]
         shared = {}
-        assert all(shared.setdefault(key[2], key[2]) is key[2] for key in keys)
-        assert len(shared) == 7
-        at_first, at_last = (next(key for key in keys if key[1:3] == (node, (2, 3)))
+        assert all(shared.setdefault(key, key) is key for key in keys)
+        assert set(shared) == {(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)}
+        at_first, at_last = (next(key for key in records[node].meets if key == (2, 3))
                              for node in (first, last))
-        assert at_first[2] is at_last[2]
+        assert at_first is at_last
         for bad in ((), (4,), (1, 4)):
             with pytest.raises(ValueError):
                 vanishing_in_v(inst, first, bad)
@@ -544,6 +577,18 @@ class TestSharedTable:
         for edge in edges:
             assert (lls_core.exactness_at(probe, edge).to_json()
                     == lls_core.exactness_at(fresh, edge).to_json())
+
+    def test_derived_instance_shares_unchanged_node_records(self, corpus):
+        parent = self.rebuilt(corpus[10].instance)  # d=4, r=2
+        codim_report(parent)
+        node = md(2, 1, 1)
+        replacement = parent.space(md(4, 0, 0))
+        derived = parent.derive({**parent.spaces, node: replacement})
+        codim_report(derived)
+        for other in parent.multidegrees:
+            record = lls_core._node(derived, other)
+            assert (record is lls_core._node(parent, other)) == (other != node)
+            assert record.space is derived.space(other)
 
     def test_derive_recomputes_only_entries_reading_the_changed_node(
             self, corpus, monkeypatch):
