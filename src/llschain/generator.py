@@ -8,7 +8,9 @@ previous node's next choice when a node has none left.  The exact search
 and break-exactness's biased redraw differ only in their choice rule.
 Random spaces inside a linking freedom come from one stream, ``_draws``.
 A freedom is pinned (one space, no preimage built), forced (every
-full-rank draw is its upper bound, so it is not spanned) or free.
+full-rank draw is its upper bound, so it is not spanned) or free.  The
+exact search keeps one analysis table from its first probe to its found
+instance, and the freedoms read their pushed images from it.
 
 All randomness flows through one ``random.Random`` seeded from the spec, so
 a given spec always produces the same instance (and byte-identical files).
@@ -22,13 +24,13 @@ import random
 from functools import partial
 from itertools import islice, takewhile
 from math import lcm
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import chain_model, lls_core, simple_basis
 from .chain_model import ChainCurve
 from .exactla import Matrix, Subspace, _eliminate, complement_in, image, image_in, kernel, preimage
 from .lattice import Edge, Multidegree, all_multidegrees, edge_between, other_components
-from .lls_core import LlsInstance, exactness, exactness_at, from_chain, validate
+from .lls_core import LlsInstance, exactness, exactness_at, from_chain, pushed_image, validate
 
 __all__ = [
     "GenSpec",
@@ -93,19 +95,19 @@ def _random_vector(rng: random.Random, length: int) -> tuple[int, ...]:
 
 
 def _linking_freedom(inst: LlsInstance, md: Multidegree,
-                     assigned: Mapping[Multidegree, Subspace],
                      ) -> tuple[Subspace, Subspace] | None:
-    """Bounds ``(lower, upper)`` on a space at ``md`` linked to its assigned
-    neighbours: it must contain the sum of their images and map into each
-    of them.  ``None`` when no ``r+1``-dimensional space fits between.  A
-    *pinned* freedom (``lower`` of dimension ``r+1``) is ``(lower, lower)``
-    once ``lower`` maps into each neighbour, and builds no preimage; else it
-    is *forced* when ``upper`` has dimension ``r+1`` and *free* when larger."""
-    maps, rp1 = inst.maps, inst.r + 1
+    """Bounds ``(lower, upper)`` on a space at ``md`` linked to the
+    neighbours with a space in ``inst``: it must contain the sum of their
+    tabled pushed images and map into each of them.  ``None`` when no
+    ``r+1``-dimensional space fits between.  A *pinned* freedom (``lower``
+    of dimension ``r+1``) is ``(lower, lower)`` once ``lower`` maps into each
+    neighbour, and builds no preimage; else it is *forced* when ``upper`` has
+    dimension ``r+1`` and *free* when larger."""
+    maps, rp1, assigned = inst.maps, inst.r + 1, inst.spaces
     neighbours = [n for _, n in md.neighbours() if n in assigned]
     lower = Subspace.zero(inst.ambient_dim[md])
     for n in neighbours:
-        lower = lower + assigned[n].apply(maps[(n, md)])
+        lower = lower + pushed_image(inst, edge_between(n, md))
     if lower.dim >= rp1:
         pinned = lower.dim == rp1 and all(
             image_in(lower.basis @ maps[(md, n)], assigned[n]) for n in neighbours)
@@ -145,7 +147,8 @@ def _draws(rng: random.Random, lower: Subspace, upper: Subspace,
 def _fill(inst: LlsInstance, choices: Callable[..., list[Subspace]], budget: int,
           ) -> tuple[dict[Multidegree, Subspace] | None, int]:
     """Assign every node of ``inst`` in grid order, each inside the linking
-    freedom of the nodes assigned before it.
+    freedom of the nodes assigned before it, read on a derive of ``inst``
+    with the assigned spaces, so the freedoms share ``inst``'s table.
 
     ``choices(md, lower, upper, assigned)`` lists a node's candidates in
     full when the walk reaches the node, so its draws happen in walk
@@ -160,7 +163,7 @@ def _fill(inst: LlsInstance, choices: Callable[..., list[Subspace]], budget: int
     expansions = 0
     while True:
         md = grid[len(untried)]
-        freedom = _linking_freedom(inst, md, assigned)
+        freedom = _linking_freedom(inst.derive(assigned), md)
         untried.append(iter(choices(md, *freedom, assigned) if freedom else ()))
         while (choice := next(untried[-1], None)) is None:
             assigned.pop(grid[len(untried) - 1], None)
@@ -268,9 +271,9 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
     the intersection of preimage constraints; up to ``MAX_CANDIDATES``
     distinct spaces are drawn inside that freedom, and a candidate is kept
     only if every edge into the assigned region is exact, so a completed
-    assignment is exact by construction (and its grid report checks that
-    again, and stays in the found instance's table for a caller).  Every
-    kept candidate tried counts as one expansion.
+    assignment is exact by construction.  The found instance derives from
+    the probes and keeps their table, where its grid report finds every
+    edge's exactness.  Every kept candidate tried counts as one expansion.
     The note records whether the found instance is distributive
     everywhere, flagging any exact-but-nondistributive find.
     """
@@ -279,9 +282,9 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
     rng = random.Random(spec.seed)
     chain = ChainCurve(spec.d)
     rp1 = spec.r + 1
-    # The probes derive from one instance, so they share one analysis
-    # table, dropped when the search returns.  The found instance is
-    # rebuilt below with a table of its own for its report.
+    # The freedoms, the probes and the found instance all derive from
+    # ``root``, so they share one analysis table, which the found instance
+    # keeps; a search that finds nothing drops it when it returns.
     root = from_chain(chain, spec.r, {})
 
     def candidates(md: Multidegree, lower: Subspace, upper: Subspace,
@@ -314,8 +317,7 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
                             f"NotFound(budget={spec.budget})")
     if assignment is None:
         return SearchResult(None, expansions, None, None, "NotFound(exhausted)")
-    instance = from_chain(chain, spec.r, assignment,
-                          provenance=spec.provenance(expansions=expansions))
+    instance = root.derive(assignment, provenance=spec.provenance(expansions=expansions))
     report = lls_core.codim_report(instance)
     if not report.exact:
         raise GenerationError("search postcondition failed: found instance is not exact")
@@ -387,25 +389,22 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
 
     # break-exactness, phase 1: perturb one node inside its linking freedom.
     for md in grid:
-        freedom = _linking_freedom(inst, md, inst.spaces)
+        freedom = _linking_freedom(inst, md)
         if freedom is None or freedom[0].dim == rp1:
             continue
         for candidate in islice(_draws(rng, *freedom, rp1), 200):
             if candidate.dim != rp1 or candidate == inst.space(md):
                 continue
             out = with_space(md, candidate)
-            if not validate(out, ambient_laws=False).ok:
-                continue
-            report = exactness(out)
-            failing = report.failing_edges()
-            if failing:
-                touched = [e for e in failing
-                           if e.source == md or e.target == md]
-                if touched and len(touched) == len(failing):
-                    first = touched[0]
-                    return DegradeResult(
-                        out, mode, first,
-                        f"replaced the space at {md.label} within its linking freedom")
+            failing = exactness(out).failing_edges()
+            touched = [e for e in failing if e.source == md or e.target == md]
+            # Validation reads every edge and most draws stay exact, so it
+            # comes last.
+            if (touched and len(touched) == len(failing)
+                    and validate(out, ambient_laws=False).ok):
+                return DegradeResult(
+                    out, mode, touched[0],
+                    f"replaced the space at {md.label} within its linking freedom")
 
     # Phase 2: some exact instances are rigid (every node pinned by its
     # neighbours), so redraw the whole assignment under the linking

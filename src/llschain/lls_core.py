@@ -14,7 +14,8 @@ pushed image and exactness record, a vertical edge its pushed-complement
 check, and the reports :func:`exactness` and :func:`codim_report` and the
 canonical-walk matrices are entries too (but for an instance over the
 chain backend, which reads walks from its chain's cache).  Each value is
-computed the first time a report reads it and kept.
+computed the first time a report reads it and kept.  The pushed image
+(:func:`pushed_image`) is the one push of a space along an edge.
 
 A key holds the filler's arguments and the chosen spaces the entry reads,
 every node's for a whole-series report and none for a walk matrix.
@@ -71,6 +72,7 @@ __all__ = [
     "vanishing_sum",
     "EdgeExactness",
     "ExactnessReport",
+    "pushed_image",
     "exactness_at",
     "exactness",
     "distributive_at",
@@ -242,7 +244,7 @@ def validate(inst: LlsInstance, ambient_laws: bool = True) -> ValidationReport:
             continue
         if src.ambient_dim != inst.ambient_dim[edge.source]:
             continue
-        pushed = _pushed(inst, edge)
+        pushed = pushed_image(inst, edge)
         if not pushed <= tgt:
             witness = next(row for row in pushed.basis.ints if row not in tgt)
             violations.append(Violation(
@@ -371,7 +373,7 @@ def edge_constraint(inst: LlsInstance, edge: Edge) -> Subspace:
 
 
 @_tabled(lambda edge: (edge.source,))
-def _pushed(inst: LlsInstance, edge: Edge) -> Subspace:
+def pushed_image(inst: LlsInstance, edge: Edge) -> Subspace:
     """Image of the source's chosen space along the edge."""
     return inst.space(edge.source).apply(inst.maps[(edge.source, edge.target)])
 
@@ -379,7 +381,7 @@ def _pushed(inst: LlsInstance, edge: Edge) -> Subspace:
 @_tabled(lambda edge: (edge.source, edge.target))
 def exactness_at(inst: LlsInstance, edge: Edge) -> EdgeExactness:
     """Image-versus-constraint comparison along one edge."""
-    pushed = _pushed(inst, edge)
+    pushed = pushed_image(inst, edge)
     constraint = edge_constraint(inst, edge)
     return EdgeExactness(edge, pushed, constraint, pushed == constraint)
 

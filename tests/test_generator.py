@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from llschain import lls_core
 from llschain.generator import (
     DEGRADE_MODES,
     GenerationError,
@@ -10,7 +11,7 @@ from llschain.generator import (
     gen_exact_search,
     gen_simple,
 )
-from llschain.lattice import Multidegree
+from llschain.lattice import Multidegree, directed_edges
 from llschain.lls_core import (
     codim_report,
     exactness,
@@ -152,6 +153,46 @@ class TestExactSearch:
             gen_exact_search(GenSpec(d=1, r=0, seed=1))
         with pytest.raises(ValueError):
             gen_simple(GenSpec(d=1, r=0, strategy="exact-search", seed=1))
+
+
+class TestSearchTable:
+    """One analysis table serves an exact search from its first probe to its
+    found instance, which keeps it."""
+
+    @pytest.fixture(scope="class")
+    def searches(self):
+        """Per search: its result, the directed edges whose exactness entry
+        the table held when the postcondition asked for the grid report, and
+        the report it got."""
+        real, calls, out = lls_core.codim_report, [], []
+
+        def postcondition(inst):
+            tabled = {e for e in directed_edges(inst.d)
+                      if ("exactness_at", e, inst.space(e.source), inst.space(e.target))
+                      in inst.table}
+            calls.append((tabled, real(inst)))
+            return calls[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lls_core, "codim_report", postcondition)
+            for d, r in ((4, 2), (5, 1)):
+                for seed in range(3):
+                    result = gen_exact_search(GenSpec(d=d, r=r, strategy="exact-search",
+                                                      seed=seed))
+                    [(tabled, report)] = calls
+                    out.append((result, tabled, report))
+                    calls.clear()
+        return out
+
+    def test_probes_tabled_every_edge_before_the_report(self, searches):
+        for result, tabled, _ in searches:
+            assert result.found
+            assert tabled == set(directed_edges(result.instance.d))
+
+    def test_found_instance_keeps_the_postcondition_report(self, searches):
+        for result, _, report in searches:
+            assert codim_report(result.instance) is report
+            assert report.exact and result.codim_sum == report.codim_sum
 
 
 @pytest.fixture(scope="module")

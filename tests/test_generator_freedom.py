@@ -1,7 +1,9 @@
 """Linking freedoms pay only for what can vary: a pinned node builds no
 preimage, and a forced draw with a full-rank coefficient block spans
 nothing.  Both shortcuts are compared here with the full computations they
-replace, which are kept in this file as references.
+replace, which are kept in this file as references.  A freedom's lower
+bound reads the neighbours' pushed images from the analysis table, where
+a probe's exactness check finds them without pushing again.
 """
 
 import random
@@ -20,6 +22,8 @@ from llschain.generator import (
     gen_exact_search,
     gen_simple,
 )
+from llschain.lattice import edge_between
+from llschain.lls_core import LlsInstance, exactness_at
 
 
 def spanning_draws(rng, lower, upper, rp1):
@@ -122,7 +126,7 @@ class TestPinnedShortcut:
                         if n in assigned:
                             lower = lower + assigned[n].apply(inst.maps[(n, md)])
                     rows.append((inst.r + 1, lower.dim,
-                                 _linking_freedom(inst, md, assigned),
+                                 _linking_freedom(inst.derive(assigned), md),
                                  preimage_bounds(inst, md, assigned)))
         return rows
 
@@ -151,3 +155,35 @@ class TestPinnedShortcut:
         refused = [fast for rp1, lower_dim, fast, full in outcomes
                    if lower_dim == rp1 and full is None]
         assert refused and all(fast is None for fast in refused)
+
+
+class TestFreedomReadsTheTable:
+    def test_freedom_and_exactness_check_share_one_push(self, monkeypatch):
+        """The freedom's lower bound tables each assigned neighbour's pushed
+        image, and a probe derived with a space at the node reads it back:
+        its check of that edge pushes nothing, while the reverse edge, not
+        yet tabled, pushes once."""
+        instances = [*_exact_finds(), *_degrade_inputs()]
+        pushes = []
+        real_apply = Subspace.apply
+        monkeypatch.setattr(Subspace, "apply",
+                            lambda space, matrix: pushes.append(1) or real_apply(space, matrix))
+        for found in instances:
+            # The same data with an empty table.
+            inst = LlsInstance(found.d, found.r, found.ambient_dim, found.maps,
+                               found.vanishing, {}, chain=found.chain)
+            grid = found.multidegrees
+            for k, md in enumerate(grid):
+                view = inst.derive({m: found.space(m) for m in grid[:k]})
+                _linking_freedom(view, md)
+                probe = view.derive({**view.spaces, md: found.space(md)})
+                for _, n in md.neighbours():
+                    if n not in view.spaces:
+                        continue
+                    edge = edge_between(n, md)
+                    assert ("pushed_image", edge, found.space(n)) in inst.table
+                    pushes.clear()
+                    exactness_at(probe, edge)
+                    assert not pushes
+                    exactness_at(probe, edge_between(md, n))
+                    assert len(pushes) == 1

@@ -33,7 +33,7 @@ from llschain.simple_basis import is_simple
 
 from conftest import one_node_instance, rational_matrix, rescaled
 from oracles import sympy_intersection, sympy_rowspace
-from test_golden import GOLDEN_INDICES
+from test_golden import GOLDEN_INDICES, strict_instances
 
 
 def md(i, j, l):
@@ -234,6 +234,45 @@ class TestDistributivityByDimension:
         assert cell.dim_pairwise == tuple(len(plus(v[b], v[c]))
                                           for b, c in ((1, 2), (1, 3), (2, 3)))
         assert cell.dim_triple == len(plus(v[1], v[2], v[3]))
+
+
+def _excess_and_defects(inst):
+    """``codim_sum - (r+1)`` and the sum of the node defects."""
+    report = codim_report(inst)
+    assert report.exact
+    return (report.codim_sum - (inst.r + 1),
+            sum(lls_core._defect(inst, node) for node in inst.multidegrees))
+
+
+class TestCodimExcessIdentity:
+    """``codim_sum - (r+1) == Σ_md defect(md)`` on exact series over the
+    chain backend.  This is evidence, not a derivation: the identity is
+    checked on the instances below, not proved.  Every generated series
+    here is distributive, so both sides are 0; the chain's non-distributive
+    exact series come only from a pinned search, which the generators do
+    not have yet.  The two hand-made strict fixtures are exact and not
+    distributive, but their ambient data is not a chain's, and the identity
+    fails on them, so it needs more than exactness."""
+
+    @pytest.mark.parametrize("generate, strategy", [(gen_simple, "from-sections"),
+                                                    (gen_exact_search, "exact-search")])
+    def test_holds_on_generated_exact_series(self, generate, strategy):
+        checked = 0
+        for d in range(6):
+            for r in range(min(d, 2) + 1):
+                for seed in range(4):
+                    inst = generate(GenSpec(d=d, r=r, strategy=strategy, seed=seed)).instance
+                    if inst is not None and exactness(inst).exact:
+                        excess, defects = _excess_and_defects(inst)
+                        assert excess == defects, (d, r, seed)
+                        checked += 1
+        assert checked == 60
+
+    def test_fails_on_the_hand_made_strict_fixtures(self):
+        # Both have one node of defect 1, but a codim sum below r+1.
+        found = {label: _excess_and_defects(inst)
+                 for label, inst in strict_instances().items()}
+        assert found == {"abstract-nondistributive": (-2, 1), "one-node-lines": (-2, 1)}
 
 
 class TestIdentityHypotheses:
@@ -623,7 +662,7 @@ class TestSharedTable:
         # meets, three pair meets and one triple meet.
         out_edges = [e for e in lls_core.directed_edges(parent.d) if e.source == node]
         assert calls == {"apply": len(out_edges), "and": 7}
-        assert sum(key[0] == "_pushed" for key in new_keys) == len(out_edges)
+        assert sum(key[0] == "pushed_image" for key in new_keys) == len(out_edges)
 
 
 class TestAmbientLawReuse:
