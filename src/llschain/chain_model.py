@@ -32,6 +32,7 @@ verdict, so a chain is its degree alone.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exactla import (
@@ -267,10 +268,11 @@ def verify_sheaf_laws(target: ChainCurve | SheafSkeleton | LlsInstance) -> LawRe
     every defined order composes to zero.  The degenerate pairs include
     each toward-Xq/from-Xq pair, whose orders are the two round trips
     across a node pair.  Per toward edge: the kernel equals vanishing
-    on the complementary two components; vanishing on each other single
+    on the complementary two components; and vanishing on each other single
     component is transported exactly (a section vanishes there if and only
-    if its image does); and the image vanishes on the twisted component.
-    Per from edge: the image vanishes on the two complementary components.
+    if its image does).  Per edge, toward and from: the image vanishes on
+    each component of the step's ``Direction.lands_in``, the twisted
+    component for toward-Xq and the two complementary ones for from-Xq.
     """
     skel = skeleton(target) if isinstance(target, ChainCurve) else target
     violations: list[Violation] = []
@@ -280,45 +282,35 @@ def verify_sheaf_laws(target: ChainCurve | SheafSkeleton | LlsInstance) -> LawRe
         violations.append(Violation(law, at, witness, message, where))
 
     grid = all_multidegrees(skel.d)
-    directions = list(Direction)
     for md in grid:
-        for a_idx in range(len(directions)):
-            for b_idx in range(a_idx + 1, len(directions)):
-                da, db = directions[a_idx], directions[b_idx]
-                end_i = md.i + da.delta[0] + db.delta[0]
-                end_j = md.j + da.delta[1] + db.delta[1]
-                end_l = md.l + da.delta[2] + db.delta[2]
-                if min(end_i, end_j, end_l) < 0:
-                    continue
-                end = Multidegree(end_i, end_j, end_l)
-                orders = []
-                for first, second in ((da, db), (db, da)):
-                    mid = md.step(first)
-                    if mid is not None and mid.step(second) == end:
-                        orders.append(skel.maps[(md, mid)] @ skel.maps[(mid, end)])
-                if not orders:
-                    continue
-                if classify_steps((da, db)) is PathClass.VALID_CANONICAL:
-                    if len(orders) == 2 and orders[0] != orders[1]:
-                        record("square-commutation", md, None,
-                               "the two step orders disagree", f" via {da.label}/{db.label}")
-                else:
-                    for product in orders:
-                        if not product.is_zero():
-                            record("degenerate-composition", md,
-                                   next(filter(any, product.ints), None),
-                                   "degenerate two-step pattern is not zero",
-                                   f" via {da.label}/{db.label}")
+        for da, db in combinations(Direction, 2):
+            # Both orders that stay in the lattice end at one node.
+            orders = [skel.maps[(md, mid)] @ skel.maps[(mid, end)]
+                      for first, second in ((da, db), (db, da))
+                      if (mid := md.step(first)) is not None
+                      and (end := mid.step(second)) is not None]
+            if not orders:
+                continue
+            if classify_steps((da, db)) is PathClass.VALID_CANONICAL:
+                if len(orders) == 2 and orders[0] != orders[1]:
+                    record("square-commutation", md, None,
+                           "the two step orders disagree", f" via {da.label}/{db.label}")
+            else:
+                for product in orders:
+                    if not product.is_zero():
+                        record("degenerate-composition", md,
+                               next(filter(any, product.ints), None),
+                               "degenerate two-step pattern is not zero",
+                               f" via {da.label}/{db.label}")
 
     for md in grid:
-        for q in (1, 2, 3):
-            toward = Direction[f"TOWARD_X{q}"]
+        for toward in (Direction.TOWARD_X1, Direction.TOWARD_X2, Direction.TOWARD_X3):
             target_md = md.step(toward)
             if target_md is None:
                 continue
             edge = Edge(md, target_md, toward)
             fwd = skel.maps[(md, target_md)]
-            complementary = other_components(q)
+            complementary = other_components(toward.component)
             expected_kernel = (skel.vanishing[md][complementary[0]]
                                & skel.vanishing[md][complementary[1]])
             actual_kernel = kernel(fwd)
@@ -332,13 +324,12 @@ def verify_sheaf_laws(target: ChainCurve | SheafSkeleton | LlsInstance) -> LawRe
                     record("vanishing-transport", edge, None,
                            "vanishing on an untwisted component is not transported exactly",
                            f" (X{p})")
-            if not image_in(fwd, skel.vanishing[target_md][q]):
-                record("image-containment", edge,
-                       None, "toward image does not vanish on the twisted component")
-            back = skel.maps[(target_md, md)]
-            for p in complementary:
-                if not image_in(back, skel.vanishing[md][p]):
-                    record("image-containment", Edge(target_md, md, toward.inverse),
-                           None, "from image does not vanish away from its component")
+            for step, message in ((edge, "toward image does not vanish on the twisted component"),
+                                  (Edge(target_md, md, toward.inverse),
+                                   "from image does not vanish away from its component")):
+                for p in step.direction.lands_in:
+                    if not image_in(skel.maps[(step.source, step.target)],
+                                    skel.vanishing[step.target][p]):
+                        record("image-containment", step, None, message)
 
     return LawReport(tuple(violations))

@@ -21,15 +21,15 @@ elimination keeps entry growth tame at this scale.
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import partial, reduce
 from itertools import islice, takewhile
-from math import lcm
+from operator import and_
 from typing import Callable, Iterator, NamedTuple
 
 from . import chain_model, lls_core, simple_basis
 from .chain_model import ChainCurve
-from .exactla import Matrix, Subspace, _eliminate, complement_in, image, image_in, kernel, preimage
-from .lattice import Edge, Multidegree, all_multidegrees, edge_between, other_components
+from .exactla import Matrix, Subspace, _common, _eliminate, complement_in, image, kernel, preimage
+from .lattice import Edge, Multidegree, all_multidegrees, edge_between
 from .lls_core import LlsInstance, exactness, exactness_at, from_chain, pushed_image, validate
 
 __all__ = [
@@ -101,16 +101,19 @@ def _linking_freedom(inst: LlsInstance, md: Multidegree,
     tabled pushed images and map into each of them.  ``None`` when no
     ``r+1``-dimensional space fits between.  A *pinned* freedom (``lower``
     of dimension ``r+1``) is ``(lower, lower)`` once ``lower`` maps into each
-    neighbour, and builds no preimage; else it is *forced* when ``upper`` has
-    dimension ``r+1`` and *free* when larger."""
+    neighbour, and builds no preimage; those pushes are tabled for a probe
+    with ``lower`` at ``md``, as an exactness check of that probe reads them.
+    Else the freedom is *forced* when ``upper`` has dimension ``r+1`` and
+    *free* when larger."""
     maps, rp1, assigned = inst.maps, inst.r + 1, inst.spaces
     neighbours = [n for _, n in md.neighbours() if n in assigned]
     lower = Subspace.zero(inst.ambient_dim[md])
     for n in neighbours:
         lower = lower + pushed_image(inst, edge_between(n, md))
     if lower.dim >= rp1:
+        probe = inst.derive({**assigned, md: lower})
         pinned = lower.dim == rp1 and all(
-            image_in(lower.basis @ maps[(md, n)], assigned[n]) for n in neighbours)
+            pushed_image(probe, edge_between(md, n)) <= assigned[n] for n in neighbours)
         return (lower, lower) if pinned else None
     upper = Subspace.full(inst.ambient_dim[md])
     for n in neighbours:
@@ -125,14 +128,12 @@ def _draws(rng: random.Random, lower: Subspace, upper: Subspace,
     """Endless seeded draws inside a linking freedom: each is the span of
     ``lower`` and ``rp1 - lower.dim`` random integer combinations,
     coefficients in ``[-ENTRY_BOUND, ENTRY_BOUND]``, of the rows completing
-    ``lower`` to ``upper``.  Those rows are ``complement_in``'s over their
-    least common denominator, which a span ignores, computed once.  In a
-    forced freedom a draw whose square coefficient block has full rank is
+    ``lower`` to ``upper``.  Those rows are ``complement_in``'s over one
+    denominator (``exactla._common``), which a span ignores, computed once.
+    In a forced freedom a draw whose square coefficient block has full rank is
     ``upper`` itself, so only singular blocks are spanned; every coefficient
     is still drawn, in order, so the seeded stream is the same."""
-    free = complement_in(lower, upper)
-    den = lcm(*free.dens)
-    rows = [[(den // d) * e for e in row] for row, d in zip(free.ints, free.dens)]
+    rows, _ = _common(complement_in(lower, upper))
     ambient, needed = lower.ambient_dim, rp1 - lower.dim
     while True:
         block = [[rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in rows] for _ in range(needed)]
@@ -423,13 +424,8 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
 
     for a in grid:
         for direction, b in a.neighbours():
-            q = direction.component
-            if direction.is_toward:
-                target_vanishing = inst.vanishing[b][q]
-            else:
-                p1, p2 = other_components(q)
-                target_vanishing = inst.vanishing[b][p1] & inst.vanishing[b][p2]
-            bias = {a: kernel(inst.maps[(a, b)]), b: target_vanishing}
+            bias = {a: kernel(inst.maps[(a, b)]),
+                    b: reduce(and_, (inst.vanishing[b][p] for p in direction.lands_in))}
             drawn, _ = _fill(inst, partial(biased, bias), len(grid))
             if drawn is None:
                 continue

@@ -78,6 +78,13 @@ class Direction(enum.Enum):
         return self.value[0].startswith("toward")
 
     @property
+    def lands_in(self) -> tuple[int, ...]:
+        """The components an image along this step vanishes on: ``(q,)``
+        for toward-Xq, the other two (:func:`other_components`) for from-Xq."""
+        q = self.component
+        return (q,) if self.is_toward else other_components(q)
+
+    @property
     def inverse(self) -> "Direction":
         return _INVERSE[self]
 

@@ -270,7 +270,9 @@ def vanishing_in_v(inst: LlsInstance, md: Multidegree,
 class _Node:
     """A node's table entry for one chosen space: the space, its ambient
     vanishing triple and, each filled when first read, the meets ``V_S`` by
-    shared ``_COMPONENT_SETS`` tuple, the triple sum and the grid cell."""
+    shared ``_COMPONENT_SETS`` tuple, the triple sum and the grid cell.
+    Every count at the node is a method on these parts: :meth:`pair_sum_dim`,
+    :meth:`meet_sum_dim` and :meth:`defect`."""
 
     __slots__ = ("space", "vanishing", "meets", "triple", "cell")
 
@@ -293,6 +295,15 @@ class _Node:
             self.triple = self.meet((1,)) + self.meet((2,)) + self.meet((3,))
         return self.triple
 
+    def pair_sum_dim(self, comps: tuple[int, int]) -> int:
+        """``dim(V_b + V_c) = dim V_b + dim V_c - dim V_bc`` for ``comps = (b, c)``."""
+        return self.meet(comps[:1]).dim + self.meet(comps[1:]).dim - self.meet(comps).dim
+
+    def meet_sum_dim(self, a: int) -> int:
+        """``dim(V_a ∩ V_b + V_a ∩ V_c)`` for ``b, c`` the other two components."""
+        return (sum(self.meet(p).dim for p in ((1, 2), (1, 3), (2, 3)) if a in p)
+                - self.meet((1, 2, 3)).dim)
+
     def defect(self) -> int:
         """``dim V_a ∩ (V_b + V_c) - dim(V_a ∩ V_b + V_a ∩ V_c)``, the same
         for every ``a`` (see :func:`distributive_at`)."""
@@ -305,31 +316,10 @@ def _node(inst: LlsInstance, md: Multidegree) -> _Node:
     return _Node(inst.space(md), inst.vanishing[md])
 
 
-def _dim(inst: LlsInstance, md: Multidegree, comps: tuple[int, ...]) -> int:
-    """``dim V_S`` for the components ``S``, a tuple in increasing order."""
-    return _node(inst, md).meet(comps).dim
-
-
 def vanishing_sum(inst: LlsInstance, md: Multidegree) -> Subspace:
     """``V_1 + V_2 + V_3``, the sum of the single-component vanishing
     subspaces of the chosen space."""
     return _node(inst, md).triple_sum()
-
-
-def _pair_sum_dim(inst: LlsInstance, md: Multidegree, comps: tuple[int, int]) -> int:
-    """``dim(V_b + V_c) = dim V_b + dim V_c - dim V_bc``."""
-    meet = _node(inst, md).meet
-    return meet(comps[:1]).dim + meet(comps[1:]).dim - meet(comps).dim
-
-
-def _meet(inst: LlsInstance, md: Multidegree, a: int) -> int:
-    """``dim(V_a ∩ V_b + V_a ∩ V_c)`` for ``b, c`` the other two components."""
-    meet = _node(inst, md).meet
-    return sum(meet(p).dim for p in ((1, 2), (1, 3), (2, 3)) if a in p) - meet((1, 2, 3)).dim
-
-
-def _defect(inst: LlsInstance, md: Multidegree) -> int:
-    return _node(inst, md).defect()
 
 
 class EdgeExactness(NamedTuple):
@@ -364,12 +354,9 @@ class ExactnessReport(NamedTuple):
 
 def edge_constraint(inst: LlsInstance, edge: Edge) -> Subspace:
     """The subspace an exact series must hit along this edge: the target's
-    vanish-on-Xq space for a toward-Xq step, vanish-on-both-others for a
-    from-Xq step."""
-    q = edge.direction.component
-    if edge.direction.is_toward:
-        return vanishing_in_v(inst, edge.target, (q,))
-    return vanishing_in_v(inst, edge.target, other_components(q))
+    sections vanishing on the step's ``Direction.lands_in`` components (Xq
+    for a toward-Xq step, both others for a from-Xq step)."""
+    return vanishing_in_v(inst, edge.target, edge.direction.lands_in)
 
 
 @_tabled(lambda edge: (edge.source,))
@@ -444,17 +431,7 @@ class GridReport(NamedTuple):
     equivalence_consistent: bool
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "r": self.r,
-            "cells": [c.to_json() for c in self.cells],
-            "codim_sum": self.codim_sum,
-            "exact": self.exact,
-            "all_distributive": self.all_distributive,
-            "simple_by_criterion": self.simple_by_criterion,
-            "inequality_holds": self.inequality_holds,
-            "equivalence_consistent": self.equivalence_consistent,
-        }
+        return {**self._asdict(), "cells": [c.to_json() for c in self.cells]}
 
 
 def _cell(inst: LlsInstance, md: Multidegree) -> GridCell:
@@ -519,8 +496,7 @@ class IdentityCheck(NamedTuple):
     detail: str
 
     def to_json(self) -> dict:
-        return {"identity": self.identity, "location": self.location,
-                "status": self.status, "detail": self.detail}
+        return self._asdict()
 
 
 class IdentitySuiteReport(NamedTuple):
@@ -539,8 +515,9 @@ class IdentitySuiteReport(NamedTuple):
 
 def _dim_gap(inst: LlsInstance, source: Multidegree, target: Multidegree,
              q: int) -> tuple[bool, str]:
-    lhs = inst.r + 1 - _pair_sum_dim(inst, source, other_components(q))
-    rhs = _dim(inst, target, (q,)) - _meet(inst, target, q)
+    node = _node(inst, target)
+    lhs = inst.r + 1 - _node(inst, source).pair_sum_dim(other_components(q))
+    rhs = node.meet((q,)).dim - node.meet_sum_dim(q)
     return lhs == rhs, f"{lhs} == {rhs}"
 
 
@@ -550,39 +527,40 @@ def _pushed_complement(inst: LlsInstance, down: Multidegree, md: Multidegree,
     """Whether a complement of vanish-on-X2 at ``down`` pushes along the
     vertical edge to an independent complement of vanish-on-X2 inside
     vanish-on-X2 + vanish-on-X3 at ``md``."""
-    vectors = complement_in(vanishing_in_v(inst, down, (2,)), inst.space(down))
+    below, node = _node(inst, down), _node(inst, md)
+    vectors = complement_in(below.meet((2,)), below.space)
     pushed = image(vectors).apply(inst.maps[(down, md)])
     # ``V_2 + pushed`` is direct when its dimension is the sum of the two,
     # and it is ``V_2 + V_3`` when it holds ``V_3`` and has that dimension.
-    v2_here = vanishing_in_v(inst, md, (2,))
-    both = v2_here + pushed
-    ok = (pushed.dim == vectors.rows and both.dim == v2_here.dim + pushed.dim
-          and vanishing_in_v(inst, md, (3,)) <= both
-          and both.dim == _pair_sum_dim(inst, md, (2, 3)))
+    both = node.meet((2,)) + pushed
+    ok = (pushed.dim == vectors.rows and both.dim == node.meet((2,)).dim + pushed.dim
+          and node.meet((3,)) <= both and both.dim == node.pair_sum_dim((2, 3)))
     return ok, f"{vectors.rows} complement vectors push to an independent complement"
 
 
 def _vanishing_dim_step(inst: LlsInstance, down: Multidegree, md: Multidegree,
                         q: int) -> tuple[bool, str]:
-    lhs = _dim(inst, down, (2,)) - _dim(inst, md, (2,))
-    rhs = inst.r + 1 - _pair_sum_dim(inst, md, (2, 3))
+    node = _node(inst, md)
+    lhs = _node(inst, down).meet((2,)).dim - node.meet((2,)).dim
+    rhs = inst.r + 1 - node.pair_sum_dim((2, 3))
     return lhs == rhs, f"{lhs} == {rhs}"
 
 
 def _quotient_splitting(inst: LlsInstance, source: Multidegree, target: Multidegree,
                         q: int) -> tuple[bool, str]:
-    others = other_components(q)
-    lhs = inst.r + 1 - _pair_sum_dim(inst, source, others)
-    part1 = vanishing_sum(inst, target).dim - _pair_sum_dim(inst, target, others)
-    defect = _defect(inst, target)
+    others, node = other_components(q), _node(inst, target)
+    lhs = inst.r + 1 - _node(inst, source).pair_sum_dim(others)
+    part1 = node.triple_sum().dim - node.pair_sum_dim(others)
+    defect = node.defect()
     return lhs == part1 + defect, f"{lhs} == {part1} + {defect}"
 
 
 def _distributivity_dim_test(inst: LlsInstance, source: Multidegree, target: Multidegree,
                              q: int) -> tuple[bool, str]:
-    others, distributive = other_components(q), distributive_at(inst, target)
-    gap_closed = (_pair_sum_dim(inst, source, others) - _pair_sum_dim(inst, target, others)
-                  == inst.r + 1 - vanishing_sum(inst, target).dim)
+    others, node = other_components(q), _node(inst, target)
+    distributive = node.defect() == 0
+    gap_closed = (_node(inst, source).pair_sum_dim(others) - node.pair_sum_dim(others)
+                  == inst.r + 1 - node.triple_sum().dim)
     return (distributive == gap_closed,
             f"distributive={distributive} gap_closed={gap_closed}")
 

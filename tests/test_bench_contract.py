@@ -63,8 +63,8 @@ def test_file_functions_are_traced_where_the_cli_calls_them(tracer, tmp_path):
 def test_reports_reach_every_traced_lls_core_name(tracer, tmp_path, d, r):
     # The reports read the analysis table through its helpers; one that
     # stopped passing through vanishing_in_v or distributive_at would read
-    # 0 calls in every benchmark run.  identity_suite, which also calls
-    # vanishing_in_v, runs after that is checked.
+    # 0 calls in every benchmark run.  identity_suite runs after that is
+    # checked.
     from llschain import lls_core, simple_basis
     from llschain.generator import GenSpec, gen_simple
 

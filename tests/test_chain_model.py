@@ -256,13 +256,19 @@ class TestLawSuite:
                        "vanishing-transport", "image-containment",
                        "degenerate-composition"}
 
+    # sha256 of the JSON list, over the 622 mutations below in order, of each
+    # law report's JSON and its violations' labels and witnesses.
+    MUTATION_REPORTS = "dff56fe8c3b0df185bf4375f3c44ea3dbf94897e054549d277e63b20a63e09ee"
+
     def test_single_entry_mutations(self):
         """Add 1 to each entry of each map in turn, d <= 3.  A mutation that
         breaks a round trip across a node pair is always reported.  The
         mutations the suite lets through rescale a map, or change one near
         the boundary that no commuting square pins; their count per degree
-        is fixed, so the suite catches exactly as much as before."""
-        missed = {}
+        is fixed, so the suite catches exactly as much as before.  Every
+        report is pinned too: its JSON, and each violation's label and
+        witness, in mutation order."""
+        missed, reports = {}, []
         for d in (1, 2, 3):
             skel = skeleton(ChainCurve(d))
             missed[d] = 0
@@ -277,7 +283,11 @@ class TestLawSuite:
                         if not ((mutated @ back).is_zero() and (back @ mutated).is_zero()):
                             assert not report.ok
                         missed[d] += report.ok
+                        reports.append([report.to_json(),
+                                        [[v.label, v.witness] for v in report.violations]])
         assert missed == {1: 2, 2: 10, 3: 24}
+        text = json.dumps(reports, sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.MUTATION_REPORTS
 
     def test_scaled_trivialisation_still_lawful(self):
         assert verify_sheaf_laws(rescaled(from_chain(ChainCurve(3), 0, {}), (2, 3, 5))).ok

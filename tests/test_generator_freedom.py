@@ -161,8 +161,9 @@ class TestFreedomReadsTheTable:
     def test_freedom_and_exactness_check_share_one_push(self, monkeypatch):
         """The freedom's lower bound tables each assigned neighbour's pushed
         image, and a probe derived with a space at the node reads it back:
-        its check of that edge pushes nothing, while the reverse edge, not
-        yet tabled, pushes once."""
+        its check of that edge pushes nothing.  The reverse edge pushes
+        nothing at a pinned node either, whose freedom tabled that push for
+        its one space, and once at any other node."""
         instances = [*_exact_finds(), *_degrade_inputs()]
         pushes = []
         real_apply = Subspace.apply
@@ -175,7 +176,7 @@ class TestFreedomReadsTheTable:
             grid = found.multidegrees
             for k, md in enumerate(grid):
                 view = inst.derive({m: found.space(m) for m in grid[:k]})
-                _linking_freedom(view, md)
+                pinned = _linking_freedom(view, md)[0].dim == found.r + 1
                 probe = view.derive({**view.spaces, md: found.space(md)})
                 for _, n in md.neighbours():
                     if n not in view.spaces:
@@ -186,4 +187,4 @@ class TestFreedomReadsTheTable:
                     exactness_at(probe, edge)
                     assert not pushes
                     exactness_at(probe, edge_between(md, n))
-                    assert len(pushes) == 1
+                    assert len(pushes) == (0 if pinned else 1)

@@ -2,8 +2,9 @@
 ``assert`` statement, every name a module exports in ``__all__`` exists,
 ``fractions`` imported only where rows meet ``Fraction`` values, no push
 through ``vec_matmul`` and no ``Fraction`` row view outside ``exactla``,
-no private ``lls_core`` name used outside it, and importing the package
-leaves the slow-to-load standard modules out."""
+no toward/from test of a step outside ``lattice``, no private
+``lls_core`` name used outside it, and importing the package leaves the
+slow-to-load standard modules out."""
 
 import ast
 import importlib
@@ -92,6 +93,13 @@ def test_rows_stay_stored(path):
     # ``exactla`` builds the ``Fraction`` view of a matrix or names its type.
     viewed = _names(path) & {"row_list", "entries", "Vector"}
     assert not viewed or path.name == "exactla.py", (path.name, viewed)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_landing_rule_stays_in_lattice(path):
+    # Where an image along a step lands is ``Direction.lands_in``; no other
+    # module tells toward steps from from steps for itself.
+    assert "is_toward" not in _names(path) or path.name == "lattice.py", path.name
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

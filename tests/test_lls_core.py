@@ -201,7 +201,7 @@ def three_subspaces(draw):
 class TestDistributivityByDimension:
     """On one node whose vanishing spaces are ``A, B, C`` and whose chosen
     space is the whole of Q^n, the node's counts match sympy: all three
-    permuted distributive laws, the defect, ``meet[a]`` and the sums."""
+    permuted distributive laws, the defect, ``meet_sum_dim(a)`` and the sums."""
 
     @settings(max_examples=150, deadline=None)
     @given(three_subspaces())
@@ -226,10 +226,10 @@ class TestDistributivityByDimension:
             meets = plus(meet(v[a], v[b]), meet(v[a], v[c]))
             verdicts.add(spread == meets)
             gaps.add(len(spread) - len(meets))
-            assert lls_core._meet(inst, node, a) == len(meets)
+            assert lls_core._node(inst, node).meet_sum_dim(a) == len(meets)
         assert len(verdicts) == len(gaps) == 1
         assert distributive_at(inst, node) == verdicts.pop()
-        assert lls_core._defect(inst, node) == gaps.pop()
+        assert lls_core._node(inst, node).defect() == gaps.pop()
         cell, = codim_report(inst).cells
         assert cell.dim_pairwise == tuple(len(plus(v[b], v[c]))
                                           for b, c in ((1, 2), (1, 3), (2, 3)))
@@ -241,7 +241,7 @@ def _excess_and_defects(inst):
     report = codim_report(inst)
     assert report.exact
     return (report.codim_sum - (inst.r + 1),
-            sum(lls_core._defect(inst, node) for node in inst.multidegrees))
+            sum(lls_core._node(inst, node).defect() for node in inst.multidegrees))
 
 
 class TestCodimExcessIdentity:
@@ -265,8 +265,28 @@ class TestCodimExcessIdentity:
                     if inst is not None and exactness(inst).exact:
                         excess, defects = _excess_and_defects(inst)
                         assert excess == defects, (d, r, seed)
+                        self.check_steps(inst)
                         checked += 1
         assert checked == 60
+
+    @staticmethod
+    def check_steps(inst):
+        """The identity in three steps, with ``P = r+1 - dim(V_2 + V_3)``:
+        (a) on each toward-X1 edge ``s -> t``, ``codim(t) - defect(t) =
+        P(t) - P(s)``, so each row telescopes; (b) at each ``j = 0`` node,
+        ``codim - defect = P``, so the row's start term cancels; (c) the
+        ``i = 0`` column adds up to ``Σ_l P(0, d-l, l) = r+1``."""
+        nodes = {md: lls_core._node(inst, md) for md in inst.multidegrees}
+        p = {md: inst.r + 1 - node.pair_sum_dim((2, 3)) for md, node in nodes.items()}
+        rest = {cell.multidegree: cell.codim - nodes[cell.multidegree].defect()
+                for cell in codim_report(inst).cells}
+        for md in inst.multidegrees:
+            target = md.step(Direction.TOWARD_X1)
+            if target is not None:
+                assert rest[target] == p[target] - p[md], ("a", md, target)
+            if md.j == 0:
+                assert rest[md] == p[md], ("b", md)
+        assert sum(p[Multidegree(0, inst.d - l, l)] for l in range(inst.d + 1)) == inst.r + 1
 
     def test_fails_on_the_hand_made_strict_fixtures(self):
         # Both have one node of defect 1, but a codim sum below r+1.
@@ -551,7 +571,7 @@ class TestAnalysisTable:
         first, last = inst.multidegrees[0], inst.multidegrees[-1]
         vanishing_in_v(inst, first, [3, 2])
         vanishing_in_v(inst, last, {2, 3})
-        lls_core._pair_sum_dim(inst, inst.multidegrees[1], (1, 3))
+        lls_core._node(inst, inst.multidegrees[1]).pair_sum_dim((1, 3))
         codim_report(inst)
         identity_suite(inst)
         records = self.node_records(inst)
