@@ -41,7 +41,8 @@ witnesses are stored rows too, and sections are pushed by ``@``.
 ``Subspace`` are slotted classes with no ``__dict__``: a matrix holds
 its shape, its ``ints`` and ``dens`` and, once asked, its hash, and
 nothing else derived; a subspace holds its ambient dimension, basis and
-pivot columns.
+pivot columns and, once asked, the residual steps ``_residuals`` reduces
+vectors with.
 
 An entry serializes as ``"p/q"``, or ``"p"`` when the denominator is one,
 with the sign carried by the numerator; this is exactly ``str(Fraction)``.
@@ -370,10 +371,11 @@ class Subspace:
     pivot column of each basis row.  The basis stores each row as its
     primitive integer multiple over the (positive) pivot entry."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_steps")
 
     def __init__(self, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]) -> None:
         self.ambient_dim, self.basis, self.pivots = ambient_dim, basis, pivots
+        self._steps = None  # ``_residuals``' steps, built on first use
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -413,12 +415,16 @@ class Subspace:
         """Residuals of integer vectors modulo this space, on its non-pivot
         columns (the pivot columns of a residual are zero), all scaled by
         the one factor ``L``, the lcm of the pivot entries, so the map
-        stays linear: ``L*v - sum_k v[p_k] * (L / lead_k) * ints[k]``."""
-        pivots, basis = self.pivots, self.basis
-        free = [j for j in range(self.ambient_dim) if j not in pivots]
-        scale = lcm(*basis.dens)
-        steps = [(p, [(scale // lead) * row[j] for j in free])
-                 for row, lead, p in zip(basis.ints, basis.dens, pivots)]
+        stays linear: ``L*v - sum_k v[p_k] * (L / lead_k) * ints[k]``.
+        The free columns, ``L`` and the scaled rows are kept on first use."""
+        if self._steps is None:
+            pivots, basis = self.pivots, self.basis
+            free = tuple(j for j in range(self.ambient_dim) if j not in pivots)
+            scale = lcm(*basis.dens)
+            self._steps = free, scale, tuple(
+                (p, tuple((scale // lead) * row[j] for j in free))
+                for row, lead, p in zip(basis.ints, basis.dens, pivots))
+        free, scale, steps = self._steps
         out = []
         for v in vectors:
             res = [scale * v[j] for j in free]

@@ -21,6 +21,7 @@ elimination keeps entry growth tame at this scale.
 from __future__ import annotations
 
 import random
+from collections import deque
 from functools import partial, reduce
 from itertools import islice, takewhile
 from operator import and_
@@ -123,20 +124,24 @@ def _linking_freedom(inst: LlsInstance, md: Multidegree,
     return lower, upper
 
 
+def _blocks(rng: random.Random, width: int, height: int) -> Iterator[list[list[int]]]:
+    """Endless seeded blocks of ``height`` ``_random_vector`` rows of length ``width``."""
+    while True:
+        yield [_random_vector(rng, width) for _ in range(height)]
+
+
 def _draws(rng: random.Random, lower: Subspace, upper: Subspace,
            rp1: int) -> Iterator[Subspace]:
     """Endless seeded draws inside a linking freedom: each is the span of
-    ``lower`` and ``rp1 - lower.dim`` random integer combinations,
-    coefficients in ``[-ENTRY_BOUND, ENTRY_BOUND]``, of the rows completing
-    ``lower`` to ``upper``.  Those rows are ``complement_in``'s over one
-    denominator (``exactla._common``), which a span ignores, computed once.
-    In a forced freedom a draw whose square coefficient block has full rank is
-    ``upper`` itself, so only singular blocks are spanned; every coefficient
-    is still drawn, in order, so the seeded stream is the same."""
+    ``lower`` and the combinations, by one ``_blocks`` block of coefficients,
+    of the rows completing ``lower`` to ``upper`` (``complement_in``'s over
+    one denominator, ``exactla._common``, computed once).  In a forced
+    freedom a draw whose square block has full rank is ``upper`` itself, so
+    only singular blocks are spanned.  A caller wanting only ``upper`` from a
+    forced freedom reads ``_blocks`` itself, drawing every block in order."""
     rows, _ = _common(complement_in(lower, upper))
     ambient, needed = lower.ambient_dim, rp1 - lower.dim
-    while True:
-        block = [[rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in rows] for _ in range(needed)]
+    for block in _blocks(rng, len(rows), needed):
         if len(rows) == needed and len(_eliminate([*block], needed)) == needed:
             yield upper
             continue
@@ -292,6 +297,12 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
                    assigned: dict) -> list[Subspace]:
         if lower.dim == rp1:
             trial = [lower]
+        elif upper.dim == rp1:
+            # Forced: ``upper`` is the one candidate, found by a full-rank block.
+            k = rp1 - lower.dim
+            blocks = islice(_blocks(rng, k, k), MAX_CANDIDATES * 6)
+            trial = [upper] if any(len(_eliminate(b, k)) == k for b in blocks) else []
+            deque(blocks, maxlen=0)
         else:
             distinct: dict[Matrix, Subspace] = {}
             for candidate in islice(_draws(rng, lower, upper, rp1), MAX_CANDIDATES * 6):
@@ -392,6 +403,11 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
     for md in grid:
         freedom = _linking_freedom(inst, md)
         if freedom is None or freedom[0].dim == rp1:
+            continue
+        if freedom[1].dim == rp1 and freedom[1] == inst.space(md):
+            # Forced to the node's own space: every draw would be skipped.
+            k = rp1 - freedom[0].dim
+            deque(islice(_blocks(rng, k, k), 200), maxlen=0)
             continue
         for candidate in islice(_draws(rng, *freedom, rp1), 200):
             if candidate.dim != rp1 or candidate == inst.space(md):

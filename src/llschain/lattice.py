@@ -51,8 +51,16 @@ __all__ = [
 ]
 
 
+def other_components(q: int) -> tuple[int, int]:
+    """The two components other than ``q``, in increasing order."""
+    return tuple(p for p in (1, 2, 3) if p != q)
+
+
 class Direction(enum.Enum):
-    """One grid step; the value carries (label, component, displacement)."""
+    """One grid step, valued ``(label, component, delta)``.  Each member keeps
+    its facts as plain attributes, set once: those three, ``is_toward``,
+    ``inverse`` and ``lands_in``, the components an image along the step
+    vanishes on: ``(q,)`` for toward-Xq, :func:`other_components` for from-Xq."""
 
     TOWARD_X1 = ("toward-X1", 1, (-1, 1, 0))
     TOWARD_X2 = ("toward-X2", 2, (1, -2, 1))
@@ -61,47 +69,25 @@ class Direction(enum.Enum):
     FROM_X2 = ("from-X2", 2, (-1, 2, -1))
     FROM_X3 = ("from-X3", 3, (0, -1, 1))
 
-    @property
-    def label(self) -> str:
-        return self.value[0]
+    # Members are singletons: an ``Edge`` key hashes without ``Enum.__hash__``.
+    __hash__ = object.__hash__
 
-    @property
-    def component(self) -> int:
-        return self.value[1]
-
-    @property
-    def delta(self) -> tuple[int, int, int]:
-        return self.value[2]
-
-    @property
-    def is_toward(self) -> bool:
-        return self.value[0].startswith("toward")
-
-    @property
-    def lands_in(self) -> tuple[int, ...]:
-        """The components an image along this step vanishes on: ``(q,)``
-        for toward-Xq, the other two (:func:`other_components`) for from-Xq."""
-        q = self.component
-        return (q,) if self.is_toward else other_components(q)
-
-    @property
-    def inverse(self) -> "Direction":
-        return _INVERSE[self]
+    def __init__(self, label: str, component: int, delta: tuple[int, int, int]) -> None:
+        self.label, self.component, self.delta = label, component, delta
+        self.is_toward = label.startswith("toward")
+        self.lands_in = (component,) if self.is_toward else other_components(component)
 
 
-_INVERSE = {
-    Direction.TOWARD_X1: Direction.FROM_X1,
-    Direction.FROM_X1: Direction.TOWARD_X1,
-    Direction.TOWARD_X2: Direction.FROM_X2,
-    Direction.FROM_X2: Direction.TOWARD_X2,
-    Direction.TOWARD_X3: Direction.FROM_X3,
-    Direction.FROM_X3: Direction.TOWARD_X3,
-}
+for _step in Direction:
+    _step.inverse = next(s for s in Direction if s.component == _step.component and s is not _step)
 
 
-def other_components(q: int) -> tuple[int, int]:
-    """The two components other than ``q``, in increasing order."""
-    return tuple(p for p in (1, 2, 3) if p != q)
+@lru_cache(maxsize=None)
+def _adjacent(md: "Multidegree") -> dict[Direction, "Multidegree"]:
+    """A node's neighbours by direction, in :class:`Direction` order; the
+    one dict per node is shared, so callers only read it."""
+    steps = ((d, Multidegree(*map(sum, zip(md, d.delta)))) for d in Direction)
+    return {d: node for d, node in steps if min(node) >= 0}
 
 
 class Multidegree(NamedTuple):
@@ -115,19 +101,10 @@ class Multidegree(NamedTuple):
 
     def step(self, direction: Direction) -> "Multidegree | None":
         """Neighbour in the given direction, or ``None`` outside the lattice."""
-        di, dj, dl = direction.delta
-        i, j, l = self.i + di, self.j + dj, self.l + dl
-        if i < 0 or j < 0 or l < 0:
-            return None
-        return Multidegree(i, j, l)
+        return _adjacent(self).get(direction)
 
     def neighbours(self) -> list[tuple[Direction, "Multidegree"]]:
-        out = []
-        for direction in Direction:
-            target = self.step(direction)
-            if target is not None:
-                out.append((direction, target))
-        return out
+        return list(_adjacent(self).items())
 
     def to_json(self) -> list[int]:
         return [self.i, self.j, self.l]
@@ -177,8 +154,8 @@ class Edge(NamedTuple):
 
 
 def edge_between(source: Multidegree, target: Multidegree) -> Edge:
-    for direction in Direction:
-        if source.step(direction) == target:
+    for direction, node in _adjacent(source).items():
+        if node == target:
             return Edge(source, target, direction)
     raise PathError(f"{source} and {target} are not adjacent")
 

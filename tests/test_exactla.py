@@ -228,7 +228,8 @@ class TestProduct:
     def test_operands_keep_no_derived_state(self):
         """Products and subspace operations leave each matrix holding its
         one stored form (integer rows and their denominators) and at most
-        its cached hash: nothing per row is kept, no ``Fraction`` copy."""
+        its cached hash: nothing per row is kept, no ``Fraction`` copy.  A
+        subspace holds its basis, pivots and at most its residual steps."""
         rng = random.Random(3)
         a, b = random_matrix(rng, 4, 5, bound=2), random_matrix(rng, 5, 5, bound=1)
         s = image(random_matrix(rng, 3, 5, bound=2))
@@ -241,6 +242,9 @@ class TestProduct:
         assert set(Matrix.__slots__) == {"rows", "cols", "ints", "dens", "_hash", "__weakref__"}
         for m in (a, b, s.basis, t.basis):
             assert not hasattr(m, "__dict__")
+        assert set(Subspace.__slots__) == {"ambient_dim", "basis", "pivots", "_steps"}
+        for space in (s, t):
+            assert not hasattr(space, "__dict__")
 
 
 class TestKernel:
@@ -564,3 +568,37 @@ class TestIntegerCore:
         for n in range(4):
             assert_canonical(Subspace.zero(n))
             assert_canonical(Subspace.full(n))
+
+
+class TestResidualSteps:
+    """A subspace keeps the steps ``_residuals`` reduces vectors with, built
+    on its first use: a space warmed by many calls answers every question
+    as a cold copy of it does, and its steps are built once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_warm_space_answers_as_a_cold_copy(self, data):
+        n, rows = data.draw(mixed_rows(max_rows=5))
+        warm = Subspace.span(rows, n)
+
+        def cold():
+            return Subspace(warm.ambient_dim, warm.basis, warm.pivots)
+
+        vectors = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+        assert warm._steps is None
+        warm._holds([data.draw(vectors)])
+        steps = warm._steps
+        free, scale, scaled = steps
+        assert type(free) is tuple and type(scaled) is tuple
+        assert all(type(row) is tuple for _, row in scaled) and scale > 0
+        for _ in range(data.draw(st.integers(2, 6))):
+            batch = data.draw(st.lists(vectors, max_size=4))
+            other = Subspace.span(data.draw(mixed_rows(cols=n))[1], n)
+            m = data.draw(mixed_matrices(cols=n))
+            assert warm._residuals(batch) == cold()._residuals(batch)
+            assert warm._holds(batch) == cold()._holds(batch)
+            assert (warm & other) == (cold() & other) and (other & warm) == (other & cold())
+            assert (other <= warm) == (other <= cold())
+            assert image_in(m, warm) == image_in(m, cold())
+            assert preimage(m, warm) == preimage(m, cold())
+        assert warm._steps is steps

@@ -7,11 +7,13 @@ a probe's exactness check finds them without pushing again.
 """
 
 import random
+import re
 from itertools import islice
 from math import lcm
 
 import pytest
 
+from llschain import generator
 from llschain.exactla import Subspace, complement_in, preimage
 from llschain.generator import (
     ENTRY_BOUND,
@@ -23,7 +25,7 @@ from llschain.generator import (
     gen_simple,
 )
 from llschain.lattice import edge_between
-from llschain.lls_core import LlsInstance, exactness_at
+from llschain.lls_core import LlsInstance, exactness_at, validate
 
 
 def spanning_draws(rng, lower, upper, rp1):
@@ -95,6 +97,57 @@ class TestDrawStream:
             # Singular blocks occur too, so both forced paths are compared.
             assert any(s.dim < rp1 for s in spanned)
             assert all(s is upper for s in drawn if s.dim == rp1)
+
+
+class TestForcedFreedoms:
+    """A forced freedom's one full-dimension draw is ``upper``, so a
+    caller that wants no other draws rank-checks its coefficient blocks
+    only until the first full-rank one, or none, and still draws every
+    block.  In the generator only these checks call ``_eliminate``."""
+
+    @pytest.fixture
+    def log(self, monkeypatch):
+        """The generator's block streams and rank checks, in call order:
+        ``F`` opens a square (forced) stream and ``f`` any other, and a
+        check reads ``+`` on a full-rank block and ``-`` on a singular one."""
+        events = []
+        real_blocks, real_eliminate = generator._blocks, generator._eliminate
+
+        def blocks(rng, width, height):
+            events.append("F" if width == height else "f")
+            return real_blocks(rng, width, height)
+
+        def eliminate(rows, width):
+            pivots = real_eliminate(rows, width)
+            events.append("+" if len(pivots) == width else "-")
+            return pivots
+        monkeypatch.setattr(generator, "_blocks", blocks)
+        monkeypatch.setattr(generator, "_eliminate", eliminate)
+        return events
+
+    @pytest.mark.parametrize("case", ["forced-1", "forced-2"])
+    def test_blocks_are_the_draw_stream(self, case):
+        lower_dim, upper_dim, rp1, count = TestDrawStream.CASES[case]
+        lower, upper = _freedom(lower_dim, upper_dim)
+        by_blocks, by_draws = random.Random(5), random.Random(5)
+        k = rp1 - lower_dim
+        list(islice(generator._blocks(by_blocks, k, k), count))
+        list(islice(_draws(by_draws, lower, upper, rp1), count))
+        assert by_blocks.getstate() == by_draws.getstate()
+
+    def test_search_checks_until_the_first_full_rank_block(self, log):
+        for d, r, seed in [(3, 1, 3), (4, 1, 4), (4, 2, 5), (5, 2, 3)]:
+            gen_exact_search(GenSpec(d=d, r=r, strategy="exact-search", seed=seed))
+        events = "".join(log)
+        assert re.fullmatch(r"(f|F-*\+?)*", events), events
+        assert "F+" in events and "-+" in events
+
+    def test_break_exactness_checks_no_forced_block(self, log):
+        for inst in _degrade_inputs():
+            if validate(inst, ambient_laws=False).ok:
+                degrade(inst, "break-exactness", seed=1)
+        events = "".join(log)
+        assert "F" in events and not {"+", "-"} & set(events), events
 
 
 def _exact_finds():

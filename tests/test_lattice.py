@@ -1,12 +1,17 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from llschain import lattice
 from llschain.lattice import (
     Direction,
+    Edge,
     Multidegree,
     PathClass,
     PathError,
     all_multidegrees,
+    directed_edges,
     edge_between,
     canonical_path,
     classify_steps,
@@ -79,6 +84,76 @@ class TestSteps:
         assert node.step(Direction.FROM_X3) == md(2, 0, 2)
         assert node.step(Direction.FROM_X2) == md(1, 3, 0)
         assert node.step(Direction.TOWARD_X2) is None  # j would go negative
+
+
+def docstring_displacements():
+    """The displacement table of the module docstring, by label: each
+    toward-Xq step as written there, and from-Xq as its opposite."""
+    table = {}
+    for label, delta in re.findall(r"(toward-X\d): \(([-+0-9, ]+)\)", lattice.__doc__):
+        delta = tuple(int(x) for x in delta.split(","))
+        table[label] = delta
+        table[label.replace("toward", "from")] = tuple(-x for x in delta)
+    return table
+
+
+class TestAdjacency:
+    """Steps, neighbours and edges agree with the docstring's table, which
+    this class recomputes them from without the library's step code."""
+
+    TABLE = docstring_displacements()
+
+    def test_table_names_every_direction(self):
+        assert len(self.TABLE) == 6
+        assert {d.label: d.delta for d in Direction} == self.TABLE
+
+    def test_direction_facts(self):
+        D = Direction
+        facts = {  # label, component, delta, is_toward, lands_in, inverse
+            D.TOWARD_X1: ("toward-X1", 1, (-1, 1, 0), True, (1,), D.FROM_X1),
+            D.TOWARD_X2: ("toward-X2", 2, (1, -2, 1), True, (2,), D.FROM_X2),
+            D.TOWARD_X3: ("toward-X3", 3, (0, 1, -1), True, (3,), D.FROM_X3),
+            D.FROM_X1: ("from-X1", 1, (1, -1, 0), False, (2, 3), D.TOWARD_X1),
+            D.FROM_X2: ("from-X2", 2, (-1, 2, -1), False, (1, 3), D.TOWARD_X2),
+            D.FROM_X3: ("from-X3", 3, (0, -1, 1), False, (1, 2), D.TOWARD_X3),
+        }
+        assert list(facts) == list(Direction)
+        for direction, expected in facts.items():
+            assert (direction.label, direction.component, direction.delta, direction.is_toward,
+                    direction.lands_in, direction.inverse) == expected
+            assert direction.value == expected[:3]
+            assert hash(direction) == object.__hash__(direction)
+
+    @pytest.mark.parametrize("d", range(0, 13))
+    def test_steps_and_edges_follow_the_table(self, d):
+        grid = all_multidegrees(d)
+        edges = []
+        for node in grid:
+            expected = []
+            for direction in Direction:
+                target = tuple(a + b for a, b in zip(node, self.TABLE[direction.label]))
+                if min(target) < 0:
+                    assert node.step(direction) is None
+                    continue
+                assert node.step(direction) == target
+                assert type(node.step(direction)) is Multidegree
+                expected.append((direction, Multidegree(*target)))
+            assert node.neighbours() == expected
+            targets = {target: direction for direction, target in expected}
+            for other in grid:
+                if other in targets:
+                    assert edge_between(node, other) == Edge(node, other, targets[other])
+                else:
+                    with pytest.raises(PathError):
+                        edge_between(node, other)
+            edges += [Edge(node, target, direction) for direction, target in expected]
+        assert directed_edges(d) == tuple(edges)
+
+    def test_non_adjacent_nodes_raise_every_time(self):
+        """The adjacency cache holds neighbours, never a failed lookup."""
+        for _ in range(2):
+            with pytest.raises(PathError, match="not adjacent"):
+                edge_between(md(2, 0, 0), md(0, 2, 0))
 
 
 class TestClassification:
