@@ -6,9 +6,9 @@ nodes in grid order, each inside the linking freedom that its assigned
 neighbours leave, from a per-node list of choices, and goes back to the
 previous node's next choice when a node has none left.  The exact search
 and break-exactness's biased redraw differ only in their choice rule.
-Random spaces inside a linking freedom come from one stream, ``_draws``.
-A freedom is pinned (one space, no preimage built), forced (every
-full-rank draw is its upper bound, so it is not spanned) or free.  The
+Random spaces inside a linking freedom come from one stream, ``_candidates``.
+A freedom is pinned (one space, no preimage built, nothing drawn), forced
+(its upper bound is the one candidate, no draw spanned) or free.  The
 exact search keeps one analysis table from its first probe to its found
 instance, and the freedoms read their pushed images from it.
 
@@ -130,24 +130,38 @@ def _blocks(rng: random.Random, width: int, height: int) -> Iterator[list[list[i
         yield [_random_vector(rng, width) for _ in range(height)]
 
 
-def _draws(rng: random.Random, lower: Subspace, upper: Subspace,
-           rp1: int) -> Iterator[Subspace]:
-    """Endless seeded draws inside a linking freedom: each is the span of
-    ``lower`` and the combinations, by one ``_blocks`` block of coefficients,
-    of the rows completing ``lower`` to ``upper`` (``complement_in``'s over
-    one denominator, ``exactla._common``, computed once).  In a forced
-    freedom a draw whose square block has full rank is ``upper`` itself, so
-    only singular blocks are spanned.  A caller wanting only ``upper`` from a
-    forced freedom reads ``_blocks`` itself, drawing every block in order."""
-    rows, _ = _common(complement_in(lower, upper))
-    ambient, needed = lower.ambient_dim, rp1 - lower.dim
-    for block in _blocks(rng, len(rows), needed):
-        if len(rows) == needed and len(_eliminate([*block], needed)) == needed:
+def _candidates(rng: random.Random, lower: Subspace, upper: Subspace, rp1: int,
+                draws: int, skip: Subspace | None = None) -> Iterator[Subspace]:
+    """The distinct ``r+1``-dimensional spaces other than ``skip`` among
+    ``draws`` seeded draws inside a linking freedom, in the order first
+    drawn.  A draw is the span of ``lower`` and the combinations, by one
+    ``_blocks`` block of coefficients, of the rows completing ``lower`` to
+    ``upper`` (``complement_in``'s over one denominator, ``exactla._common``).
+    A pinned freedom draws nothing and offers ``lower``.  In a forced one a
+    draw has full dimension exactly when its square block has full rank, and
+    is then ``upper``, so blocks are rank-checked only until the first
+    full-rank one, or not at all when ``upper`` is ``skip``; every block is
+    drawn either way."""
+    needed = rp1 - lower.dim
+    if needed == 0:
+        if lower != skip:
+            yield lower
+        return
+    if upper.dim == rp1:
+        blocks = islice(_blocks(rng, needed, needed), draws)
+        if upper != skip and any(len(_eliminate(b, needed)) == needed for b in blocks):
             yield upper
-            continue
+        deque(blocks, maxlen=0)
+        return
+    rows, _ = _common(complement_in(lower, upper))
+    ambient, seen = lower.ambient_dim, {skip}
+    for block in islice(_blocks(rng, len(rows), needed), draws):
         extra = [[sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(ambient)]
                  for coeffs in block]
-        yield Subspace.span([*lower.basis.ints, *extra], ambient)
+        candidate = Subspace.span([*lower.basis.ints, *extra], ambient)
+        if candidate.dim == rp1 and candidate not in seen:
+            seen.add(candidate)
+            yield candidate
 
 
 def _fill(inst: LlsInstance, choices: Callable[..., list[Subspace]], budget: int,
@@ -157,11 +171,11 @@ def _fill(inst: LlsInstance, choices: Callable[..., list[Subspace]], budget: int
     with the assigned spaces, so the freedoms share ``inst``'s table.
 
     ``choices(md, lower, upper, assigned)`` lists a node's candidates in
-    full when the walk reaches the node, so its draws happen in walk
-    order.  A node with no freedom or no untried choice left sends the walk
-    back to the previous node's next choice.  Returns the assignment, or
-    ``None`` once the first node runs out, and the number of choices tried;
-    trying more than ``budget`` raises ``GenerationError``.
+    full when the walk reaches the node, so its ``_candidates`` draws
+    happen in walk order.  A node with no freedom or no untried choice left
+    sends the walk back to the previous node's next choice.  Returns the
+    assignment, or ``None`` once the first node runs out, and the number of
+    choices tried; trying more than ``budget`` raises ``GenerationError``.
     """
     grid = inst.multidegrees
     assigned: dict[Multidegree, Subspace] = {}
@@ -274,13 +288,13 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
 
     ``_fill`` walks the nodes in grid order.  At each node the admissible
     spaces sit between the sum of images forced by assigned neighbours and
-    the intersection of preimage constraints; up to ``MAX_CANDIDATES``
-    distinct spaces are drawn inside that freedom, and a candidate is kept
-    only if every edge into the assigned region is exact, so a completed
-    assignment is exact by construction.  The found instance derives from
-    the probes and keeps their table, where its grid report finds every
-    edge's exactness.  Every kept candidate tried counts as one expansion.
-    The note records whether the found instance is distributive
+    the intersection of preimage constraints; ``_candidates`` draws up to
+    ``MAX_CANDIDATES`` distinct spaces inside that freedom, and a candidate
+    is kept only if every edge into the assigned region is exact, so a
+    completed assignment is exact by construction.  The found instance
+    derives from the probes and keeps their table, where its grid report
+    finds every edge's exactness.  Every kept candidate tried counts as one
+    expansion.  The note records whether the found instance is distributive
     everywhere, flagging any exact-but-nondistributive find.
     """
     if spec.strategy != "exact-search":
@@ -295,25 +309,10 @@ def gen_exact_search(spec: GenSpec) -> SearchResult:
 
     def candidates(md: Multidegree, lower: Subspace, upper: Subspace,
                    assigned: dict) -> list[Subspace]:
-        if lower.dim == rp1:
-            trial = [lower]
-        elif upper.dim == rp1:
-            # Forced: ``upper`` is the one candidate, found by a full-rank block.
-            k = rp1 - lower.dim
-            blocks = islice(_blocks(rng, k, k), MAX_CANDIDATES * 6)
-            trial = [upper] if any(len(_eliminate(b, k)) == k for b in blocks) else []
-            deque(blocks, maxlen=0)
-        else:
-            distinct: dict[Matrix, Subspace] = {}
-            for candidate in islice(_draws(rng, lower, upper, rp1), MAX_CANDIDATES * 6):
-                if candidate.dim == rp1:
-                    distinct.setdefault(candidate.basis, candidate)
-                    if len(distinct) == MAX_CANDIDATES:
-                        break
-            trial = list(distinct.values())
         neighbours = [n for _, n in md.neighbours() if n in assigned]
         found: list[Subspace] = []
-        for candidate in trial:
+        for candidate in islice(_candidates(rng, lower, upper, rp1, MAX_CANDIDATES * 6),
+                                MAX_CANDIDATES):
             probe = root.derive({**assigned, md: candidate})
             if all(exactness_at(probe, edge_between(md, n)).exact
                    and exactness_at(probe, edge_between(n, md)).exact
@@ -402,16 +401,9 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
     # break-exactness, phase 1: perturb one node inside its linking freedom.
     for md in grid:
         freedom = _linking_freedom(inst, md)
-        if freedom is None or freedom[0].dim == rp1:
+        if freedom is None:
             continue
-        if freedom[1].dim == rp1 and freedom[1] == inst.space(md):
-            # Forced to the node's own space: every draw would be skipped.
-            k = rp1 - freedom[0].dim
-            deque(islice(_blocks(rng, k, k), 200), maxlen=0)
-            continue
-        for candidate in islice(_draws(rng, *freedom, rp1), 200):
-            if candidate.dim != rp1 or candidate == inst.space(md):
-                continue
+        for candidate in _candidates(rng, *freedom, rp1, 200, inst.space(md)):
             out = with_space(md, candidate)
             failing = exactness(out).failing_edges()
             touched = [e for e in failing if e.source == md or e.target == md]

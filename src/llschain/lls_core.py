@@ -238,11 +238,10 @@ def validate(inst: LlsInstance, ambient_laws: bool = True) -> ValidationReport:
             violations.append(Violation(
                 "dimension", md, None, f"dim {space.dim} instead of r+1 = {expected}"))
     for edge in directed_edges(inst.d):
-        src = inst.spaces.get(edge.source)
-        tgt = inst.spaces.get(edge.target)
-        if src is None or tgt is None:
-            continue
-        if src.ambient_dim != inst.ambient_dim[edge.source]:
+        # A missing or wrong-ambient end already has its dimension violation.
+        src, tgt = inst.spaces.get(edge.source), inst.spaces.get(edge.target)
+        if (src is None or tgt is None or src.ambient_dim != inst.ambient_dim[edge.source]
+                or tgt.ambient_dim != inst.ambient_dim[edge.target]):
             continue
         pushed = pushed_image(inst, edge)
         if not pushed <= tgt:

@@ -1,9 +1,9 @@
 """Linking freedoms pay only for what can vary: a pinned node builds no
-preimage, and a forced draw with a full-rank coefficient block spans
-nothing.  Both shortcuts are compared here with the full computations they
-replace, which are kept in this file as references.  A freedom's lower
-bound reads the neighbours' pushed images from the analysis table, where
-a probe's exactness check finds them without pushing again.
+preimage and draws nothing, and a forced freedom spans no draw.  Both
+shortcuts are compared here with the full computations they replace, which
+are kept in this file as references.  A freedom's lower bound reads the
+neighbours' pushed images from the analysis table, where a probe's
+exactness check finds them without pushing again.
 """
 
 import random
@@ -18,7 +18,7 @@ from llschain.exactla import Subspace, complement_in, preimage
 from llschain.generator import (
     ENTRY_BOUND,
     GenSpec,
-    _draws,
+    _candidates,
     _linking_freedom,
     degrade,
     gen_exact_search,
@@ -78,6 +78,31 @@ def _freedom(lower_dim, upper_dim, ambient=6, seed=0):
             return lower, upper
 
 
+@pytest.fixture
+def log(monkeypatch):
+    """The generator's block streams and rank checks, in call order: ``F``
+    opens a square (forced) stream and ``f`` any other, and a check reads
+    ``+`` on a full-rank block and ``-`` on a singular one."""
+    events = []
+    real_blocks, real_eliminate = generator._blocks, generator._eliminate
+
+    def blocks(rng, width, height):
+        events.append("F" if width == height else "f")
+        return real_blocks(rng, width, height)
+
+    def eliminate(rows, width):
+        pivots = real_eliminate(rows, width)
+        events.append("+" if len(pivots) == width else "-")
+        return pivots
+    monkeypatch.setattr(generator, "_blocks", blocks)
+    monkeypatch.setattr(generator, "_eliminate", eliminate)
+    return events
+
+
+def _distinct_full(spaces, rp1):
+    return list(dict.fromkeys(s for s in spaces if s.dim == rp1))
+
+
 class TestDrawStream:
     # (lower dim, upper dim, r+1, draws): free, forced k = 1, forced k = 2.
     CASES = {"free": (1, 4, 2, 300), "forced-1": (1, 2, 2, 300),
@@ -88,9 +113,9 @@ class TestDrawStream:
         lower_dim, upper_dim, rp1, count = self.CASES[case]
         lower, upper = _freedom(lower_dim, upper_dim)
         fast, slow = random.Random(11), random.Random(11)
-        drawn = list(islice(_draws(fast, lower, upper, rp1), count))
+        drawn = list(_candidates(fast, lower, upper, rp1, count))
         spanned = list(islice(spanning_draws(slow, lower, upper, rp1), count))
-        assert drawn == spanned
+        assert drawn == _distinct_full(spanned, rp1)
         assert fast.getstate() == slow.getstate()
         assert any(s.dim == rp1 for s in spanned)
         if case != "free":
@@ -98,42 +123,52 @@ class TestDrawStream:
             assert any(s.dim < rp1 for s in spanned)
             assert all(s is upper for s in drawn if s.dim == rp1)
 
+    def test_pinned_draws_nothing(self):
+        lower, _ = _freedom(2, 4)
+        rng = random.Random(3)
+        state = rng.getstate()
+        assert list(_candidates(rng, lower, lower, 2, 48)) == [lower]
+        assert list(_candidates(rng, lower, lower, 2, 48, skip=lower)) == []
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("case", ["forced-1", "forced-2"])
+    def test_forced_skip_checks_no_block_and_draws_all(self, case, log):
+        lower_dim, upper_dim, rp1, count = self.CASES[case]
+        lower, upper = _freedom(lower_dim, upper_dim)
+        skipping, drawing = random.Random(5), random.Random(5)
+        assert list(_candidates(skipping, lower, upper, rp1, count, skip=upper)) == []
+        assert log == ["F"]
+        k = rp1 - lower_dim
+        list(islice(generator._blocks(drawing, k, k), count))
+        assert skipping.getstate() == drawing.getstate()
+
+    def test_free_never_yields_skip_or_a_repeat(self):
+        lower_dim, upper_dim, rp1, count = self.CASES["free"]
+        lower, upper = _freedom(lower_dim, upper_dim)
+        spanned = list(islice(spanning_draws(random.Random(7), lower, upper, rp1), count))
+        assert len(_distinct_full(spanned, rp1)) < sum(s.dim == rp1 for s in spanned)
+        for skip in _distinct_full(spanned, rp1)[:3]:
+            rng = random.Random(7)
+            drawn = list(_candidates(rng, lower, upper, rp1, count, skip=skip))
+            assert drawn == [s for s in _distinct_full(spanned, rp1) if s != skip]
+            assert len(set(drawn)) == len(drawn)
+
 
 class TestForcedFreedoms:
-    """A forced freedom's one full-dimension draw is ``upper``, so a
-    caller that wants no other draws rank-checks its coefficient blocks
-    only until the first full-rank one, or none, and still draws every
-    block.  In the generator only these checks call ``_eliminate``."""
-
-    @pytest.fixture
-    def log(self, monkeypatch):
-        """The generator's block streams and rank checks, in call order:
-        ``F`` opens a square (forced) stream and ``f`` any other, and a
-        check reads ``+`` on a full-rank block and ``-`` on a singular one."""
-        events = []
-        real_blocks, real_eliminate = generator._blocks, generator._eliminate
-
-        def blocks(rng, width, height):
-            events.append("F" if width == height else "f")
-            return real_blocks(rng, width, height)
-
-        def eliminate(rows, width):
-            pivots = real_eliminate(rows, width)
-            events.append("+" if len(pivots) == width else "-")
-            return pivots
-        monkeypatch.setattr(generator, "_blocks", blocks)
-        monkeypatch.setattr(generator, "_eliminate", eliminate)
-        return events
+    """A forced freedom's one full-dimension draw is ``upper``, so its
+    coefficient blocks are rank-checked only until the first full-rank one,
+    or not at all when ``upper`` is skipped, and every block is still
+    drawn.  In the generator only these checks call ``_eliminate``."""
 
     @pytest.mark.parametrize("case", ["forced-1", "forced-2"])
     def test_blocks_are_the_draw_stream(self, case):
         lower_dim, upper_dim, rp1, count = TestDrawStream.CASES[case]
         lower, upper = _freedom(lower_dim, upper_dim)
-        by_blocks, by_draws = random.Random(5), random.Random(5)
+        by_blocks, by_candidates = random.Random(5), random.Random(5)
         k = rp1 - lower_dim
         list(islice(generator._blocks(by_blocks, k, k), count))
-        list(islice(_draws(by_draws, lower, upper, rp1), count))
-        assert by_blocks.getstate() == by_draws.getstate()
+        list(_candidates(by_candidates, lower, upper, rp1, count))
+        assert by_blocks.getstate() == by_candidates.getstate()
 
     def test_search_checks_until_the_first_full_rank_block(self, log):
         for d, r, seed in [(3, 1, 3), (4, 1, 4), (4, 2, 5), (5, 2, 3)]:

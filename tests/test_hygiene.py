@@ -3,8 +3,8 @@
 ``fractions`` imported only where rows meet ``Fraction`` values, no push
 through ``vec_matmul`` and no ``Fraction`` row view outside ``exactla``,
 no toward/from test of a step outside ``lattice``, no private
-``lls_core`` name used outside it, and importing the package leaves the
-slow-to-load standard modules out."""
+``lls_core`` name used outside it, one candidate stream in ``generator``,
+and importing the package leaves the slow-to-load standard modules out."""
 
 import ast
 import importlib
@@ -113,6 +113,17 @@ def test_file_format_stays_in_lls_core(path):
              and isinstance(node.value, ast.Name) and node.value.id == "lls_core"}
     private = sorted(n for n in used if n.startswith("_") and not n.startswith("__"))
     assert not private or path.name == "lls_core.py", (path.name, private)
+
+
+def test_one_candidate_stream_in_the_generator():
+    # Every seeded space inside a linking freedom comes from ``_candidates``,
+    # so only it reads coefficient blocks or rank-checks them.
+    path = Path(llschain.__file__).parent / "generator.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    readers = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+               for node in ast.walk(top)
+               if isinstance(node, ast.Name) and node.id in {"_blocks", "_eliminate"}}
+    assert readers == {"_candidates"}, readers
 
 
 def test_import_skips_slow_stdlib_modules():

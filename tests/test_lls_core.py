@@ -110,6 +110,14 @@ class TestValidationNegatives:
                    for loc in locations)
         assert all(v.witness is not None for v in linking)
 
+    def test_wrong_ambient_target_is_reported_not_raised(self, worked_instance):
+        """An edge into a space of the wrong ambient is skipped, as one out
+        of such a space is: the node's dimension violation names it."""
+        inst, node = worked_instance, md(0, 1, 0)
+        wrong = Subspace.full(inst.ambient_dim[node] + 1)
+        report = validate(inst.derive({**inst.spaces, node: wrong}), ambient_laws=False)
+        assert [(v.kind, v.at) for v in report.violations] == [("dimension", node)]
+
     def test_degree_zero_instance(self):
         chain = ChainCurve(0)
         node = md(0, 0, 0)
