@@ -24,11 +24,12 @@ already that form: ``D * row / lead`` is integral exactly when ``lead``
 divides ``D`` times the row's content, which is 1.
 
 Every operation (``@``, ``vec_matmul``, ``is_zero``, ``to_strings``,
-``Subspace.span``, ``+``, ``&``, ``apply``, ``<=``, ``in``, ``kernel``,
-``image``, ``image_in``, ``preimage``, ``complement_in``) reads these rows
-as they are stored; residuals, products and relation rows are ``int``.  A
-relation (kernel) computation eliminates ``[ints_k | den_k·e_k]`` once, so
-the transform carries each row's own denominator.  ``Fraction`` values
+``Subspace.span``, ``Subspace.sum`` and its two-space case ``+``, ``&``,
+``apply``, ``<=``, ``in``, ``kernel``, ``image``, ``image_in``,
+``preimage``, ``complement_in``) reads these rows as they are stored;
+residuals, products and relation rows are ``int``.  A relation (kernel)
+computation eliminates ``[ints_k | den_k·e_k]`` once, so the transform
+carries each row's own denominator.  ``Fraction`` values
 appear only at the edge: ``parse_rational`` reads text into them; the
 readers ``Subspace.span`` and ``in`` (and ``vec_matmul`` and the
 ``preferred`` rows of ``complement_in``) take ``Fraction`` or ``int``
@@ -40,9 +41,9 @@ witnesses are stored rows too, and sections are pushed by ``@``.
 ``complement_in`` returns a stored-form matrix.  ``Matrix`` and
 ``Subspace`` are slotted classes with no ``__dict__``: a matrix holds
 its shape, its ``ints`` and ``dens`` and, once asked, its hash, and
-nothing else derived; a subspace holds its ambient dimension, basis and
-pivot columns and, once asked, the residual steps ``_residuals`` reduces
-vectors with.
+nothing else derived; a subspace holds its ambient dimension, basis,
+pivot columns, ``dim`` and, once asked, the residual steps ``_residuals``
+reduces vectors with: its basis rows that are nonzero on a free column.
 
 An entry serializes as ``"p/q"``, or ``"p"`` when the denominator is one,
 with the sign carried by the numerator; this is exactly ``str(Fraction)``.
@@ -285,7 +286,8 @@ def _eliminate(rows: list[Sequence[int]], width: int) -> list[int]:
                 continue
             g = gcd(lead, factor)
             a, b = lead // g, factor // g
-            row = [a * e - b * p for e, p in zip(row, prow)]
+            row = ([e - b * p for e, p in zip(row, prow)] if a == 1
+                   else [a * e - b * p for e, p in zip(row, prow)])
             content = gcd(*row)
             if content > 1:
                 row = [e // content for e in row]
@@ -371,11 +373,11 @@ class Subspace:
     pivot column of each basis row.  The basis stores each row as its
     primitive integer multiple over the (positive) pivot entry."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_steps")
+    __slots__ = ("ambient_dim", "basis", "pivots", "dim", "_steps")
 
     def __init__(self, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]) -> None:
         self.ambient_dim, self.basis, self.pivots = ambient_dim, basis, pivots
-        self._steps = None  # ``_residuals``' steps, built on first use
+        self.dim, self._steps = basis.rows, None  # ``_residuals``' steps, built on first use
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -383,7 +385,7 @@ class Subspace:
         return self.ambient_dim == other.ambient_dim and self.basis == other.basis
 
     def __hash__(self) -> int:
-        return hash(self.basis)
+        return getattr(self.basis, "_hash", None) or hash(self.basis)  # one frame when cached
 
     def __repr__(self) -> str:
         return f"Subspace(ambient_dim={self.ambient_dim}, basis={self.basis!r})"
@@ -399,6 +401,16 @@ class Subspace:
         return _subspace(rows, ambient_dim)
 
     @staticmethod
+    def sum(spaces: Iterable["Subspace"], ambient_dim: int) -> "Subspace":
+        """The span of the spaces' stacked basis rows, from one elimination."""
+        rows = []
+        for space in spaces:
+            if space.ambient_dim != ambient_dim:
+                raise LinearAlgebraError(f"ambient mismatch: {space.ambient_dim} vs {ambient_dim}")
+            rows += space.basis.ints
+        return _subspace(rows, ambient_dim)
+
+    @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
         return _subspace([], ambient_dim)
 
@@ -407,27 +419,24 @@ class Subspace:
         return _subspace([[int(j == k) for j in range(ambient_dim)] for k in range(ambient_dim)],
                          ambient_dim)
 
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
     def _residuals(self, vectors: Iterable[Sequence[int]]) -> list[list[int]]:
         """Residuals of integer vectors modulo this space, on its non-pivot
         columns (the pivot columns of a residual are zero), all scaled by
         the one factor ``L``, the lcm of the pivot entries, so the map
         stays linear: ``L*v - sum_k v[p_k] * (L / lead_k) * ints[k]``.
-        The free columns, ``L`` and the scaled rows are kept on first use."""
+        The free columns, ``L`` and the scaled rows nonzero on a free
+        column are kept on first use."""
         if self._steps is None:
             pivots, basis = self.pivots, self.basis
             free = tuple(j for j in range(self.ambient_dim) if j not in pivots)
             scale = lcm(*basis.dens)
-            self._steps = free, scale, tuple(
-                (p, tuple((scale // lead) * row[j] for j in free))
-                for row, lead, p in zip(basis.ints, basis.dens, pivots))
+            steps = ((p, tuple((scale // lead) * row[j] for j in free))
+                     for row, lead, p in zip(basis.ints, basis.dens, pivots))
+            self._steps = free, scale, tuple(step for step in steps if any(step[1]))
         free, scale, steps = self._steps
         out = []
         for v in vectors:
-            res = [scale * v[j] for j in free]
+            res = [v[j] for j in free] if scale == 1 else [scale * v[j] for j in free]
             for p, step in steps:
                 c = v[p]
                 if c:
@@ -445,8 +454,7 @@ class Subspace:
         return self._holds([_integer_row(vector)[0]])
 
     def __add__(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return _subspace([*self.basis.ints, *other.basis.ints], self.ambient_dim)
+        return Subspace.sum((self, other), self.ambient_dim)
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Intersection through a residual kernel of the smaller space.

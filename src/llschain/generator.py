@@ -99,18 +99,17 @@ def _linking_freedom(inst: LlsInstance, md: Multidegree,
                      ) -> tuple[Subspace, Subspace] | None:
     """Bounds ``(lower, upper)`` on a space at ``md`` linked to the
     neighbours with a space in ``inst``: it must contain the sum of their
-    tabled pushed images and map into each of them.  ``None`` when no
-    ``r+1``-dimensional space fits between.  A *pinned* freedom (``lower``
-    of dimension ``r+1``) is ``(lower, lower)`` once ``lower`` maps into each
-    neighbour, and builds no preimage; those pushes are tabled for a probe
-    with ``lower`` at ``md``, as an exactness check of that probe reads them.
-    Else the freedom is *forced* when ``upper`` has dimension ``r+1`` and
-    *free* when larger."""
+    tabled pushed images (one ``Subspace.sum``) and map into each of them.
+    ``None`` when no ``r+1``-dimensional space fits between.  A *pinned*
+    freedom (``lower`` of dimension ``r+1``) is ``(lower, lower)`` once
+    ``lower`` maps into each neighbour, and builds no preimage; those
+    pushes are tabled for a probe with ``lower`` at ``md``, as an
+    exactness check of that probe reads them.  Else the freedom is
+    *forced* when ``upper`` has dimension ``r+1`` and *free* when larger."""
     maps, rp1, assigned = inst.maps, inst.r + 1, inst.spaces
     neighbours = [n for _, n in md.neighbours() if n in assigned]
-    lower = Subspace.zero(inst.ambient_dim[md])
-    for n in neighbours:
-        lower = lower + pushed_image(inst, edge_between(n, md))
+    lower = Subspace.sum([pushed_image(inst, edge_between(n, md)) for n in neighbours],
+                         inst.ambient_dim[md])
     if lower.dim >= rp1:
         probe = inst.derive({**assigned, md: lower})
         pinned = lower.dim == rp1 and all(
@@ -358,7 +357,8 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
       its neighbours so validation still passes but some adjacent edge
       stops being exact; when the instance is rigid (every node pinned by
       its neighbours), fall back to redrawing the whole assignment under
-      the linking constraints until exactness breaks.
+      the linking constraints until exactness breaks.  It raises
+      ``ValueError`` on an instance that fails ``validate``.
     """
     if mode not in DEGRADE_MODES:
         raise ValueError(f"unknown degrade mode {mode!r}")
@@ -398,6 +398,10 @@ def degrade(inst: LlsInstance, mode: str, seed: int = 0) -> DegradeResult:
                                          f"replaced the space at {md.label}")
         raise GenerationError("break-linking found no perturbation")
 
+    violations = validate(inst, ambient_laws=False).violations
+    if violations:
+        raise ValueError(f"break-exactness needs a valid instance: {violations[0].kind} "
+                         f"violation at {violations[0].label}")
     # break-exactness, phase 1: perturb one node inside its linking freedom.
     for md in grid:
         freedom = _linking_freedom(inst, md)

@@ -269,9 +269,9 @@ def vanishing_in_v(inst: LlsInstance, md: Multidegree,
 class _Node:
     """A node's table entry for one chosen space: the space, its ambient
     vanishing triple and, each filled when first read, the meets ``V_S`` by
-    shared ``_COMPONENT_SETS`` tuple, the triple sum and the grid cell.
-    Every count at the node is a method on these parts: :meth:`pair_sum_dim`,
-    :meth:`meet_sum_dim` and :meth:`defect`."""
+    shared ``_COMPONENT_SETS`` tuple, the triple sum (one ``Subspace.sum``)
+    and the grid cell.  Every count at the node is a method on these parts:
+    :meth:`pair_sum_dim`, :meth:`meet_sum_dim` and :meth:`defect`."""
 
     __slots__ = ("space", "vanishing", "meets", "triple", "cell")
 
@@ -291,7 +291,7 @@ class _Node:
 
     def triple_sum(self) -> Subspace:
         if self.triple is None:
-            self.triple = self.meet((1,)) + self.meet((2,)) + self.meet((3,))
+            self.triple = Subspace.sum(map(self.meet, ((1,), (2,), (3,))), self.space.ambient_dim)
         return self.triple
 
     def pair_sum_dim(self, comps: tuple[int, int]) -> int:

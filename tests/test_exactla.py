@@ -229,7 +229,8 @@ class TestProduct:
         """Products and subspace operations leave each matrix holding its
         one stored form (integer rows and their denominators) and at most
         its cached hash: nothing per row is kept, no ``Fraction`` copy.  A
-        subspace holds its basis, pivots and at most its residual steps."""
+        subspace holds its basis, pivots, dimension and at most its residual
+        steps."""
         rng = random.Random(3)
         a, b = random_matrix(rng, 4, 5, bound=2), random_matrix(rng, 5, 5, bound=1)
         s = image(random_matrix(rng, 3, 5, bound=2))
@@ -242,9 +243,9 @@ class TestProduct:
         assert set(Matrix.__slots__) == {"rows", "cols", "ints", "dens", "_hash", "__weakref__"}
         for m in (a, b, s.basis, t.basis):
             assert not hasattr(m, "__dict__")
-        assert set(Subspace.__slots__) == {"ambient_dim", "basis", "pivots", "_steps"}
+        assert set(Subspace.__slots__) == {"ambient_dim", "basis", "pivots", "dim", "_steps"}
         for space in (s, t):
-            assert not hasattr(space, "__dict__")
+            assert not hasattr(space, "__dict__") and space.dim == space.basis.rows
 
 
 class TestKernel:
@@ -602,3 +603,125 @@ class TestResidualSteps:
             assert image_in(m, warm) == image_in(m, cold())
             assert preimage(m, warm) == preimage(m, cold())
         assert warm._steps is steps
+
+
+def unit(n, axis):
+    return tuple(Fraction(int(j == axis)) for j in range(n))
+
+
+@st.composite
+def summands(draw, n):
+    """``(rows, space)`` for one space of Q^n: the zero space, the full
+    space, a coordinate subspace, or the span of mixed rows, whose stored
+    pivot entries are often not 1."""
+    kind = draw(st.sampled_from(["zero", "full", "coordinate", "mixed"]))
+    if kind == "zero":
+        return [], Subspace.zero(n)
+    if kind == "full":
+        return [unit(n, a) for a in range(n)], Subspace.full(n)
+    if kind == "coordinate":
+        rows = [unit(n, a) for a in sorted(draw(st.sets(st.integers(0, n - 1))))]
+    else:
+        rows = draw(mixed_rows(cols=n))[1]
+    return rows, Subspace.span(rows, n)
+
+
+class TestStackedSum:
+    """``Subspace.sum`` spans several spaces from one elimination of their
+    stacked basis rows: it equals chained ``+`` and the sympy RREF of the
+    stacked rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_equals_chained_sum_and_stacked_rref(self, data):
+        n = data.draw(st.integers(1, 5))
+        drawn = data.draw(st.lists(summands(n), max_size=4))
+        spaces = [space for _, space in drawn]
+        stacked = assert_canonical(Subspace.sum(spaces, n))
+        chained = Subspace.zero(n)
+        for space in spaces:
+            chained = chained + space
+        assert stacked == chained
+        rows = [row for rows, _ in drawn for row in rows]
+        assert stacked.basis.row_list() == sympy_rowspace(rows, n)
+        assert stacked.dim == bareiss_rank(rows)
+
+    def test_non_unit_pivot_entries(self):
+        half, third, fifth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
+        a_rows = [(half, third, 0, 0)]
+        b_rows = [(0, 2 * fifth, 1, 0), (third, 0, 0, half)]
+        a, b = Subspace.span(a_rows, 4), Subspace.span(b_rows, 4)
+        assert a.basis.dens == (3,) and max(b.basis.dens) > 1
+        stacked = assert_canonical(Subspace.sum([a, b], 4))
+        assert stacked == a + b
+        assert stacked.basis.row_list() == sympy_rowspace(a_rows + b_rows, 4)
+        assert max(stacked.basis.dens) > 1
+
+    def test_no_spaces_is_the_zero_space(self):
+        assert Subspace.sum([], 3) == Subspace.zero(3)
+        assert Subspace.sum(iter([Subspace.full(2)]), 2) == Subspace.full(2)
+
+    def test_ambient_mismatch_raises(self):
+        with pytest.raises(LinearAlgebraError):
+            Subspace.sum([Subspace.zero(2), Subspace.full(3)], 2)
+        with pytest.raises(LinearAlgebraError):
+            Subspace.full(2) + Subspace.full(3)
+
+
+@st.composite
+def pivot_only_spaces(draw):
+    """``(n, rows)`` for a space of Q^n holding coordinate vectors, so those
+    of its basis rows are zero on every free column, beside some mixed rows,
+    sparse rows (zero on some free columns but not all) or none (a
+    coordinate subspace)."""
+    n = draw(st.integers(1, 6))
+    axes = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    extra = draw(mixed_rows(max_rows=2, cols=n))[1]
+    sparse = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 3)]),
+                      min_size=n, max_size=n)
+    extra += [tuple(map(Fraction, row)) for row in draw(st.lists(sparse, max_size=2))]
+    return n, [unit(n, a) for a in axes] + extra
+
+
+class TestTrimmedResidualSteps:
+    """Residual steps keep only the basis rows that are nonzero on a free
+    column; on spaces with coordinate vectors in them, where rows are
+    dropped, every question read off the residuals agrees with the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_agree_with_the_oracle(self, data):
+        n, rows = data.draw(pivot_only_spaces())
+        space = Subspace.span(rows, n)
+        rank = bareiss_rank(rows)
+        coeffs = st.lists(st.integers(-3, 3), min_size=space.dim, max_size=space.dim)
+        noise = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+        vectors = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            inside = [sum(c * row[j] for c, row in zip(data.draw(coeffs), space.basis.ints))
+                      for j in range(n)]
+            vectors.append([x + e for x, e in zip(inside, data.draw(noise))])
+            assert space._holds([vectors[-1]]) == (bareiss_rank(rows + [vectors[-1]]) == rank)
+        assert space._holds(vectors) == (bareiss_rank(rows + vectors) == rank)
+
+        free, scale, steps = space._steps
+        kept = [p for p, row in zip(space.pivots, space.basis.ints)
+                if any(row[j] for j in free)]
+        assert [p for p, _ in steps] == kept and all(any(step) for _, step in steps)
+        assert len(kept) < space.dim
+
+        other_rows = data.draw(mixed_rows(cols=n))[1]
+        other = Subspace.span(other_rows, n)
+        assert (other <= space) == (bareiss_rank(rows + other_rows) == rank)
+        assert (space <= other) == (bareiss_rank(rows + other_rows) == bareiss_rank(other_rows))
+        meet = sympy_intersection(rows, other_rows, n)
+        assert (space & other).basis.row_list() == meet
+        assert (other & space).basis.row_list() == meet
+        m = data.draw(mixed_matrices(cols=n))
+        assert preimage(m, space).basis.row_list() == sympy_preimage(
+            m.row_list(), m.rows, m.cols, rows)
+
+    def test_coordinate_subspace_keeps_no_step(self):
+        space = Subspace.span([unit(4, 1), unit(4, 3)], 4)
+        assert not space._holds([[0, 1, 1, 0]]) and space._holds([[0, 5, 0, -2]])
+        assert space._steps == ((0, 2), 1, ())

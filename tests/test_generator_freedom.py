@@ -197,6 +197,21 @@ def _degrade_inputs():
         yield degrade(base, "break-linking", seed=seed).instance
 
 
+def test_break_exactness_refuses_invalid_input():
+    """A break-linking output fails validation, and break-exactness names
+    its first violation instead of redrawing the break away."""
+    refused = 0
+    for inst in _degrade_inputs():
+        report = validate(inst, ambient_laws=False)
+        if report.ok:
+            continue
+        first = report.violations[0]
+        with pytest.raises(ValueError, match=re.escape(f"{first.kind} violation at {first.label}")):
+            degrade(inst, "break-exactness", seed=1)
+        refused += 1
+    assert refused == 4
+
+
 class TestPinnedShortcut:
     @pytest.fixture(scope="class")
     def outcomes(self):

@@ -1,7 +1,9 @@
 """Generator outputs pinned by digest: exact-search finds and a budget
 stop, and every degrade mode, including both break-exactness phases.  The
 exact search and break-exactness's biased redraw share one linked-assignment
-walker, so these rows pin its draw order and its expansion count.
+walker, so these rows pin its draw order and its expansion count.  One
+more digest covers a small sweep of searches and their break-exactness
+degrades with every report.
 """
 
 import hashlib
@@ -20,7 +22,8 @@ from llschain.generator import (
     gen_exact_search,
     gen_simple,
 )
-from llschain.lls_core import from_chain, instance_to_json, validate
+from llschain.lls_core import codim_report, exactness, from_chain, instance_to_json, validate
+from llschain.simple_basis import is_simple
 
 
 def _digest(data: dict) -> str:
@@ -195,3 +198,36 @@ class TestFill:
     def test_no_choice_anywhere_gives_none(self):
         root = from_chain(ChainCurve(1), 0, {})
         assert _fill(root, lambda *args: [], budget=10) == (None, 0)
+
+
+# Every exact search and every break-exactness degrade of its find at
+# d 1-5, r <= 2, seeds 0-3, with every report a user can ask of them.  A
+# complete series (r = d) offers break-exactness nothing to perturb.
+SWEEP_DIGEST = "2a83c424cf4e8ec3274b61bc79fd9a5427ed23c8422d4c24c11eec7003619e2c"
+
+
+def _sweep_results():
+    for d in range(1, 6):
+        for r in range(min(d, 2) + 1):
+            for seed in range(4):
+                found = search(d, r, seed, 2000).instance
+                yield found
+                if r < d:
+                    yield degrade(found, "break-exactness", seed=seed).instance
+
+
+def test_sweep_bytes():
+    """One sha256 over the instance file and the validate, exactness,
+    is_simple and (when exact) codim_report JSON of all 104 results."""
+    digest, count = hashlib.sha256(), 0
+    for inst in _sweep_results():
+        exact = exactness(inst)
+        reports = [instance_to_json(inst), validate(inst).to_json(), exact.to_json(),
+                   is_simple(inst).to_json()]
+        if exact.exact:
+            reports.append(codim_report(inst).to_json())
+        for data in reports:
+            digest.update(_digest(data).encode("ascii"))
+        count += 1
+    assert count == 104
+    assert digest.hexdigest() == SWEEP_DIGEST

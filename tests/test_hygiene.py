@@ -3,7 +3,8 @@
 ``fractions`` imported only where rows meet ``Fraction`` values, no push
 through ``vec_matmul`` and no ``Fraction`` row view outside ``exactla``,
 no toward/from test of a step outside ``lattice``, no private
-``lls_core`` name used outside it, one candidate stream in ``generator``,
+``lls_core`` name used outside it, no subspace built or reduced past
+``exactla``'s public operations, one candidate stream in ``generator``,
 and importing the package leaves the slow-to-load standard modules out."""
 
 import ast
@@ -113,6 +114,15 @@ def test_file_format_stays_in_lls_core(path):
              and isinstance(node.value, ast.Name) and node.value.id == "lls_core"}
     private = sorted(n for n in used if n.startswith("_") and not n.startswith("__"))
     assert not private or path.name == "lls_core.py", (path.name, private)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_subspaces_are_built_inside_exactla(path):
+    # Every subspace is made, and every vector reduced, by ``exactla``'s
+    # public operations (a sum of several spaces is ``Subspace.sum``), so no
+    # other module stacks rows or reads residual steps itself.
+    private = _names(path) & {"_subspace", "_relations", "_residuals"}
+    assert not private or path.name == "exactla.py", (path.name, private)
 
 
 def test_one_candidate_stream_in_the_generator():
