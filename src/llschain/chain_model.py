@@ -7,9 +7,19 @@ multidegree-``(i, j, l)`` bundle is a polynomial triple ``(f1, f2, f3)`` of
 degrees at most ``(i, j, l)`` whose values match across the nodes,
 ``f1(0) = f2(0)`` and ``f2(1) = f3(0)``; the glued space has dimension
 ``d + 1``.  It is an ``exactla.Subspace`` of the raw coordinates, the
-concatenated ascending coefficients of f1, f2 and f3, and its RREF basis
-is the canonical basis that every twist matrix and vanishing subspace is
-written in.
+concatenated ascending coefficients ``a_0..a_i | b_0..b_j | c_0..c_l`` of
+f1, f2 and f3, and its RREF basis is the canonical basis that every twist
+matrix and vanishing subspace is written in.
+
+Everything here is built from closed forms, and ``Subspace.span`` puts
+each space in canonical form.  The RREF basis has a pivot at every raw
+coefficient but ``b_0`` and ``c_0``, so a section's canonical coordinates
+are ``(a_0..a_i, b_1..b_j, c_1..c_l)``, with ``b_0 = a_0`` and
+``c_0 = a_0 + b_1 + ... + b_j``: the basis row of ``a_0`` also has a 1 at
+``b_0`` and ``c_0``, that of each ``b_k`` at ``c_0``, and every other row
+is a unit row.  A section vanishes on X1 when every ``a_k`` is zero, on X2
+when ``a_0`` and every ``b_k`` are, and on X3 when every ``c_k`` is, ``c_0``
+included; on a union, when all of its components' conditions hold.
 
 The six twist maps restrict away one component and multiply by the linear
 form vanishing at the node(s) it meets (one concrete choice of the gluing
@@ -87,28 +97,22 @@ class ChainCurve(_ChainFields):
         return super().__new__(cls, d)
 
 
-def _blocks(md: Multidegree) -> tuple[int, int, int]:
-    """Coefficient counts of f1, f2, f3 at ``md``."""
-    return (md.i + 1, md.j + 1, md.l + 1)
-
-
 @lru_cache(maxsize=None)
 def h0_basis(chain: ChainCurve, md: Multidegree) -> Subspace:
     """Glued global sections at ``md``, as the subspace of raw coordinates
     (``i+1`` coefficients of f1, then ``j+1`` of f2, then ``l+1`` of f3,
     each in ascending degree) solving the two gluing equations; its RREF
-    basis is the canonical basis of the section space."""
+    basis is the canonical basis of the section space.  Basis row ``p`` is
+    the unit row at pivot ``p`` with ``b_0`` and ``c_0`` glued to it."""
     if md.degree != chain.d or min(md) < 0:
         raise ValueError(f"{md.label} is not a nonnegative multidegree of total degree {chain.d}")
-    b1, b2, b3 = _blocks(md)
-    total = b1 + b2 + b3
-    # Gluing columns: f1(0) - f2(0) and f2(1) - f3(0).
-    rows = []
-    for k in range(total):
-        col_a = 1 if k == 0 else (-1 if k == b1 else 0)
-        col_b = 1 if b1 <= k < b1 + b2 else (-1 if k == b1 + b2 else 0)
-        rows.append((col_a, col_b))
-    return kernel(Matrix.from_ints(rows, (1,) * total, 2))
+    total = chain.d + 3
+    b0, c0 = md.i + 1, md.i + md.j + 2  # the raw columns of b_0 and c_0
+    rows = [[int(k == p) for k in range(total)] for p in range(total) if p not in (b0, c0)]
+    for row in rows:
+        row[b0] = row[0]
+        row[c0] = sum(row[b0:c0])
+    return Subspace.span(rows, total)
 
 
 # The module docstring's table: each block's factor per direction, as
@@ -123,21 +127,15 @@ _FACTORS = {
 }
 
 
-def _apply_twist(edge: Edge, raw: Sequence[int]) -> list[int]:
-    """Image of an integer raw section along ``edge``: each block
-    times its factor, as a sum of shifted coefficient blocks."""
-    out: list[int] = []
-    start = 0
-    for size, target_size, factor in zip(_blocks(edge.source), _blocks(edge.target),
-                                         _FACTORS[edge.direction]):
-        coeffs = raw[start:start + size]
-        start += size
-        block = [0] * target_size
-        for shift, sign in enumerate(factor):
-            if sign:
-                for k, c in enumerate(coeffs, shift):
-                    block[k] += sign * c
-        out += block
+def _twist_block(forms: Sequence[Sequence[int]], factor: Sequence[int],
+                 size: int) -> list[list[int]]:
+    """The ``size`` forms of one block's polynomial times ``factor``, from
+    the forms of its coefficients."""
+    out = [[0] * len(forms[0]) for _ in range(size)]
+    for shift, coeff in enumerate(factor):
+        if coeff:
+            for k, form in enumerate(forms, shift):
+                out[k] = [x + coeff * y for x, y in zip(out[k], form)]
     return out
 
 
@@ -146,40 +144,48 @@ def twist_matrix(chain: ChainCurve, edge: Edge) -> Matrix:
     """Matrix of the twist map along ``edge`` in the canonical bases.
 
     Rows are indexed by the source basis, columns by the target basis; the
-    map acts on coordinate rows by right multiplication.  Each source basis
-    row is its integer row over the pivot entry, so its image is the
-    twisted integer row over the same entry; every image is checked to lie
-    in the target section space (it always does for this backend), and its
-    coordinates are its entries at the target's pivot columns.
+    map acts on coordinate rows by right multiplication.  Column ``k`` of
+    the source basis is raw coefficient ``k`` as a linear form in the
+    source coordinates, so each block's twisted coefficients are forms too
+    (``_twist_block``).  The target's gluing is checked on the forms,
+    ``a'_0 = b'_0`` and ``b'_0 + ... + b'_j' = c'_0``, so every image is a
+    glued section (it always is for this backend), and the target
+    coordinates are the forms at the target's pivot columns.
     """
     if edge.source.step(edge.direction) != edge.target:
         raise ValueError(f"{edge.label} is not a lattice edge")
     src = h0_basis(chain, edge.source)
     tgt = h0_basis(chain, edge.target)
-    images = [_apply_twist(edge, row) for row in src.basis.ints]
-    if not tgt._holds(images):
+    forms = list(zip(*src.basis.ints))
+    b0, c0 = edge.source.i + 1, edge.source.i + edge.source.j + 2
+    a, b, c = map(_twist_block, (forms[:b0], forms[b0:c0], forms[c0:]),
+                  _FACTORS[edge.direction], [n + 1 for n in edge.target])
+    if a[0] != b[0] or [sum(col) for col in zip(*b)] != c[0]:
         raise LinearAlgebraError(f"a twisted section along {edge.label} is not glued")
-    return Matrix.from_ints([[image[p] for p in tgt.pivots] for image in images],
-                            src.basis.dens, tgt.dim)
+    image = a + b + c
+    # Basis rows are 0/1 rows over 1, so the integer images are stored rows.
+    return Matrix._stored(tgt.dim, tuple(zip(*(image[p] for p in tgt.pivots))), src.basis.dens)
 
 
 @lru_cache(maxsize=None)
 def vanishing_subspace(chain: ChainCurve, md: Multidegree,
                        components: tuple[int, ...]) -> Subspace:
     """Sections whose restriction to every listed component is identically
-    zero, in the canonical coordinates at ``md``.  Vanishing on a union is
-    the kernel of the combined coefficient blocks."""
+    zero, in the canonical coordinates at ``md``: the unit rows of the
+    coordinates the module docstring's conditions leave free and, on X3,
+    the differences of ``c_0``'s free terms, which must sum to zero."""
     comps = tuple(sorted(set(components)))
     if not comps or any(q not in (1, 2, 3) for q in comps):
         raise ValueError("components must be a nonempty subset of {1, 2, 3}")
-    space = h0_basis(chain, md)
-    b1, b2, b3 = _blocks(md)
-    offsets = {1: (0, b1), 2: (b1, b1 + b2), 3: (b1 + b2, b1 + b2 + b3)}
-    cols: list[int] = []
-    for q in comps:
-        cols.extend(range(*offsets[q]))
-    restricted = [[row[c] for c in cols] for row in space.basis.ints]
-    return kernel(Matrix.from_ints(restricted, space.basis.dens, len(cols)))
+    n = h0_basis(chain, md).dim
+    i, j, _ = md
+    # The coordinates each component sets to zero: the a_k, a_0 and the b_k,
+    # the c_k; the free ones among a_0 and the b_k are tied on X3.
+    units = {1: range(i + 1), 2: (0, *range(i + 1, i + j + 1)), 3: range(i + j + 1, n)}
+    zero = {m for q in comps for m in units[q]}
+    tied = [m for m in units[2] if m not in zero] if 3 in comps else []
+    return Subspace.span([[int(k == m) - int(m in tied and k == tied[0]) for k in range(n)]
+                          for m in range(n) if m not in zero and tied[:1] != [m]], n)
 
 
 @lru_cache(maxsize=None)

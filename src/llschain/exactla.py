@@ -144,6 +144,11 @@ def _fractions(row: IntRow, den: int) -> Vector:
     return tuple(Fraction(e, den) if e else _ZERO for e in row)
 
 
+def _strings(row: IntRow, den: int) -> list[str]:
+    """The entry strings of the stored row ``row / den``."""
+    return list(map(str, row if den == 1 else _fractions(row, den)))
+
+
 def _common(matrix: "Matrix") -> tuple[Sequence[IntRow], int]:
     """The rows of ``matrix`` over one denominator: ``(rows, den)`` with
     row ``k`` equal to ``rows[k] / den``."""
@@ -234,8 +239,7 @@ class Matrix:
         return Matrix._stored(width, tuple(ints), tuple(dens))
 
     def to_strings(self) -> list[list[str]]:
-        return [list(map(str, row if den == 1 else _fractions(row, den)))
-                for row, den in zip(self.ints, self.dens)]
+        return list(map(_strings, self.ints, self.dens))
 
 
 def vec_matmul(v: Sequence, m: Matrix) -> Vector:
@@ -411,10 +415,6 @@ class Subspace:
         return _subspace(rows, ambient_dim)
 
     @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return _subspace([], ambient_dim)
-
-    @staticmethod
     def full(ambient_dim: int) -> "Subspace":
         return _subspace([[int(j == k) for j in range(ambient_dim)] for k in range(ambient_dim)],
                          ambient_dim)
@@ -491,9 +491,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise LinearAlgebraError(
                 f"ambient mismatch: {self.ambient_dim} vs {other.ambient_dim}")
-
-    def to_strings(self) -> list[list[str]]:
-        return self.basis.to_strings()
 
 
 def kernel(matrix: Matrix) -> Subspace:

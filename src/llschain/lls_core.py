@@ -31,7 +31,7 @@ relating neighbouring multidegrees.
 
 The file section at the end is the one place that knows the format of
 instance and :class:`SimpleCertificate` files; its comment gives the
-layouts, the one writer and the one reader's refusals.
+layouts, the writers and the one reader's refusals.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .exactla import (
     Subspace,
     _SHORT_INTS,
     _integer_row,
+    _strings,
     complement_in,
     image,
     parse_rational,
@@ -303,10 +304,11 @@ class _Node:
         return (sum(self.meet(p).dim for p in ((1, 2), (1, 3), (2, 3)) if a in p)
                 - self.meet((1, 2, 3)).dim)
 
-    def defect(self) -> int:
+    def defect(self, dims: Sequence[int] = ()) -> int:
         """``dim V_a ∩ (V_b + V_c) - dim(V_a ∩ V_b + V_a ∩ V_c)``, the same
-        for every ``a`` (see :func:`distributive_at`)."""
-        d1, d2, d3, d12, d13, d23, d123 = (self.meet(c).dim for c in _COMPONENT_SETS)
+        for every ``a`` (see :func:`distributive_at`), from the seven meets'
+        ``dims`` in ``_COMPONENT_SETS`` order when the caller has read them."""
+        d1, d2, d3, d12, d13, d23, d123 = dims or [self.meet(c).dim for c in _COMPONENT_SETS]
         return d1 + d2 + d3 - d12 - d13 - d23 + d123 - self.triple_sum().dim
 
 
@@ -436,11 +438,12 @@ class GridReport(NamedTuple):
 def _cell(inst: LlsInstance, md: Multidegree) -> GridCell:
     node = _node(inst, md)
     if node.cell is None:
-        d1, d2, d3, d12, d13, d23, _ = (node.meet(c).dim for c in _COMPONENT_SETS)
+        dims = [node.meet(c).dim for c in _COMPONENT_SETS]
+        d1, d2, d3, d12, d13, d23, _ = dims
         triple = node.triple_sum().dim
         node.cell = GridCell(md, node.space.dim, (d1, d2, d3),
                              (d1 + d2 - d12, d1 + d3 - d13, d2 + d3 - d23),
-                             triple, inst.r + 1 - triple, node.defect() == 0)
+                             triple, inst.r + 1 - triple, node.defect(dims) == 0)
     return node.cell
 
 
@@ -639,7 +642,9 @@ def identity_suite(inst: LlsInstance) -> IdentitySuiteReport:
 # "X2": rows, "X3": rows}}, "V": {"i,l": rows}}.  Certificate layout:
 # {"support": [[i,j,l], ...], "sections": {"i,l": rows}}.  Keys are "i,l"
 # because j is determined; matrices are row major and act on row vectors
-# from the right.  ``dump`` writes every file and report.  ``_read_json``
+# from the right.  ``save_instance`` streams an instance file from the
+# stored rows, the bytes of ``dump`` of ``instance_to_json``, the dict view
+# that stays pinned; ``dump`` writes certificates and reports.  ``_read_json``
 # reads both kinds and refuses, at "$", a number that is not an integer
 # (NaN, 1e400, 0.5: rationals are strings) and nesting too deep to decode.
 # ---------------------------------------------------------------------------
@@ -733,7 +738,10 @@ def _by_node(data: dict, name: str, d: int, read) -> dict:
     return out
 
 
-def instance_to_json(inst: LlsInstance) -> dict:
+def instance_to_json(inst: LlsInstance, rows=Matrix.to_strings) -> dict:
+    """The instance file's value, with every matrix (a map, or a space's
+    basis) as ``rows(matrix)``: its entry strings, or the matrix itself
+    for :func:`save_instance`."""
     grid = inst.multidegrees
     data: dict = {
         "d": inst.d,
@@ -741,13 +749,13 @@ def instance_to_json(inst: LlsInstance) -> dict:
         "multidegrees": [md.to_json() for md in grid],
         "ambient_dim": {md_key(md): inst.ambient_dim[md] for md in grid},
         "maps": [{"from": e.source.to_json(), "to": e.target.to_json(),
-                  "matrix": inst.maps[(e.source, e.target)].to_strings()}
+                  "matrix": rows(inst.maps[(e.source, e.target)])}
                  for e in directed_edges(inst.d)],
         "vanishing": {
-            md_key(md): {f"X{q}": inst.vanishing[md][q].to_strings() for q in (1, 2, 3)}
+            md_key(md): {f"X{q}": rows(inst.vanishing[md][q].basis) for q in (1, 2, 3)}
             for md in grid
         },
-        "V": {md_key(md): inst.spaces[md].to_strings()
+        "V": {md_key(md): rows(inst.spaces[md].basis)
               for md in grid if md in inst.spaces},
     }
     if inst.provenance:
@@ -874,9 +882,51 @@ def _read_json(path):
             raise InstanceFormatError("$", "nested too deeply") from None
 
 
+@functools.lru_cache(maxsize=4096)
+def _row_text(row: tuple[int, ...], den: int, pad: str) -> str:
+    """``dump``'s text of the stored row ``row / den`` indented by ``pad``,
+    made once per row: the 1800 rows of a d = 8 chain's maps are 31 rows."""
+    if not row:
+        return pad + "[]"
+    entry_pad = pad + "  "
+    return f'{pad}[\n{entry_pad}"' + f'",\n{entry_pad}"'.join(_strings(row, den)) + f'"\n{pad}]'
+
+
+def _encode(value, pad: str, write) -> None:
+    """Write ``dump``'s text of ``value`` indented by ``pad``, less the
+    final newline, with each ``Matrix`` written as its entry strings.
+    Lists and string-keyed objects are written item by item, lists of
+    integers whole, and any other value by ``json.dumps``."""
+    if type(value) is Matrix:
+        rows = [_row_text(row, den, pad + "  ") for row, den in zip(value.ints, value.dens)]
+        write("[\n" + ",\n".join(rows) + f"\n{pad}]" if rows else "[]")
+    elif type(value) is dict and value and all(type(key) is str for key in value):
+        inner, sep = pad + "  ", "{\n"
+        for key in sorted(value):
+            write(f"{sep}{inner}{json.dumps(key)}: ")
+            _encode(value[key], inner, write)
+            sep = ",\n"
+        write(f"\n{pad}}}")
+    elif type(value) is list and value and all(type(item) is int for item in value):
+        inner = pad + "  "
+        write(f"[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{pad}]")
+    elif type(value) is list and value:
+        inner, sep = pad + "  ", "[\n"
+        for item in value:
+            write(sep + inner)
+            _encode(item, inner, write)
+            sep = ",\n"
+        write(f"\n{pad}]")
+    else:
+        write(json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad))
+
+
 def save_instance(path, inst: LlsInstance) -> None:
+    """Write the instance file, the bytes of ``dump(instance_to_json(inst))``,
+    piece by piece from the stored rows."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump(instance_to_json(inst)))
+        _encode(instance_to_json(inst, rows=lambda matrix: matrix), "", handle.write)
+        handle.write("\n")
 
 
 def load_instance(path) -> LlsInstance:

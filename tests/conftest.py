@@ -114,8 +114,8 @@ def abstract_nondistributive_instance() -> LlsInstance:
     vanishing = {
         a: {1: Subspace.span([u], 4), 2: Subspace.span([v], 4),
             3: Subspace.span([uv], 4)},
-        b: {1: full, 2: Subspace.zero(4), 3: Subspace.zero(4)},
-        c: {1: full, 2: full, 3: Subspace.zero(4)},
+        b: {1: full, 2: Subspace.sum((), 4), 3: Subspace.sum((), 4)},
+        c: {1: full, 2: full, 3: Subspace.sum((), 4)},
     }
     return LlsInstance(1, 1, {node: 4 for node in (a, b, c)}, maps, vanishing,
                        {a: plane, b: plane, c: plane})

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import operator
 import random
@@ -30,7 +31,7 @@ from llschain.lattice import (
 from llschain.lls_core import from_chain
 
 from conftest import rescaled, with_entry
-from oracles import all_walk_composites, random_walk
+from oracles import all_walk_composites, random_walk, sympy_left_kernel
 
 
 def md(i, j, l):
@@ -113,22 +114,23 @@ class TestTwistMatrices:
         """The images of an edge are checked together, and one bad image
         among them, the last, still fails the check with the edge's label."""
         edge = Edge(md(1, 2, 0), md(1, 1, 1), Direction.FROM_X3)
-        rows = len(h0_basis(ChainCurve(3), edge.source).basis.ints)
-        real = chain_model._apply_twist
+        rows = h0_basis(ChainCurve(3), edge.source).dim
+        real = chain_model._twist_block
         calls = []
 
-        def corrupted(e, raw):
-            out = real(e, raw)
-            calls.append(e)
-            if len(calls) == rows:
-                out[0] += 1
+        def corrupted(forms, factor, size):
+            out = real(forms, factor, size)
+            if not calls:
+                # f1's block: the image of the last source row gains f1(0) = 1.
+                out[0][rows - 1] += 1
+            calls.append(factor)
             return out
 
-        monkeypatch.setattr(chain_model, "_apply_twist", corrupted)
+        monkeypatch.setattr(chain_model, "_twist_block", corrupted)
         # The uncached function, so no cached matrix answers the call.
         with pytest.raises(LinearAlgebraError, match=r"along \(1,2,0\)->\(1,1,1\) is not glued"):
             twist_matrix.__wrapped__(ChainCurve(3), edge)
-        assert calls == [edge] * rows
+        assert calls == list(chain_model._FACTORS[edge.direction])
 
     @pytest.mark.parametrize("d", range(1, 5))
     def test_round_trips_vanish(self, d):
@@ -195,6 +197,86 @@ class TestVanishing:
             v12 = vanishing_subspace(chain, node, (1, 2))
             assert v12 == (vanishing_subspace(chain, node, (1,))
                            & vanishing_subspace(chain, node, (2,)))
+
+
+# The module docstring's twist table, per direction and block, as ascending
+# coefficients of the factor; written out here apart from the library's.
+DOCSTRING_FACTORS = {
+    Direction.TOWARD_X1: ((), (0, 1), (1,)),
+    Direction.FROM_X1: ((0, 1), (), ()),
+    Direction.TOWARD_X2: ((0, 1), (), (0, 1)),
+    Direction.FROM_X2: ((), (0, 1, -1), ()),
+    Direction.TOWARD_X3: ((1,), (1, -1), ()),
+    Direction.FROM_X3: ((), (), (0, 1)),
+}
+
+
+def gluing_kernel(node):
+    """The sections at ``node`` by sympy: the left kernel of the two gluing
+    columns, f1(0) - f2(0) and f2(1) - f3(0), over the raw coefficients."""
+    b1, b2, b3 = node.i + 1, node.j + 1, node.l + 1
+    rows = [(int(k == 0) - int(k == b1), int(b1 <= k < b1 + b2) - int(k == b1 + b2))
+            for k in range(b1 + b2 + b3)]
+    return sympy_left_kernel(rows, len(rows), 2)
+
+
+def twisted_row(raw, node, factors):
+    """A raw section at ``node`` with each block multiplied by its factor."""
+    out, start = [], 0
+    for size, factor in zip((node.i + 1, node.j + 1, node.l + 1), factors):
+        block = raw[start:start + size]
+        start += size
+        product = [0] * (size + len(factor))
+        for shift, coeff in enumerate(factor):
+            for k, c in enumerate(block, shift):
+                product[k] += coeff * c
+        out.append(product)
+    return out
+
+
+class TestClosedForms:
+    """The closed forms of the chain's ambient data against eliminations
+    done elsewhere: sympy kernels, and the twist of every raw basis row."""
+
+    @pytest.mark.parametrize("d", range(11))
+    def test_sections_are_the_gluing_kernel(self, d):
+        chain = ChainCurve(d)
+        for node in all_multidegrees(d):
+            assert h0_basis(chain, node).basis.row_list() == gluing_kernel(node)
+
+    @pytest.mark.parametrize("d", range(11))
+    def test_vanishing_is_the_kernel_of_the_restricted_blocks(self, d):
+        chain = ChainCurve(d)
+        for node in all_multidegrees(d):
+            basis = gluing_kernel(node)
+            b1, b2 = node.i + 1, node.i + node.j + 2
+            blocks = {1: range(b1), 2: range(b1, b2), 3: range(b2, len(basis[0]))}
+            for k in (1, 2, 3):
+                for comps in itertools.combinations((1, 2, 3), k):
+                    cols = [c for q in comps for c in blocks[q]]
+                    restricted = [[row[c] for c in cols] for row in basis]
+                    expected = sympy_left_kernel(restricted, d + 1, len(cols))
+                    assert (vanishing_subspace(chain, node, comps).basis.row_list()
+                            == expected), (node, comps)
+
+    @pytest.mark.parametrize("d", range(11))
+    def test_twist_matrices_read_the_twisted_basis_rows(self, d):
+        """Row k of a twist matrix is the twisted raw basis row k, read at
+        the target's pivot columns once it is checked to be glued there."""
+        chain = ChainCurve(d)
+        for edge in directed_edges(d):
+            source = h0_basis(chain, edge.source)
+            target = h0_basis(chain, edge.target)
+            expected = []
+            for row in source.basis.row_list():
+                f1, f2, f3 = twisted_row(row, edge.source, DOCSTRING_FACTORS[edge.direction])
+                image = f1[:edge.target.i + 1] + f2[:edge.target.j + 1] + f3[:edge.target.l + 1]
+                assert not any(f1[edge.target.i + 1:] + f2[edge.target.j + 1:]
+                               + f3[edge.target.l + 1:])
+                assert image in target
+                expected.append([image[p] for p in target.pivots])
+            assert twist_matrix(chain, edge).row_list() == [tuple(map(Fraction, row))
+                                                            for row in expected], edge.label
 
 
 class TestComposites:

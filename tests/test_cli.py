@@ -538,7 +538,7 @@ class TestFrontDoor:
         data = instance_to_json(worked_instance)
         data["vanishing"]["0,1"]["X1"] = []
         inst = instance_from_json(data)
-        assert inst.vanishing[Multidegree(0, 0, 1)][1] == Subspace.zero(2)
+        assert inst.vanishing[Multidegree(0, 0, 1)][1] == Subspace.sum((), 2)
 
     def test_construction_error_exits_one(self, monkeypatch, worked_files):
         _, inst_path = worked_files

@@ -253,7 +253,7 @@ class TestKernel:
         assert kernel(zeros(3, 2)) == Subspace.full(3)
 
     def test_identity_has_zero_kernel(self):
-        assert kernel(Matrix.identity(3)) == Subspace.zero(3)
+        assert kernel(Matrix.identity(3)) == Subspace.sum((), 3)
 
     def test_rank_nullity_on_200_random_matrices(self):
         rng = random.Random(11)
@@ -270,7 +270,7 @@ class TestKernel:
 class TestSubspaceLattice:
     def test_units(self):
         s = Subspace.span([(1, 2, 0), (0, 0, 1)], 3)
-        assert s + Subspace.zero(3) == s
+        assert s + Subspace.sum((), 3) == s
         assert (s & Subspace.full(3)) == s
 
     def test_coordinate_planes(self):
@@ -299,7 +299,7 @@ class TestSubspaceLattice:
             n = rng.randint(1, 8)
             a = image(random_matrix(rng, rng.randint(0, n), n, bound=4))
             b = image(random_matrix(rng, rng.randint(0, n), n, bound=4))
-            cases += [(a, b), (a, Subspace.zero(n)), (Subspace.full(n), a),
+            cases += [(a, b), (a, Subspace.sum((), n)), (Subspace.full(n), a),
                       (a, a), (a, a + b)]
         for a, b in cases:
             expected = sympy_intersection(a.basis.row_list(), b.basis.row_list(),
@@ -346,7 +346,7 @@ class TestComplement:
         assert Subspace.span([(1, 0, 0), *first.row_list()], 3) == outer
 
     def test_preferred_candidates_win(self):
-        inner = Subspace.zero(2)
+        inner = Subspace.sum((), 2)
         outer = Subspace.full(2)
         picked = complement_in(inner, outer, preferred=[(2, 2), (1, 0)])
         assert picked.ints == ((2, 2), (1, 0)) and picked.dens == (1, 1)
@@ -388,7 +388,7 @@ class TestComplement:
         pre = preimage(m, target)
         assert pre == Subspace.span([(1, 0, 0), (0, 1, 0)], 3)
         assert preimage(m, Subspace.full(2)) == Subspace.full(3)
-        assert preimage(m, Subspace.zero(2)) == kernel(m)
+        assert preimage(m, Subspace.sum((), 2)) == kernel(m)
 
     def test_preimage_is_kernel_of_map_modulo_target(self):
         """The residual kernel equals the kernel of ``M`` followed by the
@@ -567,7 +567,7 @@ class TestIntegerCore:
 
     def test_zero_and_full_carry_rows(self):
         for n in range(4):
-            assert_canonical(Subspace.zero(n))
+            assert_canonical(Subspace.sum((), n))
             assert_canonical(Subspace.full(n))
 
 
@@ -616,7 +616,7 @@ def summands(draw, n):
     pivot entries are often not 1."""
     kind = draw(st.sampled_from(["zero", "full", "coordinate", "mixed"]))
     if kind == "zero":
-        return [], Subspace.zero(n)
+        return [], Subspace.sum((), n)
     if kind == "full":
         return [unit(n, a) for a in range(n)], Subspace.full(n)
     if kind == "coordinate":
@@ -638,7 +638,7 @@ class TestStackedSum:
         drawn = data.draw(st.lists(summands(n), max_size=4))
         spaces = [space for _, space in drawn]
         stacked = assert_canonical(Subspace.sum(spaces, n))
-        chained = Subspace.zero(n)
+        chained = Subspace.sum((), n)
         for space in spaces:
             chained = chained + space
         assert stacked == chained
@@ -658,12 +658,12 @@ class TestStackedSum:
         assert max(stacked.basis.dens) > 1
 
     def test_no_spaces_is_the_zero_space(self):
-        assert Subspace.sum([], 3) == Subspace.zero(3)
+        assert Subspace.sum([], 3) == Subspace.span([], 3)
         assert Subspace.sum(iter([Subspace.full(2)]), 2) == Subspace.full(2)
 
     def test_ambient_mismatch_raises(self):
         with pytest.raises(LinearAlgebraError):
-            Subspace.sum([Subspace.zero(2), Subspace.full(3)], 2)
+            Subspace.sum([Subspace.sum((), 2), Subspace.full(3)], 2)
         with pytest.raises(LinearAlgebraError):
             Subspace.full(2) + Subspace.full(3)
 

@@ -47,7 +47,7 @@ def preimage_bounds(inst, md, assigned):
     """Both bounds in full: the neighbours' images summed and their
     preimages intersected, at pinned nodes too."""
     maps, rp1 = inst.maps, inst.r + 1
-    lower = Subspace.zero(inst.ambient_dim[md])
+    lower = Subspace.sum((), inst.ambient_dim[md])
     upper = Subspace.full(inst.ambient_dim[md])
     for _, n in md.neighbours():
         if n in assigned:
@@ -224,7 +224,7 @@ class TestPinnedShortcut:
             grid = inst.multidegrees
             for k, md in enumerate(grid):
                 for assigned in ({m: inst.space(m) for m in grid[:k]}, inst.spaces):
-                    lower = Subspace.zero(inst.ambient_dim[md])
+                    lower = Subspace.sum((), inst.ambient_dim[md])
                     for _, n in md.neighbours():
                         if n in assigned:
                             lower = lower + assigned[n].apply(inst.maps[(n, md)])

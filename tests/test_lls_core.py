@@ -5,13 +5,19 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from llschain import lls_core
 
 from llschain.chain_model import ChainCurve, canonical_matrix as chain_canonical, skeleton
 from llschain.exactla import Matrix, Subspace, kernel, vec_matmul
-from llschain.lattice import Direction, Multidegree, all_multidegrees, canonical_path
+from llschain.lattice import (
+    Direction,
+    Multidegree,
+    all_multidegrees,
+    canonical_path,
+    directed_edges,
+)
 from llschain.lls_core import (
     InstanceFormatError,
     LlsInstance,
@@ -318,7 +324,71 @@ class TestIdentityHypotheses:
         assert not report.by_status("hypothesis-not-met")
 
 
+# Provenance values: any JSON, with escaped and non-ASCII text in keys and strings.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=10)
+
+
+@st.composite
+def file_instances(draw):
+    """Instances of up to d = 2 with any ambient dimensions from 0: entries
+    over denominators up to 6 and of either sign, spaces of any dimension
+    from 0, ``V`` at some of the nodes, and any provenance."""
+    d = draw(st.integers(0, 2))
+    grid = all_multidegrees(d)
+    ambient = {node: draw(st.integers(0, 3)) for node in grid}
+    entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+    def rows(count, width):
+        return draw(st.lists(st.lists(entries, min_size=width, max_size=width),
+                             min_size=count, max_size=count))
+
+    def space(node):
+        n = ambient[node]
+        return Subspace.span(rows(draw(st.integers(0, n)), n), n)
+
+    maps = {(e.source, e.target): rational_matrix(rows(ambient[e.source], ambient[e.target]),
+                                                  ambient[e.target])
+            for e in directed_edges(d)}
+    vanishing = {node: {q: space(node) for q in (1, 2, 3)} for node in grid}
+    spaces = {node: space(node) for node in grid if draw(st.booleans())}
+    provenance = draw(st.none() | st.dictionaries(st.text(), JSON_VALUES, max_size=4))
+    return LlsInstance(d, draw(st.integers(0, 3)), ambient, maps, vanishing, spaces, provenance)
+
+
+def escaped_provenance_instance() -> LlsInstance:
+    """The bare d = 1 chain with provenance that needs escapes and nests."""
+    return from_chain(ChainCurve(1), 0, {}, {
+        "note": 'a "quote", a back\\slash, a tab\t, \u00e9 and \u2603',
+        "nested": [{"b": [1, -2.5, None, True]}, [], {}], "\u00fcber": "\n"})
+
+
 class TestSerialization:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(file_instances())
+    @example(escaped_provenance_instance())
+    def test_instance_file_is_the_dump_of_its_dict(self, tmp_path, inst):
+        """The streaming writer gives the bytes of ``dump`` of the dict view."""
+        path = tmp_path / "instance.json"
+        save_instance(path, inst)
+        assert path.read_bytes() == lls_core.dump(instance_to_json(inst)).encode("utf-8")
+
+    @pytest.mark.parametrize("d", [0, 1, 11])
+    def test_instance_file_without_maps_or_provenance(self, tmp_path, d):
+        """At d = 0 ``maps`` is the empty list; an instance of the bare
+        ambient data has an empty ``V`` and no provenance; at d = 11 the
+        node keys sort as text ("1,0" < "10,0" < "11,0" < "1,1")."""
+        inst = from_chain(ChainCurve(d), 0, {})
+        path = tmp_path / "instance.json"
+        save_instance(path, inst)
+        text = path.read_text(encoding="utf-8")
+        assert text == lls_core.dump(instance_to_json(inst))
+        assert ('"maps": [],' in text) == (d == 0) and '"V": {},' in text
+
     def test_round_trip_and_byte_stability(self, worked_instance, tmp_path):
         path = tmp_path / "instance.json"
         save_instance(path, worked_instance)
